@@ -1,9 +1,9 @@
 """Localize a 3D point source seen by four sensors.
 
-The pipeline: Laplace transforms on an integer sqrt-parameter ladder,
-distance differences from log ratio-of-ratios, one pair inverted for
-absolute distances, difference chains for the rest, multilateration for
-the location, then per-sensor deconvolution for the intensity.
+The pipeline: Laplace transforms of each sensor series on a geometric
+lambda window, one weighted least-squares fit of the source location to
+the mean-removed log-transforms of all sensors (the unknown intensity
+transform cancels), then per-sensor deconvolution for the intensity.
 """
 
 import numpy as np
@@ -25,10 +25,8 @@ records = [SensorRecord(location=b,
 
 recovery = identifynd.locate_source_nd(records, n=3, lam_window=(6.0, 50.0))
 
-print("ladder (sqrt of transform parameter):", recovery.ladder)
-print("\ndistance differences alpha_j - alpha_i:")
-print(np.array2string(recovery.d_matrix, precision=4))
-print("\nanchor pair:", recovery.anchor_pair)
+print("transform parameters used:", np.round(recovery.lambdas, 3))
+print("guard diagnostics:", list(recovery.diagnostics) or "none")
 
 alpha_true = np.array([np.linalg.norm(x_true - b) for b in sensors])
 print("\nrecovered distances:", np.round(recovery.alpha_hat, 6))
@@ -38,9 +36,8 @@ print(f"\nrecovered location: {np.round(recovery.x1_hat, 6)}")
 print(f"true location:      {x_true}")
 print(f"position error:     "
       f"{np.linalg.norm(recovery.x1_hat - x_true):.2e}")
-ml = recovery.multilateration
-print(f"multilateration residual {ml.residual_norm:.2e}, "
-      f"condition number {ml.condition_number:.2f}")
+print(f"weighted residual {recovery.residual_norm:.2e}, location std "
+      f"{np.sqrt(np.diag(recovery.x1_cov))}")
 
 intensity = identifynd.recover_intensity_nd(records, recovery.alpha_hat,
                                             n=3)

@@ -3,7 +3,8 @@
 The package recovers locations and time-dependent intensities of point
 pollution sources in heat/mass-transfer models from pointwise sensor time
 series, via truncated Laplace transforms of the data, large-parameter
-Green-function asymptotics, multilateration, and regularized Volterra
+Green-function asymptotics (1D), a weighted least-squares fit of the
+free-space transform model (2D/3D), and regularized Volterra
 deconvolution.  Forward solvers (an analytic free-space oracle and a 1D
 Crank-Nicolson scheme) generate and validate synthetic data; diagnostic
 routines flag configurations where recovery is provably non-unique.
@@ -27,10 +28,8 @@ from .identify1d import (
     recover_intensity_1d,
 )
 from .identifynd import (
-    circumcenter,
     in_general_position,
     locate_source_nd,
-    multilaterate,
     nearest_source_matrix,
     nonuniqueness_discrepancy,
     recover_intensity_nd,

@@ -41,7 +41,9 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
+# cross-sensor intensity spread above which the fitted distances are suspect
+SPREAD_LIMIT = 0.2
 
 
 def _jsonify(obj):
@@ -229,14 +231,16 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
     records = [model.SensorRecord(location=p, samples=psi_tilde[:, j],
                                   grid=scenario.grid)
                for j, p in enumerate(scenario.sensors)]
-    grid = scenario.grid
-    if args.lambda_min is not None and args.lambda_max is not None:
-        window = (args.lambda_min, args.lambda_max)
+    # the fit uses the exact resolvent, so no source-sensor gap bounds the
+    # window from below
+    lambdas, window = _lambda_window(args, scenario, delta_hint=np.inf)
+    if args.noise is None:
+        noise = {"value": scenario.noise_sigma, "source": "scenario"}
     else:
-        window = (max(4.0 / grid.horizon ** 2, 4.0), 0.05 / grid.tau)
-    rec = identifynd.locate_source_nd(records, n=n, lam_window=window,
+        noise = {"value": args.noise, "source": "flag"}
+    rec = identifynd.locate_source_nd(records, n=n, lam_window=lambdas,
                                       lambda0=getattr(dom, "lambda0", 0.0),
-                                      noise_sigma=scenario.noise_sigma)
+                                      noise_sigma=noise["value"])
     eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
     intensity = identifynd.recover_intensity_nd(
         records, rec.alpha_hat, n=n, eps=eps,
@@ -245,24 +249,22 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         if isinstance(scenario.coefficients, model.DriftFieldND) else None
     visibility = identifynd.nearest_source_matrix(
         rec.x1_hat[None, :], scenario.sensor_points(), drift)
+    diagnostics = list(rec.diagnostics)
+    if intensity.spread > SPREAD_LIMIT:
+        diagnostics.append({"code": "intensity_spread_high",
+                            "spread": intensity.spread})
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dimension": n,
         "x1_hat": rec.x1_hat.tolist(),
+        "x1_cov": rec.x1_cov.tolist(),
+        "x1_std": np.sqrt(np.diag(rec.x1_cov)).tolist(),
         "alpha_hat": rec.alpha_hat.tolist(),
-        "d_matrix": rec.d_matrix.tolist(),
-        "d_uncertainty": rec.d_uncertainty.tolist(),
-        "degenerate": rec.degenerate,
         "general_position": rec.general_position,
-        "anchor_pair": list(rec.anchor_pair) if rec.anchor_pair else None,
-        "ladder": rec.ladder.tolist(),
         "lambda_window": list(window),
-        "multilateration": None if rec.multilateration is None else {
-            "residual_norm": rec.multilateration.residual_norm,
-            "condition_number": rec.multilateration.condition_number,
-            "per_sensor_residual":
-                rec.multilateration.per_sensor_residual.tolist(),
-        },
+        "lambdas": rec.lambdas.tolist(),
+        "residual_norm": rec.residual_norm,
+        "noise_sigma": noise,
         "intensity": {
             "eps": intensity.deconvolutions[0].eps,
             "spread": intensity.spread,
@@ -273,10 +275,7 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
             "det": visibility.determinant,       # None: rectangular (r=1)
             "near_singular": visibility.near_singular,
         },
-        "diagnostics": list(rec.diagnostics) + (
-            [f"cross-sensor intensity spread {intensity.spread:.3g} above "
-             f"0.2: distance estimates are suspect"]
-            if intensity.spread > 0.2 else []),
+        "diagnostics": diagnostics,
     }
     report["evaluation"] = _evaluation_block(
         scenario, rec.x1_hat, intensity.q, out / "ground_truth.json")

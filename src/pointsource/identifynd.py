@@ -1,21 +1,13 @@
 """Multidimensional (n = 2, 3) single-source localization and diagnostics.
 
-The localization pipeline turns transform ratios into distance geometry:
-
-1. evaluate each sensor transform on an integer ladder alpha, alpha+1, ...
-   of square roots of the transform parameter;
-2. for each sensor pair, the log of the ratio-of-ratios across one ladder
-   step equals the source-distance difference up to O(1/alpha); fitting
-   the step values against the leading correction shape extrapolates them
-   to their limit;
-3. one pair with a large difference pins two absolute distances through
-   the closed-form inversion of the ratio model; difference chains then
-   propagate distances to every sensor;
-4. the source is the least-squares intersection of the spheres around the
-   sensors (linearized solve plus Gauss-Newton polish).
-
-When all differences vanish the source is equidistant from the sensors
-and is recovered directly as their circumcenter.
+For one source the sensor transforms factorize exactly into the intensity
+transform times the free-space resolvent Green function of the
+source-sensor distance.  ``locate_source_nd`` removes the intensity factor
+by taking the per-lambda sensor mean out of the log-transforms and fits
+the location to all sensors and all trustworthy lambdas in one weighted
+least-squares problem; the Jacobian at the solution gives the location
+covariance.  ``recover_intensity_nd`` then deconvolves each sensor series
+by its arrival kernel.
 
 Also here: the geometric general-position check (no collinear triples /
 coplanar quadruples of sensors), the nearest-source visibility matrix
@@ -31,21 +23,14 @@ from itertools import combinations
 from typing import Union
 
 import numpy as np
+from scipy import optimize, special
 
 from .forward import duhamel_masses, resolvent_green
-from .laplace import LaplaceSamples, laplace_grid, volterra_deconvolve
-from .model import DriftFieldND, SensorRecord, sensor_source_distances
+from .laplace import laplace_grid, volterra_deconvolve
+from .model import DriftFieldND, sensor_source_distances
 
 __all__ = [
-    "RatioSeries",
-    "transform_ratio",
-    "DifferenceFit",
-    "distance_difference_fit",
-    "pairwise_distance_solve",
-    "circumcenter",
     "in_general_position",
-    "MultilaterationResult",
-    "multilaterate",
     "RecoveryND",
     "locate_source_nd",
     "IntensityFitND",
@@ -58,112 +43,11 @@ __all__ = [
 ]
 
 TRUNCATION_GUARD = 1e-3
-
-
-@dataclass(frozen=True, eq=False)
-class RatioSeries:
-    """Pointwise ratio Phi_j / Phi_i with propagated relative bounds."""
-
-    lambdas: np.ndarray
-    values: np.ndarray
-    rel_bounds: np.ndarray
-
-
-def transform_ratio(phi_j: LaplaceSamples, phi_i: LaplaceSamples) -> RatioSeries:
-    """Ratio of two sensor transforms on a shared lambda grid."""
-    if phi_j.lambdas.shape != phi_i.lambdas.shape or \
-            not np.allclose(phi_j.lambdas, phi_i.lambdas, rtol=1e-12):
-        raise ValueError("transforms must share the lambda grid")
-    bad = np.abs(phi_i.values) <= phi_i.truncation
-    if np.any(bad):
-        k = int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"denominator transform at lambda={phi_i.lambdas[k]:.6g} sits "
-            f"below its truncation bound; shrink the lambda window")
-    values = phi_j.values / phi_i.values
-    rel = (phi_j.bounds / np.abs(np.where(phi_j.values == 0.0, 1.0,
-                                          phi_j.values))
-           + phi_i.bounds / np.abs(phi_i.values))
-    return RatioSeries(lambdas=phi_j.lambdas, values=values, rel_bounds=rel)
-
-
-@dataclass(frozen=True, eq=False)
-class DifferenceFit:
-    """Distance difference alpha_j - alpha_i extrapolated from a ladder."""
-
-    d: float
-    slope: float
-    residual: float
-    uncertainty: float
-    alphas: np.ndarray
-    steps: np.ndarray
-
-
-def distance_difference_fit(alphas: np.ndarray, ratio: RatioSeries
-                            ) -> DifferenceFit:
-    """Extrapolate ladder step values to the distance difference.
-
-    ``ratio`` must hold the pair ratio at lambda corresponding to each
-    ladder entry (consecutive integers); ell(alpha) is the log of
-    G(alpha)/G(alpha+1), whose limit is the source-distance difference.
-    The distance prefactors cancel in the ratio of ratios, so for exact
-    free-space data the steps are constant in alpha; the plane-case
-    kernel correction decays like 1/(alpha*(alpha+1)), which is the
-    fitted shape.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    g = ratio.values
-    if alphas.size != g.size:
-        raise ValueError("ladder and ratio values must align")
-    if np.any(np.diff(alphas) != 1.0):
-        raise ValueError("ladder must consist of consecutive integers")
-    if alphas.size - 1 < 3:
-        raise ValueError("ladder must provide at least 3 steps")
-    if np.any(g <= 0.0):
-        raise ValueError("ratio values must be positive on the ladder")
-    ell = np.log(g[:-1] / g[1:])
-    a = alphas[:-1]
-    # the leading correction of one ladder step scales as 1/(alpha*(alpha+1))
-    design = np.column_stack([np.ones_like(a), 1.0 / (a * (a + 1.0))])
-    rb = ratio.rel_bounds[:-1] + ratio.rel_bounds[1:]
-    wts = 1.0 / (rb + 1e-12)
-    wts /= wts.max()
-    coef, *_ = np.linalg.lstsq(design * wts[:, None], ell * wts, rcond=None)
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((ell - fitted) ** 2)))
-    uncertainty = float(residual + np.median(rb))
-    return DifferenceFit(d=float(coef[0]), slope=float(coef[1]),
-                         residual=residual, uncertainty=uncertainty,
-                         alphas=a, steps=ell)
-
-
-def pairwise_distance_solve(n: int, g_value: float, d: float, sqrt_lam: float
-                            ) -> tuple[float, float]:
-    """Invert the leading-order ratio model for two absolute distances.
-
-    Given the ratio G = Phi_j/Phi_i at one transform parameter and the
-    difference d = alpha_j - alpha_i, the de-exponentiated ratio
-    rho = G * exp(sqrt_lam * d) estimates alpha_i/alpha_j (n = 3) or its
-    square root (n = 2); then alpha_j = d / (1 - rho_eff).
-    """
-    if n not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    if d == 0.0:
-        raise ValueError("degenerate pair: zero distance difference")
-    if g_value <= 0.0:
-        raise ValueError("ratio value must be positive")
-    log_rho = np.log(g_value) + sqrt_lam * d
-    if log_rho > 600.0:
-        raise ValueError("inconsistent ratio/difference pair (overflow)")
-    rho_eff = np.exp(log_rho if n == 3 else 2.0 * log_rho)
-    if abs(rho_eff - 1.0) < 1e-6:
-        raise ValueError("ratio model collapses (rho within 1e-6 of 1) "
-                         "while the difference is nonzero")
-    alpha_j = d / (1.0 - rho_eff)
-    alpha_i = rho_eff * alpha_j
-    if alpha_j <= 0.0 or alpha_i <= 0.0:
-        raise ValueError("distance inversion produced a nonpositive distance")
-    return float(alpha_i), float(alpha_j)
+# a transform must exceed the noise floor this many times over: near the
+# floor the log-transform is biased and its error is no longer Gaussian
+NOISE_HEADROOM = 30.0
+MIN_LAMBDAS = 4
+WINDOW_POINTS = 13
 
 
 def in_general_position(points, n: int) -> tuple[bool, Union[tuple, None]]:
@@ -190,120 +74,85 @@ def in_general_position(points, n: int) -> tuple[bool, Union[tuple, None]]:
     return True, None
 
 
-def circumcenter(points) -> np.ndarray:
-    """Center equidistant from n+1 affinely independent points.
-
-    Subtracting pairs of squared-distance equations leaves the linear
-    system 2 (b_k - b_0) . x = |b_k|^2 - |b_0|^2.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
-    if pts.shape[0] != n + 1:
-        raise ValueError("circumcenter needs exactly n+1 points")
-    a = 2.0 * (pts[1:] - pts[0])
-    rhs = np.sum(pts[1:] ** 2, axis=1) - np.sum(pts[0] ** 2)
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("sensor simplex is degenerate (no unique "
-                         "circumcenter)") from exc
-
-
-@dataclass(frozen=True, eq=False)
-class MultilaterationResult:
-    x: np.ndarray
-    per_sensor_residual: np.ndarray
-    residual_norm: float
-    condition_number: float
-    iterations: int
-
-
-def multilaterate(sensors, alphas) -> MultilaterationResult:
-    """Least-squares point at given distances from known sensors.
-
-    A linearized solve (differences of squared sphere equations) seeds a
-    Gauss-Newton refinement of sum_j (|x - b_j| - alpha_j)^2.  The
-    condition number of the linear system is reported: it blows up exactly
-    when the sensors fail general position.
-    """
-    b = np.atleast_2d(np.asarray(sensors, dtype=float))
-    alpha = np.asarray(alphas, dtype=float)
-    n = b.shape[1]
-    if b.shape[0] < n + 1:
-        raise ValueError(f"need at least {n + 1} sensors")
-    if np.any(alpha <= 0.0):
-        raise ValueError("distances must be positive")
-    a = 2.0 * (b[1:] - b[0])
-    rhs = (np.sum(b[1:] ** 2, axis=1) - np.sum(b[0] ** 2)
-           - (alpha[1:] ** 2 - alpha[0] ** 2))
-    cond = float(np.linalg.cond(a))
-    if cond > 1e12:
-        raise ValueError("sensor geometry is rank deficient (collinear or "
-                         "coplanar sensors); cannot multilaterate")
-    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-
-    iterations = 0
-    for iterations in range(1, 51):
-        diff = x[None, :] - b
-        dist = np.linalg.norm(diff, axis=1)
-        if np.any(dist == 0.0):
-            break
-        f = dist - alpha
-        jac = diff / dist[:, None]
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        x = x + step
-        if np.linalg.norm(step) <= 1e-14 * max(1.0, np.linalg.norm(x)):
-            break
-    res = np.linalg.norm(x[None, :] - b, axis=1) - alpha
-    return MultilaterationResult(
-        x=x, per_sensor_residual=res,
-        residual_norm=float(np.linalg.norm(res)),
-        condition_number=cond, iterations=iterations)
-
-
 @dataclass(frozen=True, eq=False)
 class RecoveryND:
-    """Localization report for the multidimensional pipeline."""
+    """Location fit of one source seen by s >= n+1 sensors.
+
+    ``x1_cov`` is the Gauss-Newton covariance (J^T J)^-1 of the weighted
+    fit at its solution.  It treats the log-transform errors at different
+    lambdas as independent, but transforms of one noisy series are
+    correlated across lambda, so it understates the error by a factor of
+    a few.  ``diagnostics`` holds ``{code, ...}`` records.
+    """
 
     x1_hat: np.ndarray
     alpha_hat: np.ndarray
-    d_matrix: np.ndarray
-    d_uncertainty: np.ndarray
-    degenerate: bool
+    x1_cov: np.ndarray
+    lambdas: np.ndarray
+    residual_norm: float
     general_position: bool
-    anchor_pair: Union[tuple, None]
-    ladder: np.ndarray
-    multilateration: Union[MultilaterationResult, None]
     diagnostics: tuple
 
 
-def _ladder_from_window(lam_lo: float, lam_hi: float, lambda0: float
-                        ) -> np.ndarray:
-    """Integer sqrt ladder whose shifted squares fit in the lambda window."""
-    a_lo = int(np.ceil(np.sqrt(max(lam_lo, 0.0) + lambda0)))
-    a_lo = max(a_lo, int(np.floor(np.sqrt(lambda0))) + 1, 1)
-    a_hi = int(np.floor(np.sqrt(lam_hi + lambda0)))
-    if a_hi - a_lo < 3:
-        raise ValueError(
-            f"lambda window [{lam_lo:.4g}, {lam_hi:.4g}] spans fewer than 4 "
-            f"integer sqrt values; widen the window or refine the series")
-    return np.arange(a_lo, a_hi + 1, dtype=float)
+def _log_green(n: int, r: np.ndarray, mu: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """log G_n(r, mu) and its r-derivative (exponentially scaled Bessels
+    keep the plane case finite at large mu*r)."""
+    z = mu * r
+    if n == 3:
+        return -z - np.log(4.0 * np.pi * r), -mu - 1.0 / r
+    k0e = special.k0e(z)
+    return np.log(k0e / (2.0 * np.pi)) - z, -mu * special.k1e(z) / k0e
+
+
+def _asymptotic_start(sensors: np.ndarray, mu: np.ndarray,
+                      target: np.ndarray, wts: np.ndarray, n: int
+                      ) -> np.ndarray:
+    """Closed-form location from the large-mu form of the log-transforms.
+
+    log G_n(r, mu) = -mu r - p log r + c_n(mu) + o(1) with p = (n-1)/2,
+    exactly so for n = 3.  A weighted line fit of each sensor's
+    mean-removed log-transforms against mu thus has slope -(r_j - mean r)
+    and intercept -p (log r_j - mean log r): the intercepts give the
+    distances up to a common factor, the slopes fix the factor, and the
+    linearized sphere equations give the location.
+    """
+    design = np.column_stack([np.ones_like(mu), mu])
+    coef = np.array([np.linalg.lstsq(design * w[:, None], y * w,
+                                     rcond=None)[0]
+                     for y, w in zip(target, wts)])
+    shape = np.exp(-coef[:, 0] / (0.5 * (n - 1)))
+    factor = np.linalg.lstsq((shape - shape.mean())[:, None], -coef[:, 1],
+                             rcond=None)[0]
+    r2 = (factor * shape) ** 2
+    b2 = np.sum(sensors ** 2, axis=1)
+    return np.linalg.lstsq(2.0 * (sensors[1:] - sensors[0]),
+                           b2[1:] - b2[0] - (r2[1:] - r2[0]), rcond=None)[0]
 
 
 def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
-                     noise_sigma: float = 0.0,
-                     degenerate_scale: float = 1e-6) -> RecoveryND:
-    """Full localization pipeline for one source seen by s >= n+1 sensors.
+                     noise_sigma: float = 0.0) -> RecoveryND:
+    """Weighted least-squares fit of the source location to all transforms.
 
-    ``records`` are background-subtracted SensorRecord objects;
-    ``lam_window`` is (lambda_min, lambda_max).  Transforms are evaluated
-    at lambda = alpha^2 - lambda0 so the kernel exponent is exactly alpha
-    for free-space data with reaction lambda0.
+    ``records`` are background-subtracted SensorRecord objects.
+    ``lam_window`` is either a (lambda_min, lambda_max) pair, sampled at
+    WINDOW_POINTS geometric points, or an increasing grid of more than two
+    lambdas used as given.
 
-    When the per-sample noise scale ``noise_sigma`` is known, rungs whose
-    transform values sink toward the noise floor sigma*sqrt(tau/(2 lam))
-    are excluded; if fewer than four survive, the data cannot support the
-    asymptotic window and the call fails with that diagnosis.
+    For one source the transform factorizes exactly,
+    Phi_j(lam) = Q(lam) * G_n(|x - b_j|, sqrt(lam + lambda0)) with
+    G_3 = exp(-mu r)/(4 pi r) and G_2 = K0(mu r)/(2 pi).  Taking the
+    per-lambda sensor mean out of log Phi_j removes the unknown intensity
+    transform Q; x is then fitted over all sensors and lambdas, once from
+    the sensor centroid and once from the closed-form large-mu solution,
+    keeping the smaller misfit.  Each log-value is weighted by |Phi| over
+    its error: truncation plus discretization bound plus the noise floor
+    sigma*sqrt(tau/(2 lam)) of iid per-sample noise of scale
+    ``noise_sigma``.
+
+    Lambdas where a transform fails the truncation guard, or does not
+    clear the noise floor by NOISE_HEADROOM, are dropped and reported; if
+    fewer than MIN_LAMBDAS remain, the call fails with that diagnosis.
     """
     records = list(records)
     if n not in (2, 3):
@@ -316,142 +165,66 @@ def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
     if not ok:
         raise ValueError(f"sensors fail general position; witness indices "
                          f"{witness}")
-    diagnostics: list[str] = []
-    lam_lo, lam_hi = float(lam_window[0]), float(lam_window[1])
-    ladder = _ladder_from_window(lam_lo, lam_hi, lambda0)
-    lambdas = ladder ** 2 - lambda0
+    lambdas = np.asarray(lam_window, dtype=float)
+    if lambdas.size == 2:
+        lambdas = np.geomspace(lambdas[0], lambdas[1], WINDOW_POINTS)
 
     grid = records[0].grid
     phis = [laplace_grid(r.samples, grid, lambdas, series_id=f"sensor_{j}")
             for j, r in enumerate(records)]
-    if noise_sigma > 0.0:
-        # the transform of iid per-sample noise has std
-        # sigma*sqrt(tau/(2 lam)); fold it into the error bookkeeping so
-        # every downstream fit weights noisy rungs down
-        noise_std = noise_sigma * np.sqrt(grid.tau / (2.0 * lambdas))
-        phis = [LaplaceSamples(lambdas=p.lambdas, values=p.values,
-                               truncation=p.truncation,
-                               discretization=p.discretization + noise_std,
-                               horizon=p.horizon, series_id=p.series_id)
-                for p in phis]
-    guard_ok = np.all([p.truncation_ok(TRUNCATION_GUARD) for p in phis],
-                      axis=0)
-    if noise_sigma > 0.0:
-        # the distance inversion amplifies log-ratio noise by about
-        # alpha^2 sqrt(lam)/d, so rungs need real headroom over the floor
-        floor = 30.0 * noise_sigma * np.sqrt(grid.tau / (2.0 * lambdas))
-        guard_ok &= np.all([np.abs(p.values) >= floor for p in phis], axis=0)
-    if not np.all(guard_ok):
-        # truncation bounds fail at the small end of the ladder (the lost
-        # tail scales like exp(-lam*T)); keep the longest contiguous run
-        best_start, best_len, start = 0, 0, None
-        for k, ok_k in enumerate(list(guard_ok) + [False]):
-            if ok_k and start is None:
-                start = k
-            elif not ok_k and start is not None:
-                if k - start > best_len:
-                    best_start, best_len = start, k - start
-                start = None
-        if best_len < 4:
-            raise ValueError("fewer than 4 trustworthy ladder points; "
-                             "shorten the ladder or extend the horizon")
-        sl = slice(best_start, best_start + best_len)
-        ladder = ladder[sl]
-        lambdas = lambdas[sl]
-        phis = [LaplaceSamples(lambdas=lambdas, values=p.values[sl],
-                               truncation=p.truncation[sl],
-                               discretization=p.discretization[sl],
-                               horizon=p.horizon, series_id=p.series_id)
-                for p in phis]
-        diagnostics.append(f"ladder reduced to {best_len} points by the "
-                           f"transform guard")
+    values = np.array([p.values for p in phis])
+    noise = noise_sigma * np.sqrt(grid.tau / (2.0 * lambdas))
+    err = np.array([p.bounds for p in phis]) + noise
+    guards = {
+        "truncation": np.all([p.truncation_ok(TRUNCATION_GUARD)
+                              for p in phis], axis=0),
+        "noise_floor": np.all(values > NOISE_HEADROOM * noise, axis=0),
+    }
+    keep = np.ones(lambdas.size, dtype=bool)
+    diagnostics = []
+    for guard, passed in guards.items():
+        if np.any(keep & ~passed):
+            diagnostics.append({"code": "lambdas_dropped", "guard": guard,
+                                "lambdas": lambdas[keep & ~passed].tolist()})
+        keep &= passed
+    if np.count_nonzero(keep) < MIN_LAMBDAS:
+        raise ValueError(
+            f"fewer than {MIN_LAMBDAS} trustworthy lambdas "
+            f"({np.count_nonzero(keep)} of {lambdas.size} pass the transform "
+            f"guards); extend the horizon or reduce the noise")
+    lambdas, values, err = lambdas[keep], values[:, keep], err[:, keep]
 
-    scale = max(float(np.ptp(sensors)), 1e-300)
-    d = np.zeros((s, s))
-    unc = np.zeros((s, s))
-    fits: dict[tuple[int, int], DifferenceFit] = {}
-    ratios: dict[tuple[int, int], RatioSeries] = {}
-    for i in range(s):
-        for j in range(i + 1, s):
-            ratio = transform_ratio(phis[j], phis[i])
-            fit = distance_difference_fit(ladder, ratio)
-            ratios[(i, j)] = ratio
-            fits[(i, j)] = fit
-            d[i, j] = fit.d
-            d[j, i] = -fit.d
-            unc[i, j] = unc[j, i] = fit.uncertainty
-            # triangle sanity: a distance difference can never exceed the
-            # sensor separation
-            sep = float(np.linalg.norm(sensors[i] - sensors[j]))
-            if abs(fit.d) > sep + 3.0 * fit.uncertainty:
-                diagnostics.append(
-                    f"difference d[{i},{j}]={fit.d:.4g} exceeds the sensor "
-                    f"separation {sep:.4g}; data inconsistent")
+    mu = np.sqrt(lambdas + lambda0)
+    wts = values / err
+    log_phi = np.log(values)
+    target = log_phi - log_phi.mean(axis=0)
 
-    degenerate = bool(np.all(np.abs(d) <= 3.0 * unc + degenerate_scale * scale))
-    if degenerate:
-        x_hat = circumcenter(sensors[: n + 1])
-        alpha = np.linalg.norm(sensors - x_hat[None, :], axis=1)
-        return RecoveryND(
-            x1_hat=x_hat, alpha_hat=alpha, d_matrix=d, d_uncertainty=unc,
-            degenerate=True, general_position=True, anchor_pair=None,
-            ladder=ladder, multilateration=None,
-            diagnostics=tuple(diagnostics
-                              + ["all distance differences at noise level; "
-                                 "source taken as the sensor circumcenter"]))
+    def model(x):
+        diff = x[None, :] - sensors
+        r = np.linalg.norm(diff, axis=1)[:, None]
+        log_g, dlog_g = _log_green(n, r, mu)
+        return log_g - log_g.mean(axis=0), dlog_g, diff / r
 
-    i0, j0 = np.unravel_index(np.argmax(np.abs(d)), d.shape)
-    if i0 > j0:
-        i0, j0 = j0, i0
-    ratio = ratios[(i0, j0)]
-    d0 = d[i0, j0]
-    ai_ladder, aj_ladder, used, wts = [], [], [], []
-    for k, alpha_k in enumerate(ladder):
-        try:
-            ai, aj = pairwise_distance_solve(n, float(ratio.values[k]), d0,
-                                             float(alpha_k))
-        except ValueError:
-            continue
-        ai_ladder.append(ai)
-        aj_ladder.append(aj)
-        used.append(alpha_k)
-        wts.append(1.0 / (ratio.rel_bounds[k] + 1e-12))
-    if len(used) < 2:
-        raise ValueError("pair inversion failed on the whole ladder")
-    used_arr = np.asarray(used)
-    w = np.asarray(wts)
-    w /= w.max()
-    design = np.column_stack([np.ones_like(used_arr), 1.0 / used_arr])
-    dw = design * w[:, None]
-    alpha_i0 = float(np.linalg.lstsq(dw, np.asarray(ai_ladder) * w,
-                                     rcond=None)[0][0])
-    alpha_j0 = float(np.linalg.lstsq(dw, np.asarray(aj_ladder) * w,
-                                     rcond=None)[0][0])
+    def residuals(x):
+        return (wts * (model(x)[0] - target)).ravel()
 
-    alpha = np.empty(s)
-    for k in range(s):
-        # single-hop difference chains from both anchors; keep the one
-        # with the smaller accumulated uncertainty
-        cand_i = alpha_i0 + d[i0, k] if k != i0 else alpha_i0
-        cand_j = alpha_j0 + d[j0, k] if k != j0 else alpha_j0
-        u_i = unc[i0, k] if k != i0 else 0.0
-        u_j = unc[j0, k] if k != j0 else 0.0
-        alpha[k] = cand_i if u_i <= u_j else cand_j
-    if np.any(alpha <= 0.0):
-        raise ValueError("distance propagation produced a nonpositive "
-                         "distance; data inconsistent")
+    def jacobian(x):
+        _, dlog_g, unit = model(x)
+        d = dlog_g[:, :, None] * unit[:, None, :]
+        return (wts[:, :, None] * (d - d.mean(axis=0))).reshape(-1, n)
 
-    ml = multilaterate(sensors, alpha)
-    unc_off = unc[np.triu_indices(s, 1)]
-    if ml.residual_norm > max(3.0 * float(np.mean(unc_off)), 1e-6 * scale):
-        diagnostics.append(
-            f"multilateration residual {ml.residual_norm:.3g} exceeds the "
-            f"difference uncertainties; the distance estimates are "
-            f"mutually inconsistent")
+    # from the centroid alone the fit can stall in a spurious minimum when
+    # the source lies outside the sensor hull
+    starts = (_asymptotic_start(sensors, mu, target, wts, n),
+              sensors.mean(axis=0))
+    fit = min((optimize.least_squares(residuals, x0, jac=jacobian,
+                                      xtol=1e-15, ftol=1e-15, gtol=1e-15)
+               for x0 in starts), key=lambda f: f.cost)
     return RecoveryND(
-        x1_hat=ml.x, alpha_hat=alpha, d_matrix=d, d_uncertainty=unc,
-        degenerate=False, general_position=True, anchor_pair=(int(i0), int(j0)),
-        ladder=ladder, multilateration=ml, diagnostics=tuple(diagnostics))
+        x1_hat=fit.x, alpha_hat=np.linalg.norm(sensors - fit.x, axis=1),
+        x1_cov=np.linalg.inv(fit.jac.T @ fit.jac), lambdas=lambdas,
+        residual_norm=float(np.linalg.norm(fit.fun)), general_position=True,
+        diagnostics=tuple(diagnostics))
 
 
 @dataclass(frozen=True, eq=False)

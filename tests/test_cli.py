@@ -130,6 +130,62 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
+        assert report["schema_version"] == 2
+        assert np.shape(report["x1_cov"]) == (3, 3)
+        np.testing.assert_allclose(np.array(report["x1_std"]) ** 2,
+                                   np.diag(report["x1_cov"]))
+        assert report["residual_norm"] >= 0.0
+        assert not {"d_matrix", "d_uncertainty", "anchor_pair", "ladder",
+                    "multilateration", "degenerate"} & set(report)
+
+    def test_noise_flag_overrides_scenario(self, tmp_path):
+        # clean data, scenario sigma 0: the flag's sigma reaches the
+        # localizer, whose noise floor guard then leaves no lambda
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, tau=1e-3, num_steps=8000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        argv = ["identify", "--scenario", str(spath), "--out", str(out),
+                "--epsilon", "0"]
+        assert cli.main(argv + ["--noise", "1e-2"]) == cli.EXIT_IDENTIFY
+        assert cli.main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["noise_sigma"] == {"value": 0.0, "source": "scenario"}
+
+    def test_nd_diagnostic_codes(self, tmp_path):
+        # a second source near sensor 2 breaks the one-source model, so the
+        # per-sensor intensities disagree; the default window starts below
+        # what the truncation guard accepts, and the flag's sigma drops the
+        # largest lambdas
+        grid = model.TimeGrid(tau=1e-3, num_steps=8000)
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=3),
+            sources=(model.PointSource(location=[0.2, 0.1, -0.3]),
+                     model.PointSource(location=[0.2, -0.8, 0.4])),
+            sensors=([1.1, 0.2, 0.1], [-0.7, 0.9, -0.2], [0.3, -1.0, 0.5],
+                     [-0.2, -0.3, -1.2]),
+            grid=grid)
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--epsilon", "0",
+                         "--noise", "1e-4", "--lambda-points", "15"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["noise_sigma"] == {"value": 1e-4, "source": "flag"}
+        diags = report["diagnostics"]
+        assert [(d["code"], d.get("guard")) for d in diags] == [
+            ("lambdas_dropped", "truncation"),
+            ("lambdas_dropped", "noise_floor"),
+            ("intensity_spread_high", None)]
+        dropped = diags[0]["lambdas"] + diags[1]["lambdas"]
+        assert len(dropped) + len(report["lambdas"]) == 15
+        assert min(report["lambdas"]) > max(diags[0]["lambdas"])
+        assert max(report["lambdas"]) < min(diags[1]["lambdas"])
+        assert diags[2]["spread"] == report["intensity"]["spread"] > 0.2
 
     def test_interval_identify_with_background(self, tmp_path):
         # boundary drive plus a volumetric background: identify must

@@ -24,144 +24,6 @@ def records_3d():
     return make_records(X1_3D, SENSORS_3D, 3, grid)
 
 
-class TestTransformRatio:
-    def test_self_ratio_is_one(self, records_3d):
-        lams = np.array([9.0, 16.0, 25.0])
-        phi = laplace.laplace_grid(records_3d[0].samples,
-                                   records_3d[0].grid, lams)
-        ratio = identifynd.transform_ratio(phi, phi)
-        np.testing.assert_allclose(ratio.values, 1.0, rtol=1e-14)
-
-    def test_leading_order_value(self):
-        # distances 1 and 2 at lam=100: ratio ~ (a_i/a_j) exp(-10)
-        grid = model.TimeGrid(tau=1e-4, num_steps=200000)
-        x1 = np.array([0.0, 0.0, 0.0])
-        sensors = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])]
-        recs = make_records(x1, sensors, 3, grid)
-        lams = np.array([100.0])
-        phi_i = laplace.laplace_grid(recs[0].samples, grid, lams)
-        phi_j = laplace.laplace_grid(recs[1].samples, grid, lams)
-        ratio = identifynd.transform_ratio(phi_j, phi_i)
-        want = 0.5 * np.exp(-10.0)
-        assert abs(ratio.values[0] - want) / want < 0.1
-
-    def test_swap_inverts(self, records_3d):
-        lams = np.array([9.0, 16.0, 25.0])
-        p0 = laplace.laplace_grid(records_3d[0].samples, records_3d[0].grid,
-                                  lams)
-        p1 = laplace.laplace_grid(records_3d[1].samples, records_3d[1].grid,
-                                  lams)
-        r01 = identifynd.transform_ratio(p1, p0)
-        r10 = identifynd.transform_ratio(p0, p1)
-        np.testing.assert_allclose(r01.values * r10.values, 1.0, rtol=1e-12)
-
-    def test_below_truncation_denominator_rejected(self):
-        lams = np.array([1.0, 2.0])
-        phi = laplace.LaplaceSamples(
-            lambdas=lams, values=np.array([1e-12, 1.0]),
-            truncation=np.array([1e-6, 1e-9]),
-            discretization=np.zeros(2), horizon=1.0)
-        good = laplace.LaplaceSamples(
-            lambdas=lams, values=np.ones(2), truncation=np.zeros(2),
-            discretization=np.zeros(2), horizon=1.0)
-        with pytest.raises(ValueError):
-            identifynd.transform_ratio(good, phi)
-
-
-class TestDistanceDifferenceFit:
-    def test_synthetic_exact_model(self):
-        # the distance prefactor cancels in the ratio of ratios: the step
-        # values are exactly constant and the fit returns d with no slope
-        alphas = np.arange(3, 10, dtype=float)
-        ai, aj = 1.0, 1.5
-        g = (ai / aj) * np.exp(-alphas * (aj - ai))
-        ratio = identifynd.RatioSeries(lambdas=alphas ** 2, values=g,
-                                       rel_bounds=np.zeros_like(g))
-        fit = identifynd.distance_difference_fit(alphas, ratio)
-        np.testing.assert_allclose(fit.d, 0.5, atol=1e-13)
-        assert np.ptp(fit.steps) <= 1e-14
-        assert abs(fit.slope) < 1e-12
-
-    def test_symmetric_pair_zero(self):
-        grid = model.TimeGrid(tau=1e-3, num_steps=8000)
-        x1 = np.array([0.0, 0.0, 0.0])
-        sensors = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        recs = make_records(x1, sensors, 3, grid)
-        ladder = np.arange(3, 8, dtype=float)
-        phis = [laplace.laplace_grid(r.samples, grid, ladder ** 2)
-                for r in recs]
-        ratio = identifynd.transform_ratio(phis[1], phis[0])
-        fit = identifynd.distance_difference_fit(ladder, ratio)
-        assert abs(fit.d) <= max(fit.uncertainty, 1e-8)
-
-    def test_k0_kernel_convergence(self):
-        # plane case: the fitted difference lands within 2e-2
-        grid = model.TimeGrid(tau=1e-3, num_steps=12000)
-        x1 = np.array([0.1, 0.2])
-        sensors = [np.array([1.1, 0.3]), np.array([-0.9, -0.4])]
-        recs = make_records(x1, sensors, 2, grid)
-        ladder = np.arange(3, 8, dtype=float)
-        phis = [laplace.laplace_grid(r.samples, grid, ladder ** 2)
-                for r in recs]
-        ratio = identifynd.transform_ratio(phis[1], phis[0])
-        fit = identifynd.distance_difference_fit(ladder, ratio)
-        want = np.linalg.norm(x1 - sensors[1]) - np.linalg.norm(x1 - sensors[0])
-        assert abs(fit.d - want) <= 2e-2
-
-    def test_short_ladder_rejected(self):
-        alphas = np.arange(3, 6, dtype=float)
-        g = np.exp(-alphas)
-        ratio = identifynd.RatioSeries(lambdas=alphas ** 2, values=g,
-                                       rel_bounds=np.zeros_like(g))
-        with pytest.raises(ValueError):
-            identifynd.distance_difference_fit(alphas, ratio)
-
-
-class TestPairwiseDistanceSolve:
-    def test_space_closed_form(self):
-        ai, aj, d = 1.0, 1.5, 0.5
-        g = (ai / aj) * np.exp(-5.0 * d)
-        got = identifynd.pairwise_distance_solve(3, g, d, 5.0)
-        np.testing.assert_allclose(got, (ai, aj), rtol=1e-12)
-
-    def test_plane_closed_form(self):
-        ai, aj, d = 1.0, 1.5, 0.5
-        g = np.sqrt(ai / aj) * np.exp(-5.0 * d)
-        got = identifynd.pairwise_distance_solve(2, g, d, 5.0)
-        np.testing.assert_allclose(got, (ai, aj), rtol=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            identifynd.pairwise_distance_solve(3, 1.0, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            # rho within 1e-6 of 1 while d != 0
-            identifynd.pairwise_distance_solve(3, np.exp(-5.0 * 0.5), 0.5,
-                                               5.0)
-
-
-class TestCircumcenter:
-    def test_plane_symmetric(self):
-        c = identifynd.circumcenter([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(c, [0.0, 0.0], atol=1e-14)
-
-    def test_regular_tetrahedron(self):
-        pts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
-                       dtype=float)
-        c = identifynd.circumcenter(pts)
-        np.testing.assert_allclose(c, [0, 0, 0], atol=1e-14)
-
-    def test_generic_simplex_equidistant(self):
-        pts = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
-                       dtype=float)
-        c = identifynd.circumcenter(pts)
-        d = np.linalg.norm(pts - c[None, :], axis=1)
-        assert np.ptp(d) <= 1e-12
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            identifynd.circumcenter([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-
-
 class TestGeneralPosition:
     def test_plane_ok(self):
         ok, w = identifynd.in_general_position([[0, 0], [1, 0], [0, 1]], 2)
@@ -201,130 +63,120 @@ class TestGeneralPosition:
         assert not ok and w == (0, 1, 2, 3)
 
 
-class TestMultilaterate:
-    def test_exact_recovery(self):
-        x = np.array([0.3, -0.2, 0.5])
-        res = identifynd.multilaterate(
-            SENSORS_3D, [np.linalg.norm(x - b) for b in SENSORS_3D])
-        np.testing.assert_allclose(res.x, x, atol=1e-10)
-        assert res.residual_norm <= 1e-10
+def noisy_records(x1, sensors, n, grid, rel_sigma, seed):
+    """Records with iid noise at rel_sigma times the running peak."""
+    src = model.PointSource(location=x1, intensity=1.0)
+    rng = np.random.default_rng(seed)
+    recs = []
+    sigma = 0.0
+    for b in sensors:
+        psi = forward.free_space_response([src], b, grid, n=n)
+        sigma = max(sigma, rel_sigma * np.abs(psi).max())
+        recs.append(model.SensorRecord(
+            location=b, samples=psi + sigma * rng.standard_normal(psi.shape),
+            grid=grid))
+    return recs, sigma
 
-    def test_perturbed_distances(self):
-        # error tracks condition_number * perturbation up to an O(1)
-        # geometry factor (empirically <= 1.4 on this layout)
-        x = np.array([0.3, -0.2, 0.5])
-        rng = np.random.default_rng(0)
-        alphas = np.array([np.linalg.norm(x - b) for b in SENSORS_3D])
-        noisy = alphas + 1e-3 * rng.standard_normal(alphas.shape)
-        res = identifynd.multilaterate(SENSORS_3D, noisy)
-        assert np.linalg.norm(res.x - x) <= 3 * res.condition_number * 1e-3
-        assert res.residual_norm > 0
 
-    def test_residual_grows_with_perturbation(self):
-        x = np.array([0.3, -0.2, 0.5])
-        alphas = np.array([np.linalg.norm(x - b) for b in SENSORS_3D])
-        prev = -1.0
-        for scale in (1e-6, 1e-4, 1e-2):
-            res = identifynd.multilaterate(SENSORS_3D,
-                                           alphas + scale * np.array(
-                                               [1, -1, 1, -1]))
-            assert res.residual_norm > prev
-            prev = res.residual_norm
+FREE3D_GRID = model.TimeGrid(tau=1e-3, num_steps=20000)
 
-    def test_collinear_rejected(self):
-        sensors = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
-        with pytest.raises(ValueError):
-            identifynd.multilaterate(sensors, [1.0, 1.0, 1.0])
 
-    def test_rigid_motion_equivariance(self):
-        x = np.array([0.3, -0.2, 0.5])
-        alphas = np.array([np.linalg.norm(x - b) for b in SENSORS_3D])
-        theta = 0.7
-        rot = np.array([[np.cos(theta), -np.sin(theta), 0],
-                        [np.sin(theta), np.cos(theta), 0], [0, 0, 1]])
-        shift = np.array([2.0, -1.0, 0.5])
-        moved = [rot @ b + shift for b in SENSORS_3D]
-        res = identifynd.multilaterate(moved, alphas)
-        np.testing.assert_allclose(res.x, rot @ x + shift, atol=1e-9)
+@pytest.fixture(scope="module")
+def free3d_traces():
+    src = model.PointSource(location=X1_3D, intensity=1.0)
+    return np.column_stack([
+        forward.free_space_response([src], b, FREE3D_GRID, n=3)
+        for b in SENSORS_3D])
+
+
+def free3d_fit(traces, sigma, seed):
+    """The benchmark's free3d case as ``simulate`` and ``identify`` run it:
+    noise drawn over the whole (samples, sensors) array, CLI lambda grid."""
+    rng = np.random.default_rng(seed)
+    noisy = traces + sigma * rng.standard_normal(traces.shape)
+    recs = [model.SensorRecord(location=b, samples=noisy[:, j],
+                               grid=FREE3D_GRID)
+            for j, b in enumerate(SENSORS_3D)]
+    lambdas = laplace.suggest_lambda_grid(FREE3D_GRID, np.inf,
+                                          num_points=13).lambdas
+    return identifynd.locate_source_nd(recs, n=3, lam_window=lambdas,
+                                       noise_sigma=sigma)
 
 
 class TestLocateSourceND:
     def test_space_pipeline(self, records_3d):
         rec = identifynd.locate_source_nd(records_3d, n=3,
                                           lam_window=(6.0, 50.0))
-        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-2
+        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
         alpha_true = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
-        np.testing.assert_allclose(rec.alpha_hat, alpha_true, atol=2e-2)
-        assert not rec.degenerate
+        np.testing.assert_allclose(rec.alpha_hat, alpha_true, atol=1e-9)
+        assert rec.lambdas.size == identifynd.WINDOW_POINTS
+        assert rec.diagnostics == ()
 
-    def test_difference_antisymmetry_and_chains(self, records_3d):
-        rec = identifynd.locate_source_nd(records_3d, n=3,
-                                          lam_window=(6.0, 50.0))
-        d = rec.d_matrix
-        np.testing.assert_allclose(d, -d.T, atol=1e-14)
-        s = d.shape[0]
-        for i in range(s):
-            for j in range(s):
-                for k in range(s):
-                    chain = d[i, j] + d[j, k]
-                    tol = 3 * (rec.d_uncertainty[i, j]
-                               + rec.d_uncertainty[j, k]
-                               + rec.d_uncertainty[i, k]) + 1e-9
-                    assert abs(chain - d[i, k]) <= tol
+    def test_explicit_lambda_grid_used_as_given(self, records_3d):
+        lams = np.geomspace(6.0, 50.0, 5)
+        rec = identifynd.locate_source_nd(records_3d, n=3, lam_window=lams)
+        np.testing.assert_array_equal(rec.lambdas, lams)
+        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
     def test_guard_drops_untrustworthy_small_lambdas(self):
-        # short horizon: the truncation bound rejects the smallest rungs
+        # short horizon: the truncation bound rejects the smallest lambda
         grid = model.TimeGrid(tau=1e-3, num_steps=2000)   # T = 2
         recs = make_records(X1_3D, SENSORS_3D, 3, grid)
         rec = identifynd.locate_source_nd(recs, n=3, lam_window=(4.0, 50.0))
-        assert rec.ladder[0] >= 3.0
-        assert any("guard" in d for d in rec.diagnostics)
-        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-2
+        assert rec.diagnostics == ({"code": "lambdas_dropped",
+                                    "guard": "truncation",
+                                    "lambdas": [4.0]},)
+        assert rec.lambdas[0] > 4.0
+        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-5
 
     @pytest.mark.parametrize("seed", [3, 9, 21])
     def test_light_noise_still_locates(self, seed):
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
-        src = model.PointSource(location=X1_3D, intensity=1.0)
-        rng = np.random.default_rng(seed)
-        recs = []
-        sigma = 0.0
-        for b in SENSORS_3D:
-            psi = forward.free_space_response([src], b, grid, n=3)
-            sigma = max(sigma, 1e-5 * np.abs(psi).max())
-            recs.append(model.SensorRecord(
-                location=b,
-                samples=psi + sigma * rng.standard_normal(psi.shape),
-                grid=grid))
+        recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-5, seed)
         rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
                                           noise_sigma=sigma)
-        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-2
+        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-5
+
+    def test_noise_at_1e4_of_peak_locates(self):
+        # the noise floor guard drops the largest lambdas; the rest still
+        # pin the source (4.1e-5 measured)
+        grid = model.TimeGrid(tau=1e-3, num_steps=20000)
+        recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-4, 10)
+        rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
+                                          noise_sigma=sigma)
+        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 2e-4
+        assert [d["guard"] for d in rec.diagnostics] == ["noise_floor"]
 
     def test_noise_beyond_budget_fails_informatively(self):
-        # per-sample noise at 1e-4 of the peak drowns the transform window
-        # for this geometry: the pipeline must refuse with the ladder
-        # diagnosis instead of returning noise-driven estimates
+        # at 1e-2 of the peak only 2 of 13 lambdas clear the noise floor:
+        # the fit must refuse instead of returning a noise-driven estimate
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
-        src = model.PointSource(location=X1_3D, intensity=1.0)
-        rng = np.random.default_rng(10)
-        recs = []
-        sigma = 0.0
-        for b in SENSORS_3D:
-            psi = forward.free_space_response([src], b, grid, n=3)
-            sigma = max(sigma, 1e-4 * np.abs(psi).max())
-            recs.append(model.SensorRecord(
-                location=b,
-                samples=psi + sigma * rng.standard_normal(psi.shape),
-                grid=grid))
-        with pytest.raises(ValueError, match="ladder"):
+        recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-2, 10)
+        with pytest.raises(ValueError, match="2 of 13 pass"):
             identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
                                         noise_sigma=sigma)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_free3d_high_noise_locates(self, free3d_traces, seed):
+        rec = free3d_fit(free3d_traces, 1e-4, seed)
+        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-2
+
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-5, 1e-4])
+    def test_covariance_tracks_error(self, free3d_traces, sigma):
+        # the covariance ignores the cross-lambda correlation of transform
+        # noise; over these 15 runs the error reaches 2.62 times its scale
+        for seed in range(5):
+            rec = free3d_fit(free3d_traces, sigma, seed)
+            err = np.linalg.norm(rec.x1_hat - X1_3D)
+            assert err <= 3.0 * np.sqrt(np.trace(rec.x1_cov))
 
     def test_reaction_coefficient_handled(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=12000)
         recs = make_records(X1_3D, SENSORS_3D, 3, grid, lambda0=0.35)
         rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
                                           lambda0=0.35)
-        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-2
+        assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
     def test_plane_pipeline(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
@@ -333,16 +185,27 @@ class TestLocateSourceND:
                    np.array([-0.2, -1.1])]
         recs = make_records(x1, sensors, 2, grid)
         rec = identifynd.locate_source_nd(recs, n=2, lam_window=(6.0, 50.0))
-        assert np.linalg.norm(rec.x1_hat - x1) <= 5e-2
+        assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_plane_noise(self, seed):
+        grid = model.TimeGrid(tau=1e-3, num_steps=20000)
+        x1 = np.array([0.2, 0.3])
+        sensors = [np.array([1.2, 0.1]), np.array([-0.8, 0.9]),
+                   np.array([-0.2, -1.1])]
+        recs, sigma = noisy_records(x1, sensors, 2, grid, 1e-4, seed)
+        rec = identifynd.locate_source_nd(recs, n=2, lam_window=(6.0, 50.0),
+                                          noise_sigma=sigma)
+        assert np.linalg.norm(rec.x1_hat - x1) <= 2e-3
 
     def test_degenerate_circumcenter_path(self):
+        # the equidistant source is an ordinary solution of the fit
         grid = model.TimeGrid(tau=1e-3, num_steps=8000)
         sensors = [np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
                    np.array([0, 0, 1.0]), np.array([1.0, 1, 1])]
-        center = identifynd.circumcenter(sensors)
+        center = np.array([0.5, 0.5, 0.5])
         recs = make_records(center, sensors, 3, grid)
         rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0))
-        assert rec.degenerate
         np.testing.assert_allclose(rec.x1_hat, center, atol=1e-9)
 
     def test_collinear_sensors_rejected_before_transforms(self):
@@ -378,7 +241,7 @@ class TestLocateSourceND:
         grid = model.TimeGrid(tau=1e-3, num_steps=15000)
         recs = make_records(x1, list(sensors), n, grid)
         rec = identifynd.locate_source_nd(recs, n=n, lam_window=(6.0, 50.0))
-        assert np.linalg.norm(rec.x1_hat - x1) <= 5e-2
+        assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
 
     def test_rigid_motion_equivariance(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=8000)
