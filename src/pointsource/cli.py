@@ -41,9 +41,12 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 # cross-sensor intensity spread above which the fitted distances are suspect
 SPREAD_LIMIT = 0.2
+# what each deconvolution decided, echoed in the report's intensity block
+DECONVOLUTION_FIELDS = ("eps", "factorizations", "ridge_escalations",
+                        "n_tail_extended")
 
 
 def _jsonify(obj):
@@ -62,6 +65,12 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _report_violations(violations: list[str]) -> bool:
+    for v in violations:
+        print(f"validation: {v}", file=sys.stderr)
+    return bool(violations)
 
 
 def _simulate_traces(scenario: model.Scenario, include_sources: bool,
@@ -86,10 +95,7 @@ def _simulate_traces(scenario: model.Scenario, include_sources: bool,
 
 def cmd_simulate(args) -> int:
     scenario = model.load_scenario(args.scenario)
-    violations = model.validate_scenario(scenario)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
+    if _report_violations(model.validate_scenario(scenario)):
         return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,7 +217,9 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
         "lambda_window": list(window),
         "intensity": {
             "sensor_index": int(idx),
-            "eps": intensity.deconvolution.eps,
+            **{key: getattr(intensity.deconvolution, key)
+               for key in DECONVOLUTION_FIELDS},
+            "stride": intensity.stride,
             "residual_norm": intensity.deconvolution.residual_norm,
             "exact_amplitude": intensity.exact_amplitude,
             "q_hat": intensity.q.tolist(),
@@ -266,7 +274,10 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         "residual_norm": rec.residual_norm,
         "noise_sigma": noise,
         "intensity": {
-            "eps": intensity.deconvolutions[0].eps,
+            # one entry per sensor; all share the decimation stride
+            **{key: [getattr(d, key) for d in intensity.deconvolutions]
+               for key in DECONVOLUTION_FIELDS},
+            "stride": intensity.stride,
             "spread": intensity.spread,
             "q_hat": intensity.q.tolist(),
             "q_hat_per_sensor": intensity.per_sensor.tolist(),
@@ -285,9 +296,11 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
 def cmd_identify(args) -> int:
     scenario = model.load_scenario(args.scenario)
     violations = model.validate_scenario(scenario)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
+    if args.lambda_points < identifynd.MIN_LAMBDAS:
+        violations.append(f"--lambda-points: at least "
+                          f"{identifynd.MIN_LAMBDAS} transform parameters "
+                          f"are required, got {args.lambda_points}")
+    if _report_violations(violations):
         return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -326,6 +339,8 @@ def cmd_identify(args) -> int:
 
 def cmd_diagnose(args) -> int:
     scenario = model.load_scenario(args.scenario)
+    if _report_violations(model.validate_scenario(scenario)):
+        return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = scenario.dimension

@@ -235,13 +235,18 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
 
 @dataclass(frozen=True, eq=False)
 class IntensityFit1D:
-    """Recovered intensity with the deconvolution diagnostics attached."""
+    """Recovered intensity with the deconvolution diagnostics attached.
+
+    ``stride`` is the decimation stride applied to the series before the
+    deconvolution (1: not decimated).
+    """
 
     q: np.ndarray
     travel_distance: float
     amplitude: float
     deconvolution: DeconvolutionResult
     exact_amplitude: bool
+    stride: int
 
 
 def recover_intensity_1d(psi_tilde: np.ndarray, grid: TimeGrid,
@@ -273,7 +278,8 @@ def recover_intensity_1d(psi_tilde: np.ndarray, grid: TimeGrid,
         q = np.interp(grid.times(), grid_d.times(), q)
     return IntensityFit1D(q=q, travel_distance=delta0, amplitude=c0,
                           deconvolution=dec,
-                          exact_amplitude=bool(coeffs.is_constant_diffusion))
+                          exact_amplitude=bool(coeffs.is_constant_diffusion),
+                          stride=round(grid_d.tau / grid.tau))
 
 
 def alternation_findings(sources, sensors) -> list[dict]:

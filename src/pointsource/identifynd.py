@@ -229,12 +229,17 @@ def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
 
 @dataclass(frozen=True, eq=False)
 class IntensityFitND:
-    """Per-sensor intensity recoveries and their cross-sensor spread."""
+    """Per-sensor intensity recoveries and their cross-sensor spread.
+
+    ``stride`` is the decimation stride shared by every sensor series
+    before its deconvolution (1: not decimated).
+    """
 
     q: np.ndarray
     per_sensor: np.ndarray
     spread: float
     deconvolutions: tuple
+    stride: int
 
 
 def recover_intensity_nd(records, alphas, n: int,
@@ -281,7 +286,8 @@ def recover_intensity_nd(records, alphas, n: int,
     spread = float(max(np.linalg.norm(row - q_mean) for row in per_sensor)
                    / denom) if len(records) > 1 else 0.0
     return IntensityFitND(q=q_mean, per_sensor=per_sensor, spread=spread,
-                          deconvolutions=tuple(decs))
+                          deconvolutions=tuple(decs),
+                          stride=round(grid_d.tau / grid.tau))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ samples that the data cannot see.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from scipy import linalg, signal
@@ -174,7 +174,9 @@ class DeconvolutionResult:
     ``q`` is the node series on the input grid (cell-midpoint unknowns
     interpolated back to nodes); ``n_tail_extended`` counts trailing cells
     the data cannot determine (kernel dead time), filled by constant
-    extrapolation.
+    extrapolation.  ``factorizations`` counts the Cholesky factorizations
+    of the normal equations, retries included; ``ridge_escalations``
+    counts the retries, each of which raised the identity ridge 100-fold.
     """
 
     q: np.ndarray
@@ -183,6 +185,8 @@ class DeconvolutionResult:
     eps: float
     seminorm: float
     n_tail_extended: int
+    factorizations: int
+    ridge_escalations: int
     noise_sigma: Union[float, None] = None
 
 
@@ -214,13 +218,13 @@ def _toeplitz_gram(w: np.ndarray, m: int) -> np.ndarray:
     """
     n = w.size
     g = np.empty((m, m))
+    flat = g.reshape(-1)
     for d in range(m):
         prefix = np.cumsum(w[: n - d] * w[d:])
-        idx = np.arange(m - d)
         # row i (0-based) on diagonal d sums the first n - d - i products
-        diag = prefix[n - d - 1 - idx]
-        g[idx, idx + d] = diag
-        g[idx + d, idx] = diag
+        diag = prefix[n - m: n - d][::-1]
+        flat[d::m + 1][: m - d] = diag
+        flat[d * m::m + 1][: m - d] = diag
     return g
 
 
@@ -232,6 +236,71 @@ def _forward_apply(w: np.ndarray, q_cells: np.ndarray, n: int) -> np.ndarray:
 def _adjoint_apply(w: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     """(A^T y)_m for the same Toeplitz map."""
     return signal.correlate(y, w, mode="full")[w.size - 1:w.size - 1 + m]
+
+
+class _Trial(NamedTuple):
+    """One regularized solve: cell values, residual and its eps-sensitivity."""
+
+    cells: np.ndarray
+    residual: float
+    seminorm: float
+    slope: float          # d log(residual) / d log(eps)
+
+
+def _discrepancy_search(solve, target: float, lo: float, hi: float
+                        ) -> tuple[float, _Trial]:
+    """Discrepancy-principle eps in {0} U [lo, hi] and the solve there.
+
+    The residual grows monotonically with eps, so the bracket ends go
+    first: the top is returned when even its residual stays below the
+    target, which is typical when D barely sees the intensity (a constant
+    lies in the null space of D), and eps = 0 when its residual already
+    reaches the target.  Otherwise a safeguarded Newton iteration on
+    f = log(residual/target) narrows the bracket: each solve supplies the
+    exact slope of f, and the step is taken in eps where that lands
+    inside the bracket (f is close to linear in eps near its root), else
+    in log eps, else the log-midpoint; the midpoint is also used after a
+    step that failed to halve |f|.  The search stops once |f| < 1e-3 or
+    the bracket ratio falls below 1.2, and the evaluated eps whose
+    residual is closest to the target is returned without a further solve.
+    """
+    if not target > 0.0:
+        return 0.0, solve(0.0)
+    top = solve(hi)
+    if top.residual < target:
+        return hi, top
+    bottom = solve(0.0)
+    if bottom.residual >= target:
+        return 0.0, bottom
+
+    def mismatch(trial: _Trial) -> float:
+        return float(np.log(max(trial.residual, 1e-300) / target))
+
+    # eps = lo stands in for eps = 0: both sit far below the ridge floor
+    a, b = np.log(lo), np.log(hi)
+    tried = [(0.0, bottom), (hi, top)]
+    x, f, slope = b, mismatch(top), top.slope
+    stalled = False
+    while b - a >= np.log(1.2):
+        steps = []
+        if slope > 0.0 and not stalled:
+            if f < slope:
+                steps.append(x + np.log1p(-f / slope))   # Newton in eps
+            steps.append(x - f / slope)                   # Newton in log eps
+        steps.append(0.5 * (a + b))
+        x = next(step for step in steps if a < step < b)
+        eps_x = float(np.exp(x))
+        trial = solve(eps_x)
+        tried.append((eps_x, trial))
+        f_prev, f, slope = f, mismatch(trial), trial.slope
+        if abs(f) < 1e-3:
+            break
+        stalled = abs(f) > 0.5 * abs(f_prev)
+        if f < 0.0:
+            a = x
+        else:
+            b = x
+    return min(tried, key=lambda entry: abs(mismatch(entry[1])))
 
 
 def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
@@ -248,11 +317,23 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
     exact analytic cell masses instead of trapezoidal ones.
 
     eps >= 0 adds the Tikhonov term eps*|Dq|^2 with D the first-difference
-    matrix; eps="auto" picks the smallest eps whose residual reaches the
-    discrepancy target sigma*sqrt(N) (sigma estimated from the data when
-    not given).  A relative ridge of ``ridge_floor`` keeps the normal
-    equations factorizable; at eps=0 this acts as a machine-precision
-    spectral cutoff.
+    matrix.  eps="auto" applies the discrepancy principle: the smallest
+    eps in [1e-18, 1e6]*max(diag(K^T K)), or 0, whose residual reaches
+    sigma*sqrt(N) (sigma estimated from the data when not given).  The
+    search solves at the top of that bracket first and stops there when
+    the residual is still below the target, which is the usual outcome for
+    a constant intensity: a constant lies in the null space of D, so even
+    the largest eps leaves the fit, and the residual, close to the
+    unregularized one.  It then solves at eps = 0 and returns 0 when that
+    residual already reaches the target; otherwise a safeguarded Newton
+    iteration on log(residual/target) finishes in a few solves (see
+    ``_discrepancy_search``).  A zero target returns eps = 0 after one
+    solve.
+
+    A relative ridge of ``ridge_floor`` keeps the normal equations
+    factorizable; at eps=0 this acts as a machine-precision spectral
+    cutoff.  Should a factorization still fail, the identity ridge is
+    raised 100-fold and the factorization retried, up to five times.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.size != grid.num_samples:
@@ -285,14 +366,6 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
     gram = _toeplitz_gram(w, m)
     rhs = _adjoint_apply(w, y, m)
 
-    # first-difference penalty D^T D (tridiagonal)
-    dtd = np.zeros((m, m))
-    i = np.arange(m)
-    dtd[i, i] = 2.0
-    dtd[0, 0] = dtd[-1, -1] = 1.0
-    dtd[i[:-1], i[:-1] + 1] = -1.0
-    dtd[i[:-1] + 1, i[:-1]] = -1.0
-
     gmax = float(np.max(np.diag(gram)))
     # numerical floor: a difference-seminorm ridge pins the shift modes the
     # dead-time kernel cannot resolve (bias-free on constants), plus a tiny
@@ -300,57 +373,78 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
     floor_d = ridge_floor * gmax
     floor_i = 1e-14 * gmax
 
-    def solve(eps_val: float) -> tuple[np.ndarray, float, float]:
-        mat = gram + (eps_val + floor_d) * dtd
+    # the first-difference penalty D^T D is tridiagonal: this diagonal and
+    # -1 on both off-diagonals
+    dtd_diag = np.full(m, 2.0)
+    dtd_diag[0] = dtd_diag[-1] = 1.0
+    # factorization buffer, refilled from gram before every attempt
+    mat = np.empty_like(gram)
+    flat = mat.reshape(-1)
+    factorizations = 0
+    ridge_escalations = 0
+
+    def extend(cells: np.ndarray) -> np.ndarray:
+        return np.concatenate([cells, np.full(n - m, cells[-1])])
+
+    def solve(eps_val: float) -> _Trial:
+        nonlocal factorizations, ridge_escalations
+        c = eps_val + floor_d
         r = floor_i
-        cf = None
         for _ in range(6):
-            mat[np.arange(m), np.arange(m)] += r
+            np.copyto(mat, gram)
+            flat[::m + 1] += c * dtd_diag
+            flat[::m + 1] += r
+            flat[1::m + 1] -= c
+            flat[m::m + 1] -= c
+            factorizations += 1
             try:
-                cf = linalg.cho_factor(mat, check_finite=False)
+                # mat is symmetric, so its Fortran-ordered transpose is the
+                # same matrix and LAPACK factors it in place
+                cf = linalg.cho_factor(mat.T, overwrite_a=True,
+                                       check_finite=False)
                 break
             except linalg.LinAlgError:
                 r *= 100.0
-        if cf is None:
+                ridge_escalations += 1
+        else:
             raise linalg.LinAlgError("normal equations could not be factorized")
         q_cells = linalg.cho_solve(cf, rhs, check_finite=False)
-        full = np.concatenate([q_cells, np.full(n - m, q_cells[-1])])
-        resid = float(np.linalg.norm(_forward_apply(w, full, n) - y))
-        semi = float(np.linalg.norm(np.diff(q_cells)))
-        return full, resid, semi
+        full = extend(q_cells)
+        r_vec = _forward_apply(w, full, n) - y
+        resid = float(np.linalg.norm(r_vec))
+        dq = np.diff(q_cells)
+        slope = 0.0
+        if eps_val > 0.0 and resid > 0.0:
+            # dq_cells/deps = -(normal matrix)^-1 D^T D q_cells, from the
+            # factor at hand; d|r|^2/deps = 2 r . A dq/deps
+            dtd_q = np.concatenate(([0.0], dq)) - np.concatenate((dq, [0.0]))
+            dcells = -linalg.cho_solve(cf, dtd_q, check_finite=False)
+            slope = eps_val * float(
+                r_vec @ _forward_apply(w, extend(dcells), n)) / resid ** 2
+        return _Trial(full, resid, float(np.linalg.norm(dq)), slope)
 
     if eps == "auto":
         sig = estimate_noise_sigma(psi) if sigma is None else float(sigma)
-        target = sig * np.sqrt(n)
-        q_full, resid, semi = solve(0.0)
-        eps_used = 0.0
-        if resid < target:
-            lo, hi = 1e-18 * gmax, 1e6 * gmax
-            for _ in range(60):
-                mid = np.sqrt(lo * hi)
-                _, r_mid, _ = solve(mid)
-                if r_mid < target:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi / lo < 1.2:
-                    break
-            eps_used = np.sqrt(lo * hi)
-            q_full, resid, semi = solve(eps_used)
+        eps_used, trial = _discrepancy_search(solve, sig * np.sqrt(n),
+                                              1e-18 * gmax, 1e6 * gmax)
         result_sigma: Union[float, None] = sig
     else:
         eps_used = float(eps)
         if eps_used < 0.0:
             raise ValueError("regularization eps must be nonnegative")
-        q_full, resid, semi = solve(eps_used)
+        trial = solve(eps_used)
         result_sigma = sigma
 
     # cell midpoints -> node series
+    q_full = trial.cells
     q_nodes = np.empty(grid.num_samples)
     q_nodes[1:-1] = 0.5 * (q_full[:-1] + q_full[1:])
     q_nodes[0] = q_full[0]
     q_nodes[-1] = q_full[-1]
-    return DeconvolutionResult(q=q_nodes, cells=q_full, residual_norm=resid,
-                               eps=eps_used, seminorm=semi,
+    return DeconvolutionResult(q=q_nodes, cells=q_full,
+                               residual_norm=trial.residual, eps=eps_used,
+                               seminorm=trial.seminorm,
                                n_tail_extended=n - m,
+                               factorizations=factorizations,
+                               ridge_escalations=ridge_escalations,
                                noise_sigma=result_sigma)

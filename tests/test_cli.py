@@ -115,6 +115,13 @@ class TestIdentify:
         assert report["admissible"] is True
         assert report["evaluation"]["x_error"] <= 1e-2
         assert report["evaluation"]["q_rel_l2"] <= 0.05
+        # one sensor deconvolved: the solve record is scalar
+        rec = report["intensity"]
+        assert rec["eps"] >= 0.0
+        assert rec["factorizations"] >= 1
+        assert rec["ridge_escalations"] == 0
+        assert rec["n_tail_extended"] >= 0
+        assert rec["stride"] == 4           # 10000 steps down to 2500
 
     def test_3d_oracle_round_trip(self, tmp_path):
         spath = tmp_path / "scen.json"
@@ -130,7 +137,14 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
+        # one solve record per sensor; eps=0 factors each system once
+        rec = report["intensity"]
+        assert rec["eps"] == [0.0] * 4
+        assert rec["factorizations"] == [1] * 4
+        assert rec["ridge_escalations"] == [0] * 4
+        assert len(rec["n_tail_extended"]) == 4
+        assert rec["stride"] == 5           # 12000 steps down to 2400
         assert np.shape(report["x1_cov"]) == (3, 3)
         np.testing.assert_allclose(np.array(report["x1_std"]) ** 2,
                                    np.diag(report["x1_cov"]))
@@ -152,6 +166,24 @@ class TestIdentify:
         assert cli.main(argv) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["noise_sigma"] == {"value": 0.0, "source": "scenario"}
+
+    @pytest.mark.parametrize("points", [0, 1, 2, 3])
+    def test_too_few_lambda_points_rejected(self, tmp_path, capsys, points):
+        # two points with an explicit window used to be resampled to 13
+        # by the localizer; fewer than four can never make a fit
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, tau=1e-3, num_steps=2000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out), "--lambda-min", "6",
+                       "--lambda-max", "50",
+                       "--lambda-points", str(points)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: --lambda-points" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_nd_diagnostic_codes(self, tmp_path):
         # a second source near sensor 2 breaks the one-source model, so the
@@ -315,6 +347,18 @@ class TestIdentify:
 
 
 class TestDiagnose:
+    def test_validation_exit_code(self, tmp_path, capsys):
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=300)
+        data = json.loads(spath.read_text())
+        data["sensors"][0] = data["sensors"][1]   # duplicate sensor
+        spath.write_text(json.dumps(data))
+        rc = cli.main(["diagnose", "--scenario", str(spath),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "diagnostics.json").exists()
+
     def test_1d_interleaving_failure(self, tmp_path):
         grid = model.TimeGrid(tau=1e-2, num_steps=100)
         scen = model.Scenario(

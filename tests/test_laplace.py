@@ -96,6 +96,19 @@ class TestLambdaGridAdvisor:
         assert plan.lambda_min == pytest.approx(4.0 / 100.0)
 
 
+def noisy_sine_case():
+    """1D distance kernel, q = 1 + sin t, noise at 1e-3 of the peak."""
+    grid = model.TimeGrid(tau=2.5e-3, num_steps=2000)
+    t = grid.times()
+    q = 1.0 + np.sin(t)
+    psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
+    rng = np.random.default_rng(11)
+    sigma = 1e-3 * np.abs(psi).max()
+    noisy = psi + sigma * rng.standard_normal(psi.shape)
+    masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+    return grid, q, noisy, masses, sigma
+
+
 class TestVolterraDeconvolve:
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
@@ -130,19 +143,67 @@ class TestVolterraDeconvolve:
         assert rel <= 1e-3
 
     def test_round_trip_with_noise_discrepancy(self):
-        grid = model.TimeGrid(tau=2.5e-3, num_steps=2000)
-        t = grid.times()
-        q = 1.0 + np.sin(t)
-        psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
-        rng = np.random.default_rng(11)
-        sigma = 1e-3 * np.abs(psi).max()
-        noisy = psi + sigma * rng.standard_normal(psi.shape)
-        masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+        grid, q, noisy, masses, sigma = noisy_sine_case()
         res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
                                           masses=masses, sigma=sigma)
         rel = np.linalg.norm(res.q - q) / np.linalg.norm(q)
         assert rel <= 0.05
         assert res.eps > 0.0
+
+    def test_discrepancy_search_matches_bisection(self):
+        # a geometric bisection to a bracket ratio of 1.2 (11 solves)
+        # picked eps = 2.934577832042261 on this case
+        grid, _, noisy, masses, sigma = noisy_sine_case()
+        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
+                                          masses=masses, sigma=sigma)
+        assert 1.0 / 1.2 <= res.eps / 2.934577832042261 <= 1.2
+        target = sigma * np.sqrt(grid.num_steps)
+        assert abs(res.residual_norm / target - 1.0) <= 0.01
+        assert res.factorizations <= 8
+        assert res.ridge_escalations == 0
+
+    def test_constant_intensity_stops_at_bracket_top(self):
+        # a constant lies in the null space of D: even the largest eps
+        # keeps the residual below the target, so one solve decides
+        grid = model.TimeGrid(tau=4e-3, num_steps=2000)
+        q = np.ones(grid.num_samples)
+        psi = forward.convolve_intensity(q, 3, 0.9, grid, kind="heat")
+        rng = np.random.default_rng(3)
+        noisy = psi + 1e-5 * rng.standard_normal(psi.shape)
+        masses = forward.duhamel_masses(3, 0.9, grid, kind="heat")
+        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
+                                          masses=masses, sigma=1e-5)
+        # the bracket top is 1e6 * max(diag(K^T K)) = 1e6 * sum(masses^2)
+        assert res.eps == pytest.approx(1e6 * np.sum(masses ** 2),
+                                        rel=1e-12)
+        assert res.factorizations == 1
+        assert res.residual_norm < 1e-5 * np.sqrt(grid.num_steps)
+        assert np.linalg.norm(res.q - q) / np.linalg.norm(q) <= 1e-3
+
+    def test_zero_noise_target_solves_once(self):
+        grid, _, noisy, masses, _ = noisy_sine_case()
+        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
+                                          masses=masses, sigma=0.0)
+        assert res.eps == 0.0
+        assert res.factorizations == 1
+
+    def test_failed_factorizations_raise_the_ridge(self, monkeypatch):
+        grid, q, noisy, masses, _ = noisy_sine_case()
+        real = laplace.linalg.cho_factor
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) <= 2:
+                raise laplace.linalg.LinAlgError("not positive definite")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(laplace.linalg, "cho_factor", flaky)
+        res = laplace.volterra_deconvolve(noisy, None, grid, eps=1e-3,
+                                          masses=masses)
+        assert res.factorizations == 3
+        assert res.ridge_escalations == 2
+        assert np.linalg.norm(res.q - q) / np.linalg.norm(q) <= 0.05
 
     def test_sampled_kernel_path(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=2000)
@@ -176,6 +237,29 @@ class TestVolterraDeconvolve:
             seminorms.append(res.seminorm)
         assert np.all(np.diff(residuals) >= -1e-12)
         assert np.all(np.diff(seminorms) <= 1e-12)
+
+
+class TestToeplitzGram:
+    @pytest.mark.parametrize("n, m", [(40, 40), (40, 25), (7, 1)])
+    def test_matches_dense_product(self, n, m):
+        w = np.random.default_rng(n + m).random(n)
+        a = np.zeros((n, m))
+        for j in range(m):
+            a[j:, j] = w[: n - j]
+        np.testing.assert_allclose(laplace._toeplitz_gram(w, m), a.T @ a,
+                                   rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n, m", [(40, 40), (40, 25), (7, 1)])
+    def test_matches_index_scatter(self, n, m):
+        # the same prefix sums written with fancy indexing, one diagonal at
+        # a time: the strided writes must not change a single bit
+        w = np.random.default_rng(n + m).random(n)
+        ref = np.empty((m, m))
+        for d in range(m):
+            prefix = np.cumsum(w[: n - d] * w[d:])
+            idx = np.arange(m - d)
+            ref[idx, idx + d] = ref[idx + d, idx] = prefix[n - d - 1 - idx]
+        np.testing.assert_array_equal(laplace._toeplitz_gram(w, m), ref)
 
 
 class TestConvolutionTransformExchange:
