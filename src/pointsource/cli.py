@@ -41,12 +41,14 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 3
-# cross-sensor intensity spread above which the fitted distances are suspect
-SPREAD_LIMIT = 0.2
-# what each deconvolution decided, echoed in the report's intensity block
-DECONVOLUTION_FIELDS = ("eps", "factorizations", "ridge_escalations",
-                        "n_tail_extended")
+REPORT_SCHEMA_VERSION = 4
+# relative residual of one sensor in the joint intensity fit above which its
+# distance estimate is suspect
+MISFIT_LIMIT = 0.05
+# the sensor CSV's time column may differ from the scenario grid by this
+# fraction of tau: 17 significant digits round-trip the grid exactly, and a
+# different tau or a shifted sample misses it by far more
+TIME_RTOL = 1e-3
 
 
 def _jsonify(obj):
@@ -153,6 +155,14 @@ def _evaluation_block(scenario: model.Scenario, x_hat: np.ndarray,
     return out
 
 
+def _intensity_record(dec: laplace.DeconvolutionResult, stride: int) -> dict:
+    """What the deconvolution did, as the 1D and ND reports echo it."""
+    return {"eps": dec.eps, "factorizations": dec.factorizations,
+            "ridge_escalations": dec.ridge_escalations,
+            "n_tail_extended": dec.n_tail_extended,
+            "residual_norm": dec.residual_norm, "stride": stride}
+
+
 def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
     dom = scenario.domain
     sensors = np.array([float(p[0]) for p in scenario.sensors])
@@ -166,14 +176,15 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
         coeffs = model.CoefficientField1D.constant(1.0, 0.0, 0.0,
                                                    interval=(b1, b2))
     branch = "interior"
-    warnings: list[str] = []
+    notes: list[dict] = []
     if isinstance(dom, model.Interval1D):
         left_refl = b1 == dom.a and isinstance(dom.bc_left, model.Robin)
         right_refl = b2 == dom.b and isinstance(dom.bc_right, model.Robin)
         if left_refl and right_refl:
-            # both image factors cancel in the transform ratio
-            warnings.append("both sensors on reflecting boundaries; "
-                            "interior formula used (image factors cancel)")
+            # both image factors cancel in the transform ratio, so the
+            # interior formula applies
+            notes.append({"code": "both_sensors_reflecting",
+                          "sensors": [float(b1), float(b2)]})
         elif left_refl:
             branch = "left_boundary"
         elif right_refl:
@@ -217,14 +228,11 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
         "lambda_window": list(window),
         "intensity": {
             "sensor_index": int(idx),
-            **{key: getattr(intensity.deconvolution, key)
-               for key in DECONVOLUTION_FIELDS},
-            "stride": intensity.stride,
-            "residual_norm": intensity.deconvolution.residual_norm,
+            **_intensity_record(intensity.deconvolution, intensity.stride),
             "exact_amplitude": intensity.exact_amplitude,
             "q_hat": intensity.q.tolist(),
         },
-        "diagnostics": list(fit.diagnostics) + warnings,
+        "diagnostics": list(fit.diagnostics) + notes,
         "alternation": alternation,
     }
     report["evaluation"] = _evaluation_block(
@@ -258,9 +266,10 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
     visibility = identifynd.nearest_source_matrix(
         rec.x1_hat[None, :], scenario.sensor_points(), drift)
     diagnostics = list(rec.diagnostics)
-    if intensity.spread > SPREAD_LIMIT:
-        diagnostics.append({"code": "intensity_spread_high",
-                            "spread": intensity.spread})
+    diagnostics += [{"code": "sensor_misfit_high", "sensor": j,
+                     "misfit": float(misfit)}
+                    for j, misfit in enumerate(intensity.misfit)
+                    if misfit > MISFIT_LIMIT]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dimension": n,
@@ -274,13 +283,9 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         "residual_norm": rec.residual_norm,
         "noise_sigma": noise,
         "intensity": {
-            # one entry per sensor; all share the decimation stride
-            **{key: [getattr(d, key) for d in intensity.deconvolutions]
-               for key in DECONVOLUTION_FIELDS},
-            "stride": intensity.stride,
-            "spread": intensity.spread,
+            **_intensity_record(intensity.deconvolution, intensity.stride),
+            "misfit": intensity.misfit.tolist(),
             "q_hat": intensity.q.tolist(),
-            "q_hat_per_sensor": intensity.per_sensor.tolist(),
         },
         "nearest_source_matrix": {
             "det": visibility.determinant,       # None: rectangular (r=1)
@@ -305,10 +310,21 @@ def cmd_identify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = Path(args.data) if args.data else out / "sensors.csv"
-    times, series = model.read_sensor_csv(data_path)
-    if series.shape != (scenario.grid.num_samples, len(scenario.sensors)):
+    try:
+        times, series = model.read_sensor_csv(data_path)
+    except (OSError, ValueError) as exc:
+        print(f"validation: sensor CSV {data_path}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    grid = scenario.grid
+    if series.shape != (grid.num_samples, len(scenario.sensors)):
         print("validation: sensor CSV does not match the scenario "
               "(samples x sensors)", file=sys.stderr)
+        return EXIT_VALIDATION
+    shift = float(np.max(np.abs(times - grid.times())))
+    if shift > TIME_RTOL * grid.tau:
+        print(f"validation: sensor CSV time column departs from the scenario "
+              f"grid (tau={grid.tau:.6g}) by up to {shift:.3g}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     try:
         background = _simulate_traces(scenario, include_sources=False,

@@ -129,7 +129,10 @@ def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m: float,
 
 @dataclass(frozen=True, eq=False)
 class LocationFit1D:
-    """Per-lambda and aggregate source-location estimates."""
+    """Per-lambda and aggregate source-location estimates.
+
+    ``diagnostics`` holds ``{code, ...}`` records.
+    """
 
     x1_hat: float
     lambdas: np.ndarray
@@ -170,7 +173,7 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
         raise ValueError("sensors must satisfy b1 < b2")
     if branch not in ("interior", "left_boundary", "right_boundary"):
         raise ValueError(f"unknown branch {branch!r}")
-    diagnostics: list[str] = []
+    diagnostics: list[dict] = []
     lam = _shared_lambdas(phi1, phi2)
     ok = _ratio_mask(phi1, phi2)
     if np.count_nonzero(ok) < 3:
@@ -184,7 +187,8 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
     if np.count_nonzero(pos) < 3:
         raise ValueError("fewer than 3 lambda points with a positive ratio")
     if np.count_nonzero(ok & ~pos):
-        diagnostics.append("nonpositive transform ratio at some lambdas; skipped")
+        diagnostics.append({"code": "nonpositive_ratio_skipped",
+                            "lambdas": lam[ok & ~pos].tolist()})
 
     logr = np.full_like(sq, np.nan)
     logr[pos] = np.log(ratio[pos])
@@ -221,10 +225,12 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
     x1_hat = _weighted_median(x1[used], weights[used])
 
     offset = estimate_offset(phi1, phi2)
+    # a source bracketed by the sensors has |offset| < travel(b1, b2)/2
     admissible = abs(offset.offset) < 0.5 * travel_total
     if not admissible:
-        diagnostics.append("offset fit violates the bracketing bound "
-                           "|offset| < travel(b1,b2)/2")
+        diagnostics.append({"code": "offset_inadmissible",
+                            "offset": offset.offset,
+                            "bound": 0.5 * travel_total})
     return LocationFit1D(
         x1_hat=x1_hat, lambdas=lam, x1_per_lambda=x1,
         travel_per_lambda=travel, weights=weights, in_range=in_range,

@@ -6,8 +6,8 @@ source-sensor distance.  ``locate_source_nd`` removes the intensity factor
 by taking the per-lambda sensor mean out of the log-transforms and fits
 the location to all sensors and all trustworthy lambdas in one weighted
 least-squares problem; the Jacobian at the solution gives the location
-covariance.  ``recover_intensity_nd`` then deconvolves each sensor series
-by its arrival kernel.
+covariance.  ``recover_intensity_nd`` then fits one intensity to all
+sensor series jointly, each through its own arrival kernel.
 
 Also here: the geometric general-position check (no collinear triples /
 coplanar quadruples of sensors), the nearest-source visibility matrix
@@ -26,7 +26,8 @@ import numpy as np
 from scipy import optimize, special
 
 from .forward import duhamel_masses, resolvent_green
-from .laplace import laplace_grid, volterra_deconvolve
+from .laplace import (DeconvolutionResult, decimate_series, laplace_grid,
+                      volterra_deconvolve)
 from .model import DriftFieldND, sensor_source_distances
 
 __all__ = [
@@ -229,16 +230,18 @@ def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
 
 @dataclass(frozen=True, eq=False)
 class IntensityFitND:
-    """Per-sensor intensity recoveries and their cross-sensor spread.
+    """The intensity fitted jointly to all sensors, with per-sensor misfits.
 
-    ``stride`` is the decimation stride shared by every sensor series
-    before its deconvolution (1: not decimated).
+    ``misfit[j]`` is |A_j q - y_j| / |y_j| for sensor j on the
+    deconvolution grid: a sensor whose distance estimate is off cannot be
+    fitted by the intensity the others agree on.  ``stride`` is the
+    decimation stride applied to the series before the deconvolution
+    (1: not decimated).
     """
 
     q: np.ndarray
-    per_sensor: np.ndarray
-    spread: float
-    deconvolutions: tuple
+    misfit: np.ndarray
+    deconvolution: DeconvolutionResult
     stride: int
 
 
@@ -247,14 +250,15 @@ def recover_intensity_nd(records, alphas, n: int,
                          lambda0: float = 0.0,
                          sigma: Union[float, None] = None,
                          max_points: int = 2500) -> IntensityFitND:
-    """Deconvolve each sensor series by its free-space arrival kernel.
+    """Deconvolve all sensor series jointly by their arrival kernels.
 
-    Every sensor sees the same intensity through a different kernel, so
-    the per-sensor recoveries should coincide; their relative spread is
-    returned as a consistency diagnostic for the distance estimates.
+    Every sensor sees the same intensity through its own free-space
+    kernel, so one q is fitted to the s stacked convolution systems
+    (``volterra_deconvolve`` with one column per sensor): one Gram
+    sum_j A_j^T A_j, one eps search whose eps="auto" target is
+    sigma*sqrt(s*N), and one factorization per trial eps.  Cross-sensor
+    consistency is reported as each sensor's relative residual.
     """
-    from .laplace import decimate_series
-
     records = list(records)
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0.0):
@@ -263,30 +267,24 @@ def recover_intensity_nd(records, alphas, n: int,
         raise ValueError("one distance per sensor record is required")
     grid = records[0].grid
     times = grid.times()
-    qs = []
-    decs = []
-    for rec, a in zip(records, alphas):
-        psi = np.asarray(rec.samples, dtype=float)
-        if lambda0 != 0.0:
-            psi = psi * np.exp(lambda0 * times)
-        psi_d, grid_d = decimate_series(psi, grid, max_points)
-        masses = duhamel_masses(n, float(a), grid_d, kind="heat")
-        dec = volterra_deconvolve(psi_d, None, grid_d, eps=eps, masses=masses,
-                                  sigma=sigma)
-        q = dec.q
-        if grid_d.num_steps != grid.num_steps:
-            q = np.interp(times, grid_d.times(), q)
-        if lambda0 != 0.0:
-            q = q * np.exp(-lambda0 * times)
-        qs.append(q)
-        decs.append(dec)
-    per_sensor = np.vstack(qs)
-    q_mean = per_sensor.mean(axis=0)
-    denom = max(float(np.linalg.norm(q_mean)), 1e-300)
-    spread = float(max(np.linalg.norm(row - q_mean) for row in per_sensor)
-                   / denom) if len(records) > 1 else 0.0
-    return IntensityFitND(q=q_mean, per_sensor=per_sensor, spread=spread,
-                          deconvolutions=tuple(decs),
+    psi = np.column_stack([np.asarray(r.samples, dtype=float)
+                           for r in records])
+    if lambda0 != 0.0:
+        psi = psi * np.exp(lambda0 * times)[:, None]
+    psi_d, grid_d = decimate_series(psi, grid, max_points)
+    masses = np.column_stack([duhamel_masses(n, float(a), grid_d, kind="heat")
+                              for a in alphas])
+    dec = volterra_deconvolve(psi_d, None, grid_d, eps=eps, masses=masses,
+                              sigma=sigma)
+    q = dec.q
+    if grid_d.num_steps != grid.num_steps:
+        q = np.interp(times, grid_d.times(), q)
+    if lambda0 != 0.0:
+        q = q * np.exp(-lambda0 * times)
+    # a zero series fitted exactly has misfit 0
+    scale = np.maximum(np.linalg.norm(psi_d[1:], axis=0), 1e-300)
+    return IntensityFitND(q=q, misfit=dec.residual_per_sensor / scale,
+                          deconvolution=dec,
                           stride=round(grid_d.tau / grid.tau))
 
 

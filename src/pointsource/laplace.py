@@ -11,8 +11,9 @@ psi = K * q, with kernels that are exponentially flat at t = 0 (signals
 need a finite arrival time to reach a sensor).  The discretized
 lower-triangular system is therefore numerically singular in double
 precision: plain forward substitution amplifies roundoff without bound.
-``volterra_deconvolve`` instead minimizes |K*q - psi|^2 + eps*|Dq|^2 via
-ridge-floored normal equations and extrapolates the trailing dead-time
+``volterra_deconvolve`` instead minimizes sum_j |K_j*q - psi_j|^2 +
+eps*|Dq|^2 over the series psi_j of one or more sensors that share q, via
+ridge-floored normal equations, and extrapolates the trailing dead-time
 samples that the data cannot see.
 """
 
@@ -173,15 +174,18 @@ class DeconvolutionResult:
 
     ``q`` is the node series on the input grid (cell-midpoint unknowns
     interpolated back to nodes); ``n_tail_extended`` counts trailing cells
-    the data cannot determine (kernel dead time), filled by constant
-    extrapolation.  ``factorizations`` counts the Cholesky factorizations
-    of the normal equations, retries included; ``ridge_escalations``
-    counts the retries, each of which raised the identity ridge 100-fold.
+    no sensor can determine (kernel dead time), filled by constant
+    extrapolation.  ``residual_norm`` is the norm of the stacked residual
+    of all sensors and ``residual_per_sensor`` its per-sensor parts.
+    ``factorizations`` counts the Cholesky factorizations of the normal
+    equations, retries included; ``ridge_escalations`` counts the retries,
+    each of which raised the identity ridge 100-fold.
     """
 
     q: np.ndarray
     cells: np.ndarray
     residual_norm: float
+    residual_per_sensor: np.ndarray
     eps: float
     seminorm: float
     n_tail_extended: int
@@ -199,7 +203,8 @@ def estimate_noise_sigma(samples: np.ndarray) -> float:
 
 def decimate_series(samples: np.ndarray, grid: TimeGrid, max_points: int
                     ) -> tuple[np.ndarray, TimeGrid]:
-    """Stride-decimate a series so the deconvolution stays tractable."""
+    """Stride-decimate a series, or the columns of (num_samples, s) series,
+    so the deconvolution stays tractable."""
     samples = np.asarray(samples, dtype=float)
     n = grid.num_steps
     stride = int(np.ceil(n / max_points))
@@ -211,31 +216,45 @@ def decimate_series(samples: np.ndarray, grid: TimeGrid, max_points: int
 
 
 def _toeplitz_gram(w: np.ndarray, m: int) -> np.ndarray:
-    """Gram matrix of the N x m lower-trapezoidal Toeplitz map built from w.
+    """Summed Gram matrix of N x m lower-trapezoidal Toeplitz maps.
 
-    Entry (i, i+d) is sum_{j=1..L} w_j w_{j+d} with L = N - (i+d) lag-d
-    products, assembled per diagonal from prefix sums in O(N*m).
+    ``w`` holds the kernel masses of one map, shape (N,), or of s maps,
+    shape (N, s); the result is sum_j A_j^T A_j.  Entry (i, i+d) is
+    sum_{k <= N-1-(i+d)} w[k] . w[k+d], where "." sums over the maps.  The
+    last row is accumulated over k first; every row above follows from the
+    one below by G[i-1, j-1] = G[i, j] + w[N-i] . w[N-j].  This adds the
+    products along each diagonal in the order of a prefix sum, with one
+    vectorized add per row and one matrix product per block of rows.
     """
-    n = w.size
+    block = 128
+    w = w.reshape(w.shape[0], -1)
+    n = w.shape[0]
     g = np.empty((m, m))
-    flat = g.reshape(-1)
-    for d in range(m):
-        prefix = np.cumsum(w[: n - d] * w[d:])
-        # row i (0-based) on diagonal d sums the first n - d - i products
-        diag = prefix[n - m: n - d][::-1]
-        flat[d::m + 1][: m - d] = diag
-        flat[d * m::m + 1][: m - d] = diag
+    last = np.zeros(m)                    # last[d] = G[m-1, m-1-d]
+    for k in range(n - m + 1):
+        last += np.dot(w[k:k + m], w[k])
+    g[m - 1] = last[::-1]
+    rev = w[n - m + 1:][::-1].copy()      # rev[a] = w[N-1-a]
+    for top in range(m - 2, -1, -block):
+        bottom = max(top - block, -1)
+        prods = np.dot(rev[bottom + 1:top + 1], rev.T)
+        for a in range(top, bottom, -1):
+            np.add(g[a + 1, 1:], prods[a - bottom - 1], out=g[a, :m - 1])
+            g[a, m - 1] = last[m - 1 - a]
     return g
 
 
 def _forward_apply(w: np.ndarray, q_cells: np.ndarray, n: int) -> np.ndarray:
-    """Convolution (A q)_k for k = 1..n of cell values with kernel masses."""
-    return signal.convolve(q_cells, w)[:n]
+    """Convolutions (A_j q)_k for k = 1..n, one column per kernel of w."""
+    return np.column_stack([signal.convolve(q_cells, wj)[:n] for wj in w.T])
 
 
 def _adjoint_apply(w: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """(A^T y)_m for the same Toeplitz map."""
-    return signal.correlate(y, w, mode="full")[w.size - 1:w.size - 1 + m]
+    """sum_j (A_j^T y_j)_m over the columns of w and y."""
+    n = w.shape[0]
+    terms = [signal.correlate(yj, wj, mode="full")[n - 1:n - 1 + m]
+             for yj, wj in zip(y.T, w.T)]
+    return sum(terms[1:], terms[0])
 
 
 class _Trial(NamedTuple):
@@ -243,6 +262,7 @@ class _Trial(NamedTuple):
 
     cells: np.ndarray
     residual: float
+    per_sensor: np.ndarray
     seminorm: float
     slope: float          # d log(residual) / d log(eps)
 
@@ -309,26 +329,33 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
                         sigma: Union[float, None] = None,
                         tail_rtol: float = 1e-7,
                         ridge_floor: float = 1e-7) -> DeconvolutionResult:
-    """Solve the first-kind convolution system psi = K * q for q.
+    """Solve the first-kind convolution systems psi_j = K_j * q for one q.
 
-    The unknowns are cell-midpoint values of q against exactly integrated
-    kernel cell masses (product-midpoint rule).  ``kernel`` is a sampled
-    kernel series on the grid; pass ``masses`` (length num_steps) to use
-    exact analytic cell masses instead of trapezoidal ones.
+    ``psi`` is one series, shape (N+1,), or s sensor series that see the
+    same intensity through their own kernels, shape (N+1, s).  The
+    unknowns are cell-midpoint values of q against exactly integrated
+    kernel cell masses (product-midpoint rule).  ``kernel`` holds sampled
+    kernel series on the grid, shaped like ``psi``; pass ``masses``
+    (N entries per sensor, shape (N,) or (N, s)) to use exact analytic
+    cell masses instead of trapezoidal ones.  The s systems are stacked:
+    the normal equations carry sum_j K_j^T K_j and sum_j K_j^T psi_j, the
+    unknown cells are those at least one sensor can see, and the residual
+    is the stacked one.  A single series is the case s = 1.
 
     eps >= 0 adds the Tikhonov term eps*|Dq|^2 with D the first-difference
     matrix.  eps="auto" applies the discrepancy principle: the smallest
-    eps in [1e-18, 1e6]*max(diag(K^T K)), or 0, whose residual reaches
-    sigma*sqrt(N) (sigma estimated from the data when not given).  The
-    search solves at the top of that bracket first and stops there when
-    the residual is still below the target, which is the usual outcome for
-    a constant intensity: a constant lies in the null space of D, so even
-    the largest eps leaves the fit, and the residual, close to the
-    unregularized one.  It then solves at eps = 0 and returns 0 when that
-    residual already reaches the target; otherwise a safeguarded Newton
-    iteration on log(residual/target) finishes in a few solves (see
-    ``_discrepancy_search``).  A zero target returns eps = 0 after one
-    solve.
+    eps in [1e-18, 1e6]*max(diag(sum_j K_j^T K_j)), or 0, whose stacked
+    residual reaches sigma*sqrt(s*N), with sigma the per-sample noise
+    scale (when not given, the root mean square of the per-sensor
+    estimates).  The search solves at the top of that bracket first and
+    stops there when the residual is still below the target, which is the
+    usual outcome for a constant intensity: a constant lies in the null
+    space of D, so even the largest eps leaves the fit, and the residual,
+    close to the unregularized one.  It then solves at eps = 0 and returns
+    0 when that residual already reaches the target; otherwise a
+    safeguarded Newton iteration on log(residual/target) finishes in a few
+    solves (see ``_discrepancy_search``).  A zero target returns eps = 0
+    after one solve.
 
     A relative ridge of ``ridge_floor`` keeps the normal equations
     factorizable; at eps=0 this acts as a machine-precision spectral
@@ -336,28 +363,32 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
     raised 100-fold and the factorization retried, up to five times.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi.size != grid.num_samples:
+    if psi.ndim > 2 or psi.shape[0] != grid.num_samples:
         raise ValueError("series length must match the time grid")
     n = grid.num_steps
+    series = psi.reshape(n + 1, -1)
+    y = series[1:]
     if masses is None:
         k = np.asarray(kernel, dtype=float)
-        if k.size != grid.num_samples:
+        if k.shape[0] != grid.num_samples:
             raise ValueError("kernel series length must match the time grid")
         w = 0.5 * grid.tau * (k[:-1] + k[1:])
     else:
         w = np.asarray(masses, dtype=float)
-        if w.size != n:
+        if w.shape[0] != n:
             raise ValueError("masses must have one entry per time cell")
-    total_mass = float(np.sum(w))
-    if not np.isfinite(total_mass) or total_mass <= 1e-100:
+    w = w.reshape(n, -1)
+    if w.shape != y.shape:
+        raise ValueError("one kernel per sensor series is required")
+    total_mass = np.sum(w, axis=0)
+    if not np.all(np.isfinite(total_mass)) or np.any(total_mass <= 1e-100):
         raise ValueError("kernel mass vanishes on the horizon "
                          "(distance too large for the observation window)")
 
-    y = psi[1:]
-
-    # trailing cells whose columns are numerically invisible (dead time):
-    # the column of cell m sees the first n - m + 1 kernel masses
-    col_norm = np.sqrt(np.cumsum(w ** 2))[::-1]
+    # trailing cells whose columns are numerically invisible to every
+    # sensor (dead time): the column of cell m sees the first n - m + 1
+    # kernel masses of each sensor
+    col_norm = np.sqrt(np.cumsum(w ** 2, axis=0).sum(axis=1))[::-1]
     theta = tail_rtol * col_norm[0]
     m = int(np.count_nonzero(col_norm >= theta))
     if m < 1:
@@ -416,16 +447,21 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
         slope = 0.0
         if eps_val > 0.0 and resid > 0.0:
             # dq_cells/deps = -(normal matrix)^-1 D^T D q_cells, from the
-            # factor at hand; d|r|^2/deps = 2 r . A dq/deps
+            # factor at hand; d|r|^2/deps = 2 sum_j r_j . A_j dq/deps
             dtd_q = np.concatenate(([0.0], dq)) - np.concatenate((dq, [0.0]))
             dcells = -linalg.cho_solve(cf, dtd_q, check_finite=False)
-            slope = eps_val * float(
-                r_vec @ _forward_apply(w, extend(dcells), n)) / resid ** 2
-        return _Trial(full, resid, float(np.linalg.norm(dq)), slope)
+            dr = _forward_apply(w, extend(dcells), n)
+            slope = eps_val * float(r_vec.ravel() @ dr.ravel()) / resid ** 2
+        return _Trial(full, resid, np.linalg.norm(r_vec, axis=0),
+                      float(np.linalg.norm(dq)), slope)
 
     if eps == "auto":
-        sig = estimate_noise_sigma(psi) if sigma is None else float(sigma)
-        eps_used, trial = _discrepancy_search(solve, sig * np.sqrt(n),
+        if sigma is None:
+            sig = float(np.sqrt(np.mean(np.square(
+                [estimate_noise_sigma(col) for col in series.T]))))
+        else:
+            sig = float(sigma)
+        eps_used, trial = _discrepancy_search(solve, sig * np.sqrt(y.size),
                                               1e-18 * gmax, 1e6 * gmax)
         result_sigma: Union[float, None] = sig
     else:
@@ -442,7 +478,9 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
     q_nodes[0] = q_full[0]
     q_nodes[-1] = q_full[-1]
     return DeconvolutionResult(q=q_nodes, cells=q_full,
-                               residual_norm=trial.residual, eps=eps_used,
+                               residual_norm=trial.residual,
+                               residual_per_sensor=trial.per_sensor,
+                               eps=eps_used,
                                seminorm=trial.seminorm,
                                n_tail_extended=n - m,
                                factorizations=factorizations,

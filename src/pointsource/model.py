@@ -568,10 +568,16 @@ def write_sensor_csv(path, times: np.ndarray, series: np.ndarray) -> None:
 
 
 def read_sensor_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a sensor CSV; returns (times, series) with series (num_samples, s)."""
+    """Read a sensor CSV; returns (times, series) with series (num_samples, s).
+
+    A bad header, a non-numeric cell or a ragged row raises ValueError.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise ValueError("sensor CSV must start with header t,psi_1,...")
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+        header = next(csv.reader(fh), [])
+        if len(header) < 2 or header[0] != "t":
+            raise ValueError("sensor CSV must start with header t,psi_1,...")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"sensor CSV rows hold {data.shape[1]} values, the "
+                         f"header names {len(header)} columns")
     return data[:, 0], data[:, 1:]

@@ -137,14 +137,16 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 3
-        # one solve record per sensor; eps=0 factors each system once
+        assert report["schema_version"] == 4
+        # one joint solve for all sensors; eps=0 factors it once
         rec = report["intensity"]
-        assert rec["eps"] == [0.0] * 4
-        assert rec["factorizations"] == [1] * 4
-        assert rec["ridge_escalations"] == [0] * 4
-        assert len(rec["n_tail_extended"]) == 4
+        assert rec["eps"] == 0.0
+        assert rec["factorizations"] == 1
+        assert rec["ridge_escalations"] == 0
+        assert rec["n_tail_extended"] >= 0
         assert rec["stride"] == 5           # 12000 steps down to 2400
+        assert len(rec["misfit"]) == 4 and max(rec["misfit"]) <= 1e-3
+        assert not {"spread", "q_hat_per_sensor"} & set(rec)
         assert np.shape(report["x1_cov"]) == (3, 3)
         np.testing.assert_allclose(np.array(report["x1_std"]) ** 2,
                                    np.diag(report["x1_cov"]))
@@ -185,9 +187,49 @@ class TestIdentify:
         assert "validation: --lambda-points" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_csv_time_column_checked(self, tmp_path, capsys):
+        # series sampled with a tau 1 % off the scenario's: same shape, but
+        # the time column departs from the grid by up to 20 steps
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, tau=1e-3, num_steps=2000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        times, series = model.read_sensor_csv(out / "sensors.csv")
+        model.write_sensor_csv(out / "sensors.csv", times * 1.01, series)
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: sensor CSV time column" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("defect", ["non_numeric", "ragged", "header"])
+    def test_malformed_csv_rejected(self, tmp_path, capsys, defect):
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, tau=1e-3, num_steps=200)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        lines = (out / "sensors.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        if defect == "non_numeric":
+            cells[2] = "n/a"
+        elif defect == "ragged":
+            cells.pop()
+        lines[5] = ",".join(cells)
+        if defect == "header":
+            lines[0] = lines[0].replace("t,", "time,", 1)
+        (out / "sensors.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: sensor CSV" in capsys.readouterr().err
+
     def test_nd_diagnostic_codes(self, tmp_path):
-        # a second source near sensor 2 breaks the one-source model, so the
-        # per-sensor intensities disagree; the default window starts below
+        # a second source near sensor 2 breaks the one-source model, so no
+        # one intensity fits every sensor; the default window starts below
         # what the truncation guard accepts, and the flag's sigma drops the
         # largest lambdas
         grid = model.TimeGrid(tau=1e-3, num_steps=8000)
@@ -209,15 +251,19 @@ class TestIdentify:
         report = json.loads((out / "report.json").read_text())
         assert report["noise_sigma"] == {"value": 1e-4, "source": "flag"}
         diags = report["diagnostics"]
-        assert [(d["code"], d.get("guard")) for d in diags] == [
+        assert [(d["code"], d.get("guard")) for d in diags[:2]] == [
             ("lambdas_dropped", "truncation"),
-            ("lambdas_dropped", "noise_floor"),
-            ("intensity_spread_high", None)]
+            ("lambdas_dropped", "noise_floor")]
         dropped = diags[0]["lambdas"] + diags[1]["lambdas"]
         assert len(dropped) + len(report["lambdas"]) == 15
         assert min(report["lambdas"]) > max(diags[0]["lambdas"])
         assert max(report["lambdas"]) < min(diags[1]["lambdas"])
-        assert diags[2]["spread"] == report["intensity"]["spread"] > 0.2
+        misfit = report["intensity"]["misfit"]
+        flagged = [d for d in diags[2:] if d["code"] == "sensor_misfit_high"]
+        assert flagged and len(flagged) == len(diags) - 2
+        assert [d["sensor"] for d in flagged] == \
+            [j for j, v in enumerate(misfit) if v > cli.MISFIT_LIMIT]
+        assert all(d["misfit"] == misfit[d["sensor"]] for d in flagged)
 
     def test_interval_identify_with_background(self, tmp_path):
         # boundary drive plus a volumetric background: identify must
@@ -289,7 +335,8 @@ class TestIdentify:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["branch"] == "interior"
-        assert any("reflecting" in d for d in report["diagnostics"])
+        assert {"code": "both_sensors_reflecting", "sensors": [0.0, 1.0]} \
+            in report["diagnostics"]
         assert abs(report["x1_hat"] - 0.45) <= 1e-2
 
     def test_condition_failure_exit_code(self, tmp_path):

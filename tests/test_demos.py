@@ -1,4 +1,4 @@
-"""Smoke test: demos that exercise the deconvolution run to completion."""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -10,10 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["intensity_deconvolution.py",
-                                  "locate_3d.py"])
-def test_demo_exits_cleanly(demo):
+@pytest.mark.parametrize(
+    "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
+    env["TMPDIR"] = str(tmp_path)       # where a demo's scratch files go
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -268,7 +268,17 @@ class TestRecoverIntensityND:
         win = grid.times() >= 0.1 * grid.horizon
         rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
         assert rel <= 0.02
-        assert fit.spread <= 0.02
+        assert fit.misfit.shape == (4,)
+        assert np.all(fit.misfit <= 1e-3)
+
+    def test_one_factorization_for_all_sensors(self, records_3d):
+        # eps="auto" searches once for the joint system; the constant
+        # intensity stops at the bracket top after one factorization
+        alpha = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
+        fit = identifynd.recover_intensity_nd(records_3d, alpha, n=3,
+                                              eps="auto")
+        assert fit.deconvolution.factorizations == 1
+        assert fit.deconvolution.residual_per_sensor.shape == (4,)
 
     def test_varying_intensity_round_trip(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=5000)
@@ -289,11 +299,15 @@ class TestRecoverIntensityND:
         fit = identifynd.recover_intensity_nd(recs, [1.0], n=3)
         np.testing.assert_allclose(fit.q, 0.0, atol=1e-12)
 
-    def test_bad_distance_flagged_by_spread(self, records_3d):
+    def test_bad_distance_flagged_by_misfit(self, records_3d):
+        # the joint fit compromises between the sensors, so the good ones
+        # carry part of the misfit (about 0.09 each here), but the sensor
+        # with the wrong distance stands out (about 0.24)
         alpha = np.array([np.linalg.norm(X1_3D - b) for b in SENSORS_3D])
         alpha_bad = alpha * np.array([1.3, 1.0, 1.0, 1.0])
         fit = identifynd.recover_intensity_nd(records_3d, alpha_bad, n=3)
-        assert fit.spread > 0.2
+        assert fit.misfit[0] > 0.05
+        assert fit.misfit[0] > 2.0 * fit.misfit[1:].max()
 
 
 class TestNearestSourceMatrix:

@@ -240,14 +240,25 @@ class TestVolterraDeconvolve:
 
 
 class TestToeplitzGram:
-    @pytest.mark.parametrize("n, m", [(40, 40), (40, 25), (7, 1)])
-    def test_matches_dense_product(self, n, m):
-        w = np.random.default_rng(n + m).random(n)
-        a = np.zeros((n, m))
-        for j in range(m):
-            a[j:, j] = w[: n - j]
-        np.testing.assert_allclose(laplace._toeplitz_gram(w, m), a.T @ a,
-                                   rtol=1e-13, atol=1e-13)
+    @pytest.mark.parametrize("n, m, s", [
+        pytest.param(40, 40, 1, id="40-40"),
+        pytest.param(40, 25, 1, id="40-25"),
+        pytest.param(7, 1, 1, id="7-1"),
+        pytest.param(40, 40, 2, id="40-40-s2"),
+        pytest.param(40, 25, 3, id="40-25-s3"),
+        pytest.param(7, 1, 3, id="7-1-s3"),
+        pytest.param(300, 260, 2, id="300-260-s2")])
+    def test_matches_dense_product(self, n, m, s):
+        # s kernels: the Gram is sum_j A_j^T A_j
+        w = np.random.default_rng(n + m + s).random((n, s))
+        ref = np.zeros((m, m))
+        for j in range(s):
+            a = np.zeros((n, m))
+            for col in range(m):
+                a[col:, col] = w[: n - col, j]
+            ref += a.T @ a
+        gram = laplace._toeplitz_gram(w[:, 0] if s == 1 else w, m)
+        np.testing.assert_allclose(gram, ref, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("n, m", [(40, 40), (40, 25), (7, 1)])
     def test_matches_index_scatter(self, n, m):
@@ -260,6 +271,62 @@ class TestToeplitzGram:
             idx = np.arange(m - d)
             ref[idx, idx + d] = ref[idx + d, idx] = prefix[n - d - 1 - idx]
         np.testing.assert_array_equal(laplace._toeplitz_gram(w, m), ref)
+
+
+class TestJointDeconvolution:
+    def test_single_column_is_the_series(self):
+        # an (N+1, 1) column solves exactly the same system as the series
+        grid, _, noisy, masses, _ = noisy_sine_case()
+        flat = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
+                                           masses=masses)
+        col = laplace.volterra_deconvolve(noisy[:, None], None, grid,
+                                          eps="auto", masses=masses[:, None])
+        np.testing.assert_array_equal(col.q, flat.q)
+        assert col.eps == flat.eps
+        assert col.residual_per_sensor.shape == (1,)
+
+    def test_identical_columns_give_the_same_intensity(self):
+        # two copies of one sensor double the Gram, the right-hand side,
+        # the bracket and the residual target alike
+        grid, _, noisy, masses, sigma = noisy_sine_case()
+        one = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
+                                          masses=masses, sigma=sigma)
+        two = laplace.volterra_deconvolve(
+            np.column_stack([noisy, noisy]), None, grid, eps="auto",
+            masses=np.column_stack([masses, masses]), sigma=sigma)
+        rel = np.linalg.norm(two.q - one.q) / np.linalg.norm(one.q)
+        assert rel <= 1e-12
+        np.testing.assert_allclose(two.residual_per_sensor,
+                                   one.residual_norm, rtol=1e-9)
+
+    def test_sensors_share_one_intensity(self):
+        # three distances, one intensity: the joint fit recovers it and
+        # every sensor's residual stays at its noise level
+        grid = model.TimeGrid(tau=2.5e-3, num_steps=2000)
+        q = 1.0 + np.sin(grid.times())
+        rng = np.random.default_rng(4)
+        gammas = (0.4, 0.6, 0.8)
+        psi = np.column_stack([
+            forward.convolve_intensity(q, 1, g, grid, kind="distance")
+            for g in gammas])
+        sigma = 1e-3 * np.abs(psi).max()
+        noisy = psi + sigma * rng.standard_normal(psi.shape)
+        masses = np.column_stack([
+            forward.duhamel_masses(1, g, grid, kind="distance")
+            for g in gammas])
+        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
+                                          masses=masses, sigma=sigma)
+        assert np.linalg.norm(res.q - q) / np.linalg.norm(q) <= 0.05
+        target = sigma * np.sqrt(3 * grid.num_steps)
+        assert abs(res.residual_norm / target - 1.0) <= 0.01
+        np.testing.assert_allclose(np.linalg.norm(res.residual_per_sensor),
+                                   res.residual_norm, rtol=1e-12)
+
+    def test_mismatched_kernels_rejected(self):
+        grid, _, noisy, masses, _ = noisy_sine_case()
+        with pytest.raises(ValueError):
+            laplace.volterra_deconvolve(np.column_stack([noisy, noisy]), None,
+                                        grid, masses=masses)
 
 
 class TestConvolutionTransformExchange:
