@@ -29,8 +29,7 @@ print(f"sensor peaks: {[float(s.max()) for s in series]}")
 
 # ---- transforms on a window compatible with the sampling rate ---------------
 lams = np.geomspace(100.0, 400.0, 13)
-phi1, phi2 = (laplace.laplace_grid(s, grid, lams, f"b={b}")
-              for s, b in zip(series, sensors))
+phi1, phi2 = (laplace.laplace_grid(s, grid, lams) for s in series)
 
 coeffs = CoefficientField1D.constant(1.0, 0.0, 0.0, interval=(0.0, 1.0))
 fit = identify1d.locate_source_1d(phi1, phi2, coeffs, *sensors)

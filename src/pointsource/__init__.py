@@ -37,7 +37,6 @@ from .identifynd import (
 )
 from .laplace import (
     laplace_grid,
-    laplace_transform,
     suggest_lambda_grid,
     volterra_deconvolve,
 )

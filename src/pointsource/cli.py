@@ -90,9 +90,7 @@ def _simulate_traces(scenario: model.Scenario, include_sources: bool,
         model.Scenario(domain=dom, coefficients=scenario.coefficients,
                        sources=(), sensors=scenario.sensors,
                        grid=scenario.grid, f0=scenario.f0)
-    sol = forward.crank_nicolson_1d(run, num_cells=num_cells,
-                                    store_field=False)
-    return sol.traces
+    return forward.crank_nicolson_1d(run, num_cells=num_cells).traces
 
 
 def cmd_simulate(args) -> int:
@@ -125,10 +123,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _window_violations(args, min_points: int) -> list[str]:
+    """Flag a lone or misordered --lambda-min/--lambda-max and too few
+    --lambda-points."""
+    out = []
+    lo, hi = args.lambda_min, args.lambda_max
+    if (lo is None) != (hi is None):
+        out.append("--lambda-min and --lambda-max must be given together")
+    elif lo is not None and not 0.0 < lo < hi:
+        out.append(f"--lambda-min/--lambda-max: need 0 < min < max, got "
+                   f"{lo:g} and {hi:g}")
+    if args.lambda_points < min_points:
+        out.append(f"--lambda-points: at least {min_points} transform "
+                   f"parameters are required, got {args.lambda_points}")
+    return out
+
+
 def _lambda_window(args, scenario: model.Scenario, delta_hint: float
                    ) -> tuple[np.ndarray, tuple[float, float]]:
     grid = scenario.grid
-    if args.lambda_min is not None and args.lambda_max is not None:
+    if args.lambda_min is not None:
         lo, hi = args.lambda_min, args.lambda_max
         return np.geomspace(lo, hi, args.lambda_points), (lo, hi)
     plan = laplace.suggest_lambda_grid(grid, delta_hint,
@@ -196,10 +210,8 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
     # the bracket width is the natural gap scale; sensor-source gaps sit
     # within a factor 2 of it for any bracketed source
     lambdas, window = _lambda_window(args, scenario, delta_hint=b2 - b1)
-    phi1 = laplace.laplace_grid(psi_tilde[:, i1], scenario.grid, lambdas,
-                                f"sensor_{i1}")
-    phi2 = laplace.laplace_grid(psi_tilde[:, i2], scenario.grid, lambdas,
-                                f"sensor_{i2}")
+    phi1 = laplace.laplace_grid(psi_tilde[:, i1], scenario.grid, lambdas)
+    phi2 = laplace.laplace_grid(psi_tilde[:, i2], scenario.grid, lambdas)
     fit = identify1d.locate_source_1d(phi1, phi2, coeffs, b1, b2,
                                       branch=branch)
     # deconvolve the sensor closer to the recovered source
@@ -301,10 +313,7 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
 def cmd_identify(args) -> int:
     scenario = model.load_scenario(args.scenario)
     violations = model.validate_scenario(scenario)
-    if args.lambda_points < identifynd.MIN_LAMBDAS:
-        violations.append(f"--lambda-points: at least "
-                          f"{identifynd.MIN_LAMBDAS} transform parameters "
-                          f"are required, got {args.lambda_points}")
+    violations += _window_violations(args, identifynd.MIN_LAMBDAS)
     if _report_violations(violations):
         return EXIT_VALIDATION
     out = Path(args.out)
@@ -410,11 +419,12 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_reproduce_example(args) -> int:
+    if _report_violations(_window_violations(args, 1)):
+        return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lambdas = np.geomspace(args.lambda_min or 1.0, args.lambda_max or 100.0,
-                           args.lambda_points) \
-        if (args.lambda_min and args.lambda_max) else np.array([1.0, 10.0, 100.0])
+    lambdas = np.geomspace(args.lambda_min, args.lambda_max,
+                           args.lambda_points)
     report = identifynd.nonuniqueness_discrepancy(
         args.which, a=args.a, m_dist=args.m, lambdas=lambdas)
     path = out / f"example{args.which}_discrepancy.csv"
@@ -447,48 +457,42 @@ def build_parser() -> argparse.ArgumentParser:
                     "models from sensor time series.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
-        if scenario_required:
+    def command(name, func, summary, scenario=True):
+        p = sub.add_parser(name, help=summary)
+        if scenario:
             p.add_argument("--scenario", required=True,
                            help="scenario JSON path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--lambda-min", type=float, dest="lambda_min")
-        p.add_argument("--lambda-max", type=float, dest="lambda_max")
-        p.add_argument("--lambda-points", type=int, default=13,
-                       dest="lambda_points")
-        p.add_argument("--epsilon", default="auto",
-                       help="regularization: 'auto' or a value")
+        p.set_defaults(func=func)
+        return p
+
+    p_sim = command("simulate", cmd_simulate, "generate sensor data")
+    p_id = command("identify", cmd_identify,
+                   "recover source location and intensity")
+    command("diagnose", cmd_diagnose, "identifiability diagnostics")
+    p_rep = command("reproduce-example", cmd_reproduce_example,
+                    "built-in non-uniqueness configurations", scenario=False)
+    for p in (p_sim, p_id):
         p.add_argument("--noise", type=float, default=None,
-                       help="override scenario noise sigma")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override scenario noise seed")
+                       help="noise sigma (default: the scenario's)")
         p.add_argument("--cells", type=int, default=400,
                        help="finite-difference cells for interval domains")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_sim = sub.add_parser("simulate", help="generate sensor data")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_id = sub.add_parser("identify", help="recover source location and "
-                                           "intensity")
-    common(p_id)
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="override scenario noise seed")
     p_id.add_argument("--data", default=None,
                       help="sensor CSV (default <out>/sensors.csv)")
-    p_id.set_defaults(func=cmd_identify)
-
-    p_diag = sub.add_parser("diagnose", help="identifiability diagnostics")
-    common(p_diag)
-    p_diag.set_defaults(func=cmd_diagnose)
-
-    p_rep = sub.add_parser("reproduce-example",
-                           help="built-in non-uniqueness configurations")
+    p_id.add_argument("--epsilon", default="auto",
+                      help="regularization: 'auto' or a value")
+    p_id.add_argument("--format", choices=("json", "csv"), default="json")
     p_rep.add_argument("which", type=int, choices=(1, 2))
     p_rep.add_argument("--a", type=float, default=1.0,
                        help="source half-separation")
     p_rep.add_argument("--m", type=float, default=3.0, help="probe distance")
-    common(p_rep, scenario_required=False)
-    p_rep.set_defaults(func=cmd_reproduce_example)
+    # identify's window defaults to the sampling-rate advisor's
+    for p, lo, hi, points in ((p_id, None, None, 13), (p_rep, 1.0, 100.0, 3)):
+        p.add_argument("--lambda-min", type=float, default=lo)
+        p.add_argument("--lambda-max", type=float, default=hi)
+        p.add_argument("--lambda-points", type=int, default=points)
     return parser
 
 

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 from scipy import integrate, signal, special
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .model import (
     CoefficientField1D,
@@ -129,29 +129,29 @@ def resolvent_green(n: int, r: float, lam: float, lambda0: float = 0.0,
 # Variable-coefficient 1D: coefficient integrals and asymptotic Green values
 
 
+def _travel(coeffs: CoefficientField1D, x0: float, x1: float) -> float:
+    """Signed integral of the slowness from x0 to x1."""
+    return integrate.quad(coeffs.slowness, x0, x1, epsabs=_QUAD_TOL,
+                          epsrel=_QUAD_TOL, limit=200)[0]
+
+
 def travel_integrals(coeffs: CoefficientField1D, x0: float, x1: float
                      ) -> tuple[float, float]:
     """Signed integrals of slowness and amplitude density from x0 to x1."""
-    travel, _ = integrate.quad(coeffs.slowness, x0, x1,
-                               epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     amp, _ = integrate.quad(coeffs.amplitude_density, x0, x1,
                             epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return travel, amp
+    return _travel(coeffs, x0, x1), amp
 
 
 @dataclass(frozen=True)
 class GreenEval:
-    """One evaluation of a resolvent Green function.
+    """One leading-order evaluation of the 1D variable-coefficient resolvent.
 
-    ``mode`` is "exact" for closed-form constant-coefficient kernels and
-    "asymptotic" for the leading-order variable-coefficient value; in the
-    latter case ``int_r`` and ``int_r1`` carry the coefficient integrals
-    (slowness and amplitude density) between the two points, and ``valid``
-    records whether lam cleared the configured asymptotic threshold.
+    ``int_r`` and ``int_r1`` carry the coefficient integrals (slowness and
+    amplitude density) between the two points, and ``valid`` records
+    whether lam cleared the configured asymptotic threshold.
     """
 
-    n: int
-    mode: str
     value: float
     lam: float
     int_r: float = 0.0
@@ -183,7 +183,7 @@ def green_1d_asymptotic(coeffs: CoefficientField1D, x1: float, b: float,
         lambda_min = 25.0 / int_r ** 2
     value = np.exp(-np.sqrt(lam) * abs(int_r) + int_r1) \
         / (2.0 * np.sqrt(lam * coeffs.diffusion(x1)))
-    return GreenEval(n=1, mode="asymptotic", value=float(value), lam=lam,
+    return GreenEval(value=float(value), lam=lam,
                      int_r=int_r, int_r1=int_r1, lambda_min=float(lambda_min),
                      valid=bool(lam >= lambda_min))
 
@@ -334,20 +334,9 @@ def free_space_response(sources, sensor, grid: TimeGrid, n: int,
 class Solution1D:
     """Output of the 1D finite-difference solve."""
 
-    times: np.ndarray
     mesh: np.ndarray
     traces: np.ndarray              # (num_samples, num_sensors)
     field: Union[np.ndarray, None]  # (num_samples, num_nodes) when stored
-
-    def write_field_slice(self, path, step: int) -> None:
-        """Dump one time slice as x,u CSV (debugging aid)."""
-        if self.field is None:
-            raise ValueError("field was not stored for this solve")
-        u = self.field[step]
-        with open(path, "w") as fh:
-            fh.write("x,u\n")
-            for x, v in zip(self.mesh, u):
-                fh.write(f"{x:.17g},{v:.17g}\n")
 
 
 def _bc_series(bc, grid: TimeGrid) -> np.ndarray:
@@ -360,7 +349,7 @@ def _bc_series(bc, grid: TimeGrid) -> np.ndarray:
 
 
 def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
-                      store_field: bool = True) -> Solution1D:
+                      store_field: bool = False) -> Solution1D:
     """Second-order FD in space, trapezoidal in time, for
     u_t = a2 u_xx - a1 u_x - a0 u + sum_i q_i(t) delta(x - x_i) + f0(x).
 
@@ -369,7 +358,9 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
     Dirichlet and Robin (u_x + sigma u = g) boundaries are discretized to
     second order with ghost nodes.  The first two steps are split into
     backward-Euler half-steps to damp the non-smooth startup transient;
-    this leaves the scheme second order in time.
+    this leaves the scheme second order in time.  All steps share the
+    matrix I - (tau/2) L, factored once.  ``store_field`` keeps every time
+    slice of the solution on the mesh.
     """
     dom = scenario.domain
     if not isinstance(dom, Interval1D):
@@ -431,13 +422,11 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
     if scenario.f0 is not None:
         f0_mesh = CubicSpline(coeffs.grid, scenario.f0)(x)
 
-    sensors = [float(np.atleast_1d(p)[0]) for p in scenario.sensors]
-    s_idx = []
-    for b in sensors:
-        if not (dom.a <= b <= dom.b):
-            raise ValueError("sensor locations must lie in [a, b]")
-        m = min(int((b - dom.a) / h), nmesh - 2)
-        s_idx.append((m, (x[m + 1] - b) / h))
+    sensors = np.array([float(np.atleast_1d(p)[0]) for p in scenario.sensors])
+    if not np.all((sensors >= dom.a) & (sensors <= dom.b)):
+        raise ValueError("sensor locations must lie in [a, b]")
+    s_m = np.minimum(((sensors - dom.a) / h).astype(int), nmesh - 2)
+    s_wl = (x[s_m + 1] - sensors) / h
 
     def source_vec(k: int) -> np.ndarray:
         f = f0_mesh.copy()
@@ -450,24 +439,31 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
             f[-1] += load_right * g_right[k]
         return f
 
-    def step_matrix(theta_tau: float) -> np.ndarray:
-        ab = np.zeros((3, nmesh))
-        ab[0, 1:] = -theta_tau * up[:-1]
-        ab[1, :] = 1.0 - theta_tau * di
-        ab[2, :-1] = -theta_tau * lo[1:]
-        if left_dirichlet:
-            ab[1, 0] = 1.0
-            ab[0, 1] = 0.0
-        if right_dirichlet:
-            ab[1, -1] = 1.0
-            ab[2, -2] = 0.0
-        return ab
-
     def apply_l(u: np.ndarray) -> np.ndarray:
         out = di * u
         out[:-1] += up[:-1] * u[1:]
         out[1:] += lo[1:] * u[:-1]
         return out
+
+    # I - (tau/2) L with identity Dirichlet rows, LU-factored once
+    half = 0.5 * tau
+    sub, diag, sup = -half * lo[1:], 1.0 - half * di, -half * up[:-1]
+    if left_dirichlet:
+        diag[0], sup[0] = 1.0, 0.0
+    if right_dirichlet:
+        diag[-1], sub[-1] = 1.0, 0.0
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=float)
+    *lu, info = gttrf(sub, diag, sup)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Crank-Nicolson step matrix is singular (gttrf info {info})")
+
+    def solve(rhs: np.ndarray, gl: float, gr: float) -> np.ndarray:
+        if left_dirichlet:
+            rhs[0] = gl
+        if right_dirichlet:
+            rhs[-1] = gr
+        return gttrs(*lu, rhs, overwrite_b=1)[0]
 
     u = np.zeros(nmesh)
     if left_dirichlet:
@@ -475,40 +471,28 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
     if right_dirichlet:
         u[-1] = g_right[0]
 
-    traces = np.zeros((grid.num_samples, len(sensors)))
+    traces = np.zeros((grid.num_samples, sensors.size))
     field = np.zeros((grid.num_samples, nmesh)) if store_field else None
 
     def record(k: int, u: np.ndarray) -> None:
-        for j, (m, wl) in enumerate(s_idx):
-            traces[k, j] = wl * u[m] + (1.0 - wl) * u[m + 1]
+        traces[k] = s_wl * u[s_m] + (1.0 - s_wl) * u[s_m + 1]
         if field is not None:
             field[k] = u
 
     record(0, u)
-    ab_cn = step_matrix(0.5 * tau)
-    ab_be = step_matrix(0.5 * tau)  # backward Euler over tau/2
     n_damped = 2
-
+    f_k = source_vec(0)
     for k in range(grid.num_steps):
+        f_next = source_vec(k + 1)
+        gl, gr = g_left[k + 1], g_right[k + 1]
         if k < n_damped:
             # two backward-Euler half-steps (startup damping)
-            for half, kk in ((0.5, k), (1.0, k + 1)):
-                rhs = u + 0.5 * tau * source_vec(k if half == 0.5 else k + 1)
-                if left_dirichlet:
-                    rhs[0] = g_left[k + 1] if half == 1.0 else \
-                        0.5 * (g_left[k] + g_left[k + 1])
-                if right_dirichlet:
-                    rhs[-1] = g_right[k + 1] if half == 1.0 else \
-                        0.5 * (g_right[k] + g_right[k + 1])
-                u = solve_banded((1, 1), ab_be, rhs)
+            u = solve(u + half * f_k, 0.5 * (g_left[k] + gl),
+                      0.5 * (g_right[k] + gr))
+            u = solve(u + half * f_next, gl, gr)
         else:
-            rhs = u + 0.5 * tau * apply_l(u) \
-                + 0.5 * tau * (source_vec(k) + source_vec(k + 1))
-            if left_dirichlet:
-                rhs[0] = g_left[k + 1]
-            if right_dirichlet:
-                rhs[-1] = g_right[k + 1]
-            u = solve_banded((1, 1), ab_cn, rhs)
+            u = solve(u + half * apply_l(u) + half * (f_k + f_next), gl, gr)
         record(k + 1, u)
+        f_k = f_next
 
-    return Solution1D(times=grid.times(), mesh=x, traces=traces, field=field)
+    return Solution1D(mesh=x, traces=traces, field=field)

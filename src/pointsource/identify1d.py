@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 from scipy.optimize import brentq
 
-from .forward import duhamel_masses, travel_integrals
+from .forward import _travel, duhamel_masses, travel_integrals
 from .laplace import DeconvolutionResult, LaplaceSamples, volterra_deconvolve
 from .model import CoefficientField1D, TimeGrid
 
@@ -38,10 +38,6 @@ __all__ = [
     "alternation_findings",
 ]
 
-#: reject transform values whose truncation bound exceeds this fraction
-TRUNCATION_GUARD = 1e-3
-
-
 def _shared_lambdas(phi1: LaplaceSamples, phi2: LaplaceSamples) -> np.ndarray:
     if phi1.lambdas.shape != phi2.lambdas.shape or \
             not np.allclose(phi1.lambdas, phi2.lambdas, rtol=1e-12):
@@ -49,15 +45,14 @@ def _shared_lambdas(phi1: LaplaceSamples, phi2: LaplaceSamples) -> np.ndarray:
     return phi1.lambdas
 
 
-def _ratio_mask(phi1: LaplaceSamples, phi2: LaplaceSamples,
-                guard: float = TRUNCATION_GUARD) -> np.ndarray:
+def _ratio_mask(phi1: LaplaceSamples, phi2: LaplaceSamples) -> np.ndarray:
     """Lambdas where both transforms are nonzero and trustworthy.
 
     Points where either value sits below its own truncation bound are
     treated as (near-)zeros and skipped; the two series vanish together
     for consistent data, so isolated skips are expected.
     """
-    ok = phi1.truncation_ok(guard) & phi2.truncation_ok(guard)
+    ok = phi1.truncation_ok() & phi2.truncation_ok()
     ok &= (phi1.values != 0.0) & (phi2.values != 0.0)
     return ok
 
@@ -114,13 +109,12 @@ def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m: float,
     if m == 0.0:
         return b1
     end = coeffs.b if direction > 0 else coeffs.a
-    total, _ = travel_integrals(coeffs, b1, end)
+    total = _travel(coeffs, b1, end)
     if m > abs(total) * (1.0 + 1e-12):
         raise ValueError("travel distance exceeds the domain extent")
 
     def f(x: float) -> float:
-        val, _ = travel_integrals(coeffs, b1, x)
-        return abs(val) - m
+        return abs(_travel(coeffs, b1, x)) - m
 
     if m >= abs(total):
         return end

@@ -19,7 +19,7 @@ built-in non-uniqueness configurations used by the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Union
 
 import numpy as np
@@ -43,20 +43,22 @@ __all__ = [
     "nonuniqueness_discrepancy",
 ]
 
-TRUNCATION_GUARD = 1e-3
 # a transform must exceed the noise floor this many times over: near the
 # floor the log-transform is biased and its error is no longer Gaussian
 NOISE_HEADROOM = 30.0
 MIN_LAMBDAS = 4
 WINDOW_POINTS = 13
+# sensor subsets tested per batched determinant call
+SUBSET_CHUNK = 8192
 
 
 def in_general_position(points, n: int) -> tuple[bool, Union[tuple, None]]:
     """No collinear triple (n = 2) / no coplanar quadruple (n = 3).
 
-    Returns (ok, witness); the witness is the index tuple of the first
-    violating subset.  Degeneracy is tested against 1e-12 of the cloud
-    scale, so exactly symmetric layouts are detected reliably.
+    Returns (ok, witness); the witness is the index tuple of the
+    lexicographically first violating subset.  Degeneracy is tested against
+    1e-12 of the cloud scale, so exactly symmetric layouts are detected
+    reliably.  Subsets are tested SUBSET_CHUNK at a time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if n not in (2, 3):
@@ -67,11 +69,13 @@ def in_general_position(points, n: int) -> tuple[bool, Union[tuple, None]]:
     if pts.shape[0] < k:
         raise ValueError(f"need at least {k} points")
     scale = max(float(np.ptp(pts)), 1e-300)
-    for idx in combinations(range(pts.shape[0]), k):
-        v = pts[list(idx[1:])] - pts[idx[0]]
-        vol = abs(np.linalg.det(v))
-        if vol <= 1e-12 * scale ** n:
-            return False, idx
+    subsets = combinations(range(pts.shape[0]), k)
+    while (idx := np.fromiter(islice(subsets, SUBSET_CHUNK),
+                              dtype=(np.intp, k))).size:
+        vol = np.abs(np.linalg.det(pts[idx[:, 1:]] - pts[idx[:, :1]]))
+        bad = np.flatnonzero(vol <= 1e-12 * scale ** n)
+        if bad.size:
+            return False, tuple(idx[bad[0]].tolist())
     return True, None
 
 
@@ -171,14 +175,12 @@ def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
         lambdas = np.geomspace(lambdas[0], lambdas[1], WINDOW_POINTS)
 
     grid = records[0].grid
-    phis = [laplace_grid(r.samples, grid, lambdas, series_id=f"sensor_{j}")
-            for j, r in enumerate(records)]
+    phis = [laplace_grid(r.samples, grid, lambdas) for r in records]
     values = np.array([p.values for p in phis])
     noise = noise_sigma * np.sqrt(grid.tau / (2.0 * lambdas))
     err = np.array([p.bounds for p in phis]) + noise
     guards = {
-        "truncation": np.all([p.truncation_ok(TRUNCATION_GUARD)
-                              for p in phis], axis=0),
+        "truncation": np.all([p.truncation_ok() for p in phis], axis=0),
         "noise_floor": np.all(values > NOISE_HEADROOM * noise, axis=0),
     }
     keep = np.ones(lambdas.size, dtype=bool)

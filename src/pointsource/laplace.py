@@ -28,9 +28,7 @@ from scipy import linalg, signal
 from .model import TimeGrid
 
 __all__ = [
-    "LaplacePoint",
     "LaplaceSamples",
-    "laplace_transform",
     "laplace_grid",
     "LambdaGridPlan",
     "suggest_lambda_grid",
@@ -41,48 +39,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaplacePoint:
-    """One transform value with its truncation/discretization error bounds."""
-
-    value: float
-    truncation: float
-    discretization: float
-
-    @property
-    def bound(self) -> float:
-        return self.truncation + self.discretization
-
-
-def laplace_transform(samples: np.ndarray, grid: TimeGrid, lam: float
-                      ) -> LaplacePoint:
-    """Trapezoidal approximation of int_0^T exp(-lam*t) * psi(t) dt.
-
-    The truncation bound |psi(T)| exp(-lam*T)/lam estimates the discarded
-    tail assuming the series has levelled off; the discretization bound
-    combines the interior curvature proxy (tau*lam)^2/12 * int |f| with
-    the boundary derivative terms of the Euler-Maclaurin expansion.
-    """
-    if lam <= 0.0:
-        raise ValueError("transform parameter lam must be positive")
-    samples = np.asarray(samples, dtype=float)
-    if samples.size != grid.num_samples:
-        raise ValueError("series length must match the time grid")
-    t = grid.times()
-    w = np.exp(-lam * t)
-    f = w * samples
-    tau = grid.tau
-    value = float(np.trapezoid(f, dx=tau))
-    horizon = grid.horizon
-    truncation = float(abs(samples[-1]) * np.exp(-lam * horizon) / lam)
-    i_abs = float(np.trapezoid(np.abs(f), dx=tau))
-    dpsi0 = (samples[1] - samples[0]) / tau
-    fp0 = abs(dpsi0 - lam * samples[0])
-    dpsiT = (samples[-1] - samples[-2]) / tau
-    fpT = abs(dpsiT - lam * samples[-1]) * np.exp(-lam * horizon)
-    discretization = float(tau ** 2 / 12.0 * (lam ** 2 * i_abs + fp0 + fpT))
-    return LaplacePoint(value=value, truncation=truncation,
-                        discretization=discretization)
+#: reject transform values whose truncation bound exceeds this fraction
+TRUNCATION_GUARD = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +52,6 @@ class LaplaceSamples:
     truncation: np.ndarray
     discretization: np.ndarray
     horizon: float
-    series_id: str = ""
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -109,23 +66,41 @@ class LaplaceSamples:
     def bounds(self) -> np.ndarray:
         return self.truncation + self.discretization
 
-    def truncation_ok(self, guard: float = 1e-3) -> np.ndarray:
-        """Mask of lambdas whose truncation bound stays below guard*|value|."""
-        return self.truncation <= guard * np.abs(self.values)
+    def truncation_ok(self) -> np.ndarray:
+        """Mask of lambdas whose truncation bound stays below
+        TRUNCATION_GUARD*|value|."""
+        return self.truncation <= TRUNCATION_GUARD * np.abs(self.values)
 
 
-def laplace_grid(samples: np.ndarray, grid: TimeGrid, lambdas,
-                 series_id: str = "") -> LaplaceSamples:
-    """Map laplace_transform over a lambda grid, keeping per-point bounds."""
+def laplace_grid(samples: np.ndarray, grid: TimeGrid, lambdas
+                 ) -> LaplaceSamples:
+    """Trapezoidal approximations of int_0^T exp(-lam*t) * psi(t) dt for
+    every lam of the grid, with per-point error bounds.
+
+    The truncation bound |psi(T)| exp(-lam*T)/lam estimates the discarded
+    tail assuming the series has levelled off; the discretization bound
+    combines the interior curvature proxy (tau*lam)^2/12 * int |f| with
+    the boundary derivative terms of the Euler-Maclaurin expansion.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
-    pts = [laplace_transform(samples, grid, lam) for lam in lambdas]
+    samples = np.asarray(samples, dtype=float)
+    if samples.size != grid.num_samples:
+        raise ValueError("series length must match the time grid")
+    if np.any(lambdas <= 0.0):
+        raise ValueError("transform parameter lam must be positive")
+    tau = grid.tau
+    tail = np.exp(-lambdas * grid.horizon)
+    f = np.exp(-lambdas[:, None] * grid.times()) * samples
+    i_abs = np.trapezoid(np.abs(f), dx=tau, axis=1)
+    fp0 = np.abs((samples[1] - samples[0]) / tau - lambdas * samples[0])
+    fpT = np.abs((samples[-1] - samples[-2]) / tau - lambdas * samples[-1]) \
+        * tail
     return LaplaceSamples(
         lambdas=lambdas,
-        values=np.array([p.value for p in pts]),
-        truncation=np.array([p.truncation for p in pts]),
-        discretization=np.array([p.discretization for p in pts]),
+        values=np.trapezoid(f, dx=tau, axis=1),
+        truncation=np.abs(samples[-1]) * tail / lambdas,
+        discretization=tau ** 2 / 12.0 * (lambdas ** 2 * i_abs + fp0 + fpT),
         horizon=grid.horizon,
-        series_id=series_id,
     )
 
 

@@ -12,7 +12,7 @@ A scenario file is a single JSON object::
               | {"type": "free_space", "n": 3, "lambda0": 0.0},
       "coefficients":
                 {"type": "field1d", "a": 0.0, "b": 1.0,
-                 "a2": [..], "a1": [..], "a0": [..], "degree": 3}
+                 "a2": [..], "a1": [..], "a0": [..]}
               | {"type": "constant1d", "a2": 1.0, "a1": 0.0, "a0": 0.0,
                  "a": 0.0, "b": 1.0}
               | {"type": "drift_nd", "n": 2, "constant": [1.0, 0.0]}
@@ -28,6 +28,8 @@ A scenario file is a single JSON object::
 Boundary ``g`` values and sampled intensities are either a constant or an
 array of ``num_steps + 1`` samples on the uniform time grid.  ``f0`` is a
 time-independent volumetric source sampled on the coefficient grid.
+``field1d`` coefficients are always evaluated as cubic splines; a
+``"degree"`` key, which older files carry, is accepted and ignored.
 
 Sensor series interchange is a CSV file with header ``t,psi_1,...,psi_s``
 and one row per time sample; floats are written with 17 significant digits
@@ -144,8 +146,7 @@ class CoefficientField1D:
 
     Coefficients are stored as uniform samples and evaluated through a cubic
     spline, so a2 has a usable first derivative.  Units: a2 length^2/time,
-    a1 length/time, a0 1/time.  ``degree`` is recorded schema metadata;
-    evaluation is always piecewise-cubic.
+    a1 length/time, a0 1/time.
 
     Derived quantities:
       slowness(x)          = 1/sqrt(a2(x)), the travel-metric density whose
@@ -154,7 +155,7 @@ class CoefficientField1D:
                              first-order log-amplitude correction density.
     """
 
-    def __init__(self, a: float, b: float, a2, a1, a0, degree: int = 3):
+    def __init__(self, a: float, b: float, a2, a1, a0):
         from scipy.interpolate import CubicSpline
 
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -176,7 +177,6 @@ class CoefficientField1D:
         self.a2 = expand(a2)
         self.a1 = expand(a1)
         self.a0 = expand(a0)
-        self.degree = int(degree)
         self.grid = np.linspace(a, b, m)
         self._s2 = CubicSpline(self.grid, self.a2)
         self._s1 = CubicSpline(self.grid, self.a1)
@@ -199,9 +199,6 @@ class CoefficientField1D:
 
     def diffusion(self, x):
         return self._s2(x)
-
-    def diffusion_dx(self, x):
-        return self._d2(x)
 
     def drift(self, x):
         return self._s1(x)
@@ -467,7 +464,7 @@ def scenario_to_dict(s: Scenario) -> dict:
     elif isinstance(co, CoefficientField1D):
         coeff = {"type": "field1d", "a": co.a, "b": co.b,
                  "a2": co.a2.tolist(), "a1": co.a1.tolist(),
-                 "a0": co.a0.tolist(), "degree": co.degree}
+                 "a0": co.a0.tolist()}
     else:
         if co.constant is None:
             raise ValueError("only constant drift fields are JSON-serializable")
@@ -506,7 +503,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         coefficients = None
     elif cd["type"] == "field1d":
         coefficients = CoefficientField1D(cd["a"], cd["b"], cd["a2"], cd["a1"],
-                                          cd["a0"], degree=cd.get("degree", 3))
+                                          cd["a0"])
     elif cd["type"] == "constant1d":
         coefficients = CoefficientField1D.constant(
             cd["a2"], cd.get("a1", 0.0), cd.get("a0", 0.0),
@@ -559,12 +556,11 @@ def write_sensor_csv(path, times: np.ndarray, series: np.ndarray) -> None:
         series = series.T
     if series.shape[0] != times.size:
         raise ValueError("series shape does not match the time axis")
+    header = ",".join(["t"] + [f"psi_{j + 1}" for j in range(series.shape[1])])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"psi_{j + 1}" for j in range(series.shape[1])])
-        for k in range(times.size):
-            w.writerow([f"{times[k]:.17g}"] +
-                       [f"{v:.17g}" for v in series[k]])
+        fh.write(header + "\r\n")
+        np.savetxt(fh, np.column_stack([times, series]), fmt="%.17g",
+                   delimiter=",", newline="\r\n")
 
 
 def read_sensor_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ def test_c1_kernel_transform_identities():
                               (3, np.exp(-np.sqrt(lam) * gamma))):
                 v = np.zeros_like(t)
                 v[1:] = forward.distance_kernel(n, gamma, t[1:])
-                got = laplace.laplace_transform(v, grid, lam).value
+                got = laplace.laplace_grid(v, grid, [lam]).values[0]
                 worst = max(worst, abs(got - target) / target)
     check("C1", "arrival-kernel transform identities (n=1,3) to 1e-6",
           worst <= 1e-6, f" (worst rel err {worst:.2e})")

@@ -187,6 +187,27 @@ class TestIdentify:
         assert "validation: --lambda-points" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("window", [("--lambda-min", "6"),
+                                        ("--lambda-max", "50"),
+                                        ("--lambda-min", "50",
+                                         "--lambda-max", "6"),
+                                        ("--lambda-min", "0",
+                                         "--lambda-max", "50")])
+    def test_bad_lambda_window_rejected(self, tmp_path, capsys, window):
+        # a lone end of the window is an error, not a cue to fall back on
+        # the advisor's window
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, tau=1e-3, num_steps=2000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out), *window])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: --lambda-min" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_csv_time_column_checked(self, tmp_path, capsys):
         # series sampled with a tau 1 % off the scenario's: same shape, but
         # the time column departs from the grid by up to 20 steps
@@ -486,7 +507,32 @@ class TestDiagnose:
         assert diag["nearest_source_matrix"]["near_singular"] is False
 
 
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--scenario", "s.json", "--epsilon", "5"],
+        ["diagnose", "--scenario", "s.json", "--cells", "100"],
+        ["identify", "--scenario", "s.json", "--seed", "3"],
+        ["simulate", "--scenario", "s.json", "--epsilon", "0"],
+        ["simulate", "--scenario", "s.json", "--lambda-min", "1"],
+        ["reproduce-example", "1", "--noise", "0.1"],
+    ])
+    def test_foreign_flag_rejected(self, argv):
+        # a flag the subcommand has no use for is an error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
 class TestReproduceExamples:
+    def test_lambda_points_honoured(self, tmp_path):
+        rc = cli.main(["reproduce-example", "1", "--out", str(tmp_path),
+                       "--lambda-points", "5"])
+        assert rc == 0
+        rows = (tmp_path / "example1_discrepancy.csv").read_text() \
+            .splitlines()[1:]
+        lams = sorted({float(r.split(",")[1]) for r in rows})
+        np.testing.assert_allclose(lams, np.geomspace(1.0, 100.0, 5))
+
     def test_mirror_pair(self, tmp_path):
         rc = cli.main(["reproduce-example", "1", "--out", str(tmp_path)])
         assert rc == 0

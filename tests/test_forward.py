@@ -324,7 +324,7 @@ class TestCrankNicolson:
             sensors=([0.25],),
             grid=grid,
         )
-        sol = forward.crank_nicolson_1d(scen, num_cells=50)
+        sol = forward.crank_nicolson_1d(scen, num_cells=50, store_field=True)
         assert np.all(sol.field == 0.0)
 
     def test_matches_free_space_oracle(self):
@@ -351,7 +351,7 @@ class TestCrankNicolson:
     def test_positivity(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=500)
         scen = wide_interval_scenario(grid)
-        sol = forward.crank_nicolson_1d(scen, num_cells=1000)
+        sol = forward.crank_nicolson_1d(scen, num_cells=1000, store_field=True)
         assert sol.field.min() >= -1e-8 * np.abs(sol.field).max()
 
     def test_robin_boundary_steady_state(self):
@@ -367,7 +367,7 @@ class TestCrankNicolson:
             sensors=([0.8],),
             grid=grid,
         )
-        sol = forward.crank_nicolson_1d(scen, num_cells=200)
+        sol = forward.crank_nicolson_1d(scen, num_cells=200, store_field=True)
         mass = np.trapezoid(sol.field, sol.mesh, axis=1)
         rate = np.diff(mass[-100:]) / grid.tau
         np.testing.assert_allclose(rate, 1.0, rtol=1e-6)
@@ -384,20 +384,23 @@ class TestCrankNicolson:
         with pytest.raises(ValueError):
             forward.crank_nicolson_1d(scen, num_cells=50)
 
-    def test_field_slice_export(self, tmp_path):
-        grid = model.TimeGrid(tau=1e-2, num_steps=10)
+    def test_time_dependent_dirichlet_exact(self):
+        # u(x, t) = t solves u_t = u_xx + 1 with g(t) = t at both ends; the
+        # scheme reproduces it at every step, startup half-steps included
+        grid = model.TimeGrid(tau=1e-2, num_steps=50)
+        t = grid.times()
         scen = model.Scenario(
-            domain=model.Interval1D(a=0.0, b=1.0),
+            domain=model.Interval1D(a=0.0, b=1.0,
+                                    bc_left=model.Dirichlet(g=t),
+                                    bc_right=model.Dirichlet(g=t)),
             coefficients=model.CoefficientField1D.constant(1.0),
-            sources=(model.PointSource(location=[0.5], intensity=1.0),),
-            sensors=([0.25],),
+            sources=(model.PointSource(location=[0.5], intensity=0.0),),
+            sensors=([0.25], [0.5]),
             grid=grid,
+            f0=np.ones(4),
         )
-        sol = forward.crank_nicolson_1d(scen, num_cells=20)
-        path = tmp_path / "slice.csv"
-        sol.write_field_slice(path, step=5)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "x,u"
-        assert len(rows) == 22
-        x, u = map(float, rows[1].split(","))
-        assert x == 0.0 and u == sol.field[5][0]
+        sol = forward.crank_nicolson_1d(scen, num_cells=40, store_field=True)
+        np.testing.assert_allclose(sol.field, np.repeat(t[:, None], 41, axis=1),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sol.traces, np.column_stack([t, t]),
+                                   rtol=0.0, atol=1e-12)

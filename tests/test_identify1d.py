@@ -11,7 +11,7 @@ def oracle_transforms(x1, sensors, lams, tau=1e-3, num_steps=10000,
     out = []
     for b in sensors:
         psi = forward.free_space_response([src], [b], grid, n=1)
-        out.append(laplace.laplace_grid(psi, grid, lams, f"b={b}"))
+        out.append(laplace.laplace_grid(psi, grid, lams))
     return grid, out
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,50 @@ class TestGeneralPosition:
         pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
         ok, w = identifynd.in_general_position(pts, 3)
         assert not ok and w == (0, 1, 2, 3)
+
+    @staticmethod
+    def make_coplanar(pts, quad):
+        # move the last point of quad into the plane of the other three
+        a, b, c, d = quad
+        pts[d] = pts[a] + 0.3 * (pts[b] - pts[a]) + 0.6 * (pts[c] - pts[a])
+
+    @staticmethod
+    def chunk_of(quad, s):
+        rank = list(combinations(range(s), 4)).index(quad)
+        return rank // identifynd.SUBSET_CHUNK
+
+    @staticmethod
+    def first_coplanar(pts):
+        # one subset at a time, the reference for the batched check
+        scale = np.ptp(pts)
+        for idx in combinations(range(len(pts)), 4):
+            v = pts[list(idx[1:])] - pts[idx[0]]
+            if abs(np.linalg.det(v)) <= 1e-12 * scale ** 3:
+                return idx
+        return None
+
+    def test_witness_past_first_chunk(self):
+        s = 25
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(s, 3))
+        quad = (s - 4, s - 3, s - 2, s - 1)
+        self.make_coplanar(pts, quad)
+        assert self.chunk_of(quad, s) >= 1
+        assert self.first_coplanar(pts) == quad
+        assert identifynd.in_general_position(pts, 3) == (False, quad)
+
+    def test_first_witness_across_chunks(self):
+        s = 30
+        pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(s, 3))
+        early, late = (3, 10, 17, 24), (6, 7, 8, 9)
+        self.make_coplanar(pts, late)
+        self.make_coplanar(pts, early)
+        assert 1 <= self.chunk_of(early, s) < self.chunk_of(late, s)
+        assert self.first_coplanar(pts) == early
+        assert identifynd.in_general_position(pts, 3) == (False, early)
+        # the later subset alone is found in its own chunk
+        pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(s, 3))
+        self.make_coplanar(pts, late)
+        assert identifynd.in_general_position(pts, 3) == (False, late)
 
 
 def noisy_records(x1, sensors, n, grid, rel_sigma, seed):

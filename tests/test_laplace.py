@@ -14,31 +14,33 @@ def sampled_distance_kernel(n, gamma, grid):
 class TestLaplaceTransform:
     def test_constant_series(self):
         grid = model.TimeGrid(tau=1e-4, num_steps=400000)
-        pt = laplace.laplace_transform(np.ones(grid.num_samples), grid, 1.0)
-        np.testing.assert_allclose(pt.value, 1.0 - np.exp(-40.0), atol=1e-8)
+        ls = laplace.laplace_grid(np.ones(grid.num_samples), grid, [1.0])
+        np.testing.assert_allclose(ls.values[0], 1.0 - np.exp(-40.0),
+                                   atol=1e-8)
 
     def test_exponential_series(self):
         grid = model.TimeGrid(tau=1e-4, num_steps=200000)
         psi = np.exp(-grid.times())
-        pt = laplace.laplace_transform(psi, grid, 1.0)
-        np.testing.assert_allclose(pt.value, (1 - np.exp(-40.0)) / 2.0,
+        ls = laplace.laplace_grid(psi, grid, [1.0])
+        np.testing.assert_allclose(ls.values[0], (1 - np.exp(-40.0)) / 2.0,
                                    atol=1e-8)
 
     def test_arrival_kernel_value(self):
         grid = model.TimeGrid(tau=1e-4, num_steps=400000)
         psi = sampled_distance_kernel(1, 1.0, grid)
-        pt = laplace.laplace_transform(psi, grid, 4.0)
-        np.testing.assert_allclose(pt.value, np.exp(-2.0) / 2.0, atol=1e-6)
+        ls = laplace.laplace_grid(psi, grid, [4.0])
+        np.testing.assert_allclose(ls.values[0], np.exp(-2.0) / 2.0,
+                                   atol=1e-6)
 
     def test_bound_covers_error(self):
         grid = model.TimeGrid(tau=1e-2, num_steps=4000)
-        pt = laplace.laplace_transform(np.ones(grid.num_samples), grid, 1.0)
-        assert abs(pt.value - 1.0) <= pt.bound
+        ls = laplace.laplace_grid(np.ones(grid.num_samples), grid, [1.0])
+        assert abs(ls.values[0] - 1.0) <= ls.bounds[0]
 
     def test_rejects_nonpositive_lambda(self):
         grid = model.TimeGrid(tau=0.1, num_steps=10)
         with pytest.raises(ValueError):
-            laplace.laplace_transform(np.ones(grid.num_samples), grid, 0.0)
+            laplace.laplace_grid(np.ones(grid.num_samples), grid, [0.0])
 
 
 class TestLaplaceGrid:
@@ -50,12 +52,18 @@ class TestLaplaceGrid:
             ls.values, (1 - np.exp(-lams * grid.horizon)) / lams, rtol=1e-5)
         assert np.all(np.diff(ls.values) < 0)
 
-    def test_singleton_consistent(self):
+    def test_matches_per_lambda_loop(self):
+        # the broadcast transform does the per-lambda arithmetic unchanged
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
-        psi = np.sin(grid.times())
-        ls = laplace.laplace_grid(psi, grid, [2.0])
-        pt = laplace.laplace_transform(psi, grid, 2.0)
-        assert ls.values[0] == pt.value
+        t = grid.times()
+        psi = np.sin(t) + 0.1 * t
+        lams = np.geomspace(0.5, 50.0, 7)
+        ls = laplace.laplace_grid(psi, grid, lams)
+        for k, lam in enumerate(lams):
+            f = np.exp(-lam * t) * psi
+            assert ls.values[k] == np.trapezoid(f, dx=grid.tau)
+            assert ls.truncation[k] == \
+                abs(psi[-1]) * np.exp(-lam * grid.horizon) / lam
 
     def test_empty_grid_rejected(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
@@ -338,13 +346,14 @@ class TestConvolutionTransformExchange:
         gamma = 0.7
         psi = forward.convolve_intensity(q, 1, gamma, grid, kind="distance")
         for lam in (4.0, 9.0, 25.0):
-            lhs = laplace.laplace_transform(psi, grid, lam)
-            rq = laplace.laplace_transform(q, grid, lam)
+            lhs = laplace.laplace_grid(psi, grid, [lam])
+            rq = laplace.laplace_grid(q, grid, [lam])
+            lhs_value, rq_value = lhs.values[0], rq.values[0]
             kernel_hat = np.exp(-np.sqrt(lam) * gamma) / np.sqrt(lam)
-            rel_tol = (lhs.bound / abs(lhs.value)
-                       + rq.bound / abs(rq.value) + 1e-7)
-            assert abs(lhs.value - kernel_hat * rq.value) <= \
-                rel_tol * abs(lhs.value) + 1e-12
+            rel_tol = (lhs.bounds[0] / abs(lhs_value)
+                       + rq.bounds[0] / abs(rq_value) + 1e-7)
+            assert abs(lhs_value - kernel_hat * rq_value) <= \
+                rel_tol * abs(lhs_value) + 1e-12
 
 
 class TestDecimation:
