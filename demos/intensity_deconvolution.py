@@ -19,7 +19,7 @@ psi = forward.convolve_intensity(q_true, 3, distance, grid)
 masses = forward.duhamel_masses(3, distance, grid)
 
 # ---- noiseless ---------------------------------------------------------------
-clean = laplace.volterra_deconvolve(psi, None, grid, eps=0.0, masses=masses)
+clean = laplace.volterra_deconvolve(psi, masses, grid, eps=0.0)
 win = t >= 0.5
 rel = np.linalg.norm(clean.q[win] - q_true[win]) / np.linalg.norm(q_true[win])
 print(f"noiseless: relative L2 error {rel:.2e} "
@@ -30,8 +30,8 @@ print(f"noiseless: relative L2 error {rel:.2e} "
 rng = np.random.default_rng(42)
 sigma = 0.01 * np.abs(psi).max()
 noisy_data = psi + sigma * rng.standard_normal(psi.shape)
-noisy = laplace.volterra_deconvolve(noisy_data, None, grid, eps="auto",
-                                    masses=masses, sigma=sigma)
+noisy = laplace.volterra_deconvolve(noisy_data, masses, grid, eps="auto",
+                                    sigma=sigma)
 rel_noisy = np.linalg.norm(noisy.q[win] - q_true[win]) \
     / np.linalg.norm(q_true[win])
 print(f"1% noise:  relative L2 error {rel_noisy:.2e} "
@@ -40,8 +40,7 @@ print(f"1% noise:  relative L2 error {rel_noisy:.2e} "
 # ---- the regularization trade-off --------------------------------------------
 print("\n   eps        residual    roughness |Dq|")
 for eps in (1e-12, 1e-9, 1e-6, 1e-3):
-    res = laplace.volterra_deconvolve(noisy_data, None, grid, eps=eps,
-                                      masses=masses)
+    res = laplace.volterra_deconvolve(noisy_data, masses, grid, eps=eps)
     print(f"  {eps:8.0e}   {res.residual_norm:10.3e}   {res.seminorm:10.3e}")
 print("\nresidual grows and roughness falls as eps increases; the "
       "discrepancy principle stops once the residual matches the noise.")

@@ -24,7 +24,8 @@ records = [SensorRecord(location=b,
                         grid=grid)
            for b in sensors]
 
-recovery = identifynd.locate_source_nd(records, n=3, lam_window=(6.0, 50.0))
+recovery = identifynd.locate_source_nd(records, n=3,
+                                       lambdas=np.geomspace(6.0, 50.0, 13))
 
 print("transform parameters used:", np.round(recovery.lambdas, 3))
 print("guard diagnostics:", list(recovery.diagnostics) or "none")
@@ -47,4 +48,4 @@ win = t >= 2.0
 print(f"\nintensity mean over [2, 20]: {intensity.q[win].mean():.4f} "
       f"(true 1)")
 print("per-sensor misfit |A_j q - y_j|/|y_j|:",
-      np.array2string(intensity.misfit, precision=2))
+      np.array2string(intensity.deconvolution.misfit, precision=2))

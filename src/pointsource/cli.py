@@ -41,7 +41,9 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
+# finite-difference cells of the interval solve when --cells is not given
+DEFAULT_CELLS = 400
 # relative residual of one sensor in the joint intensity fit above which its
 # distance estimate is suspect
 MISFIT_LIMIT = 0.05
@@ -76,8 +78,9 @@ def _report_violations(violations: list[str]) -> bool:
 
 
 def _simulate_traces(scenario: model.Scenario, include_sources: bool,
-                     num_cells: int) -> np.ndarray:
-    """Clean sensor series, shape (num_samples, s)."""
+                     num_cells) -> np.ndarray:
+    """Clean sensor series, shape (num_samples, s); ``num_cells`` None
+    means DEFAULT_CELLS."""
     dom = scenario.domain
     if isinstance(dom, model.FreeSpace):
         if not include_sources:
@@ -90,12 +93,30 @@ def _simulate_traces(scenario: model.Scenario, include_sources: bool,
         model.Scenario(domain=dom, coefficients=scenario.coefficients,
                        sources=(), sensors=scenario.sensors,
                        grid=scenario.grid, f0=scenario.f0)
-    return forward.crank_nicolson_1d(run, num_cells=num_cells).traces
+    return forward.crank_nicolson_1d(
+        run, num_cells=DEFAULT_CELLS if num_cells is None else num_cells
+    ).traces
+
+
+def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
+    """Violations for flags that cannot change the output on this
+    scenario."""
+    out = []
+    if args.cells is not None and isinstance(scenario.domain,
+                                             model.FreeSpace):
+        out.append("--cells: a free-space scenario runs no finite-difference "
+                   "solve")
+    if args.command == "identify" and args.noise is not None and \
+            scenario.dimension == 1:
+        out.append("--noise: 1D identification does not use a noise level")
+    return out
 
 
 def cmd_simulate(args) -> int:
     scenario = model.load_scenario(args.scenario)
-    if _report_violations(model.validate_scenario(scenario)):
+    violations = model.validate_scenario(scenario)
+    violations += _ineffective_flags(args, scenario)
+    if _report_violations(violations):
         return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,13 +162,13 @@ def _window_violations(args, min_points: int) -> list[str]:
 
 def _lambda_window(args, scenario: model.Scenario, delta_hint: float
                    ) -> tuple[np.ndarray, tuple[float, float]]:
-    grid = scenario.grid
+    """--lambda-points geometric lambdas over the flags' window, or over
+    the sampling-rate advisor's when the flags give none."""
     if args.lambda_min is not None:
-        lo, hi = args.lambda_min, args.lambda_max
-        return np.geomspace(lo, hi, args.lambda_points), (lo, hi)
-    plan = laplace.suggest_lambda_grid(grid, delta_hint,
-                                       num_points=args.lambda_points)
-    return plan.lambdas, (plan.lambda_min, plan.lambda_max)
+        window = (args.lambda_min, args.lambda_max)
+    else:
+        window = laplace.suggest_lambda_grid(scenario.grid, delta_hint)
+    return np.geomspace(*window, args.lambda_points), window
 
 
 def _evaluation_block(scenario: model.Scenario, x_hat: np.ndarray,
@@ -169,12 +190,12 @@ def _evaluation_block(scenario: model.Scenario, x_hat: np.ndarray,
     return out
 
 
-def _intensity_record(dec: laplace.DeconvolutionResult, stride: int) -> dict:
+def _intensity_record(dec: laplace.DeconvolutionResult) -> dict:
     """What the deconvolution did, as the 1D and ND reports echo it."""
     return {"eps": dec.eps, "factorizations": dec.factorizations,
             "ridge_escalations": dec.ridge_escalations,
             "n_tail_extended": dec.n_tail_extended,
-            "residual_norm": dec.residual_norm, "stride": stride}
+            "residual_norm": dec.residual_norm, "stride": dec.stride}
 
 
 def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
@@ -220,8 +241,6 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
     intensity = identify1d.recover_intensity_1d(
         psi_tilde[:, idx], scenario.grid, coeffs, fit.x1_hat,
         float(sensors[idx]), eps=eps)
-    alternation = identify1d.alternation_findings(
-        [fit.x1_hat], sensors.tolist())
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dimension": 1,
@@ -240,12 +259,11 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
         "lambda_window": list(window),
         "intensity": {
             "sensor_index": int(idx),
-            **_intensity_record(intensity.deconvolution, intensity.stride),
+            **_intensity_record(intensity.deconvolution),
             "exact_amplitude": intensity.exact_amplitude,
             "q_hat": intensity.q.tolist(),
         },
         "diagnostics": list(fit.diagnostics) + notes,
-        "alternation": alternation,
     }
     report["evaluation"] = _evaluation_block(
         scenario, np.array([fit.x1_hat]), intensity.q,
@@ -266,21 +284,18 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         noise = {"value": scenario.noise_sigma, "source": "scenario"}
     else:
         noise = {"value": args.noise, "source": "flag"}
-    rec = identifynd.locate_source_nd(records, n=n, lam_window=lambdas,
+    rec = identifynd.locate_source_nd(records, n=n, lambdas=lambdas,
                                       lambda0=getattr(dom, "lambda0", 0.0),
                                       noise_sigma=noise["value"])
     eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
     intensity = identifynd.recover_intensity_nd(
         records, rec.alpha_hat, n=n, eps=eps,
         lambda0=getattr(dom, "lambda0", 0.0))
-    drift = scenario.coefficients \
-        if isinstance(scenario.coefficients, model.DriftFieldND) else None
-    visibility = identifynd.nearest_source_matrix(
-        rec.x1_hat[None, :], scenario.sensor_points(), drift)
+    misfits = intensity.deconvolution.misfit
     diagnostics = list(rec.diagnostics)
     diagnostics += [{"code": "sensor_misfit_high", "sensor": j,
                      "misfit": float(misfit)}
-                    for j, misfit in enumerate(intensity.misfit)
+                    for j, misfit in enumerate(misfits)
                     if misfit > MISFIT_LIMIT]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -295,13 +310,9 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         "residual_norm": rec.residual_norm,
         "noise_sigma": noise,
         "intensity": {
-            **_intensity_record(intensity.deconvolution, intensity.stride),
-            "misfit": intensity.misfit.tolist(),
+            **_intensity_record(intensity.deconvolution),
+            "misfit": misfits.tolist(),
             "q_hat": intensity.q.tolist(),
-        },
-        "nearest_source_matrix": {
-            "det": visibility.determinant,       # None: rectangular (r=1)
-            "near_singular": visibility.near_singular,
         },
         "diagnostics": diagnostics,
     }
@@ -313,6 +324,7 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
 def cmd_identify(args) -> int:
     scenario = model.load_scenario(args.scenario)
     violations = model.validate_scenario(scenario)
+    violations += _ineffective_flags(args, scenario)
     violations += _window_violations(args, identifynd.MIN_LAMBDAS)
     if _report_violations(violations):
         return EXIT_VALIDATION
@@ -475,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_sim, p_id):
         p.add_argument("--noise", type=float, default=None,
                        help="noise sigma (default: the scenario's)")
-        p.add_argument("--cells", type=int, default=400,
-                       help="finite-difference cells for interval domains")
+        p.add_argument("--cells", type=int, default=None,
+                       help=f"finite-difference cells for interval domains "
+                            f"(default {DEFAULT_CELLS})")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override scenario noise seed")
     p_id.add_argument("--data", default=None,

@@ -38,23 +38,35 @@ __all__ = [
     "alternation_findings",
 ]
 
-def _shared_lambdas(phi1: LaplaceSamples, phi2: LaplaceSamples) -> np.ndarray:
-    if phi1.lambdas.shape != phi2.lambdas.shape or \
-            not np.allclose(phi1.lambdas, phi2.lambdas, rtol=1e-12):
-        raise ValueError("sensor transforms must share the lambda grid")
-    return phi1.lambdas
 
-
-def _ratio_mask(phi1: LaplaceSamples, phi2: LaplaceSamples) -> np.ndarray:
-    """Lambdas where both transforms are nonzero and trustworthy.
+def _log_ratio(phi1: LaplaceSamples, phi2: LaplaceSamples
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shared lambdas, the mask of trustworthy ones and
+    log(Phi_1/Phi_2) on that mask (NaN elsewhere).
 
     Points where either value sits below its own truncation bound are
     treated as (near-)zeros and skipped; the two series vanish together
-    for consistent data, so isolated skips are expected.
+    for consistent data, so isolated skips are expected.  A single source
+    gives a positive ratio at every kept point, so any other sign rejects
+    the data.
     """
+    lam = phi1.lambdas
+    if lam.shape != phi2.lambdas.shape or \
+            not np.allclose(lam, phi2.lambdas, rtol=1e-12):
+        raise ValueError("sensor transforms must share the lambda grid")
     ok = phi1.truncation_ok() & phi2.truncation_ok()
     ok &= (phi1.values != 0.0) & (phi2.values != 0.0)
-    return ok
+    if np.count_nonzero(ok) < 3:
+        raise ValueError("need at least 3 trustworthy lambda points")
+    ratio = phi1.values[ok] / phi2.values[ok]
+    if (ratio > 0.0).any() and (ratio < 0.0).any():
+        raise ValueError("transform ratio changes sign across the window; "
+                         "sensor data inconsistent with a single source")
+    if not (ratio > 0.0).all():
+        raise ValueError("transform ratio is nonpositive across the window")
+    logr = np.full(lam.shape, np.nan)
+    logr[ok] = np.log(ratio)
+    return lam, ok, logr
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,18 +87,9 @@ class OffsetFit:
 
 def estimate_offset(phi1: LaplaceSamples, phi2: LaplaceSamples) -> OffsetFit:
     """Fit a_k = offset + slope/sqrt(lam_k) to the scaled log-ratio."""
-    lam = _shared_lambdas(phi1, phi2)
-    ok = _ratio_mask(phi1, phi2)
-    if np.count_nonzero(ok) < 3:
-        raise ValueError("need at least 3 trustworthy lambda points")
-    ratio = phi1.values[ok] / phi2.values[ok]
-    if (ratio > 0.0).any() and (ratio < 0.0).any():
-        raise ValueError("transform ratio changes sign across the window; "
-                         "sensor data inconsistent with a single source")
-    if not (ratio > 0.0).all():
-        raise ValueError("transform ratio is nonpositive across the window")
+    lam, ok, logr = _log_ratio(phi1, phi2)
     lam_ok = lam[ok]
-    a = np.log(ratio) / (2.0 * np.sqrt(lam_ok))
+    a = logr[ok] / (2.0 * np.sqrt(lam_ok))
     x = 1.0 / np.sqrt(lam_ok)
     design = np.column_stack([np.ones_like(x), x])
     coef, res, *_ = np.linalg.lstsq(design, a, rcond=None)
@@ -167,25 +170,9 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
         raise ValueError("sensors must satisfy b1 < b2")
     if branch not in ("interior", "left_boundary", "right_boundary"):
         raise ValueError(f"unknown branch {branch!r}")
-    diagnostics: list[dict] = []
-    lam = _shared_lambdas(phi1, phi2)
-    ok = _ratio_mask(phi1, phi2)
-    if np.count_nonzero(ok) < 3:
-        raise ValueError("need at least 3 trustworthy lambda points")
-
+    lam, ok, logr = _log_ratio(phi1, phi2)
     travel_total, amp_total = travel_integrals(coeffs, b1, b2)
     sq = np.sqrt(lam)
-    ratio = np.where(ok, phi1.values / np.where(phi2.values == 0.0, 1.0,
-                                                phi2.values), np.nan)
-    pos = ok & (ratio > 0.0)
-    if np.count_nonzero(pos) < 3:
-        raise ValueError("fewer than 3 lambda points with a positive ratio")
-    if np.count_nonzero(ok & ~pos):
-        diagnostics.append({"code": "nonpositive_ratio_skipped",
-                            "lambdas": lam[ok & ~pos].tolist()})
-
-    logr = np.full_like(sq, np.nan)
-    logr[pos] = np.log(ratio[pos])
     if branch == "left_boundary":
         logr = logr - np.log(2.0)   # reflecting boundary doubles Phi_1
     elif branch == "right_boundary":
@@ -196,7 +183,7 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
     # range check needs a margin wider than the transform noise floor
     travel = 0.5 * travel_total - (amp_total + logr) / (2.0 * sq)
     margin = 1e-4 * travel_total
-    in_range = pos & (travel > margin) & (travel < travel_total - margin)
+    in_range = ok & (travel > margin) & (travel < travel_total - margin)
     if not np.any(in_range):
         raise ValueError("recovered travel distance out of range at every "
                          "lambda: the source is not bracketed by the sensors")
@@ -221,6 +208,7 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
     offset = estimate_offset(phi1, phi2)
     # a source bracketed by the sensors has |offset| < travel(b1, b2)/2
     admissible = abs(offset.offset) < 0.5 * travel_total
+    diagnostics = []
     if not admissible:
         diagnostics.append({"code": "offset_inadmissible",
                             "offset": offset.offset,
@@ -235,51 +223,36 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
 
 @dataclass(frozen=True, eq=False)
 class IntensityFit1D:
-    """Recovered intensity with the deconvolution diagnostics attached.
-
-    ``stride`` is the decimation stride applied to the series before the
-    deconvolution (1: not decimated).
-    """
+    """Recovered intensity with the deconvolution diagnostics attached."""
 
     q: np.ndarray
     travel_distance: float
     amplitude: float
     deconvolution: DeconvolutionResult
     exact_amplitude: bool
-    stride: int
 
 
 def recover_intensity_1d(psi_tilde: np.ndarray, grid: TimeGrid,
                          coeffs: CoefficientField1D, x1_hat: float, b: float,
                          eps: Union[float, str] = 0.0,
-                         sigma: Union[float, None] = None,
-                         max_points: int = 2500) -> IntensityFit1D:
+                         sigma: Union[float, None] = None) -> IntensityFit1D:
     """Deconvolve a background-subtracted sensor series into an intensity.
 
     The series is modelled as amplitude * (kernel_at_travel_distance * q)
     with amplitude exp(amp(x1, b)) / (2 sqrt(a2(x1))); this is exact for
     constant coefficients and leading-order otherwise (flagged on the
-    result).  Long series are stride-decimated before the dense solve.
+    result).
     """
     if x1_hat == b:
         raise ValueError("source estimate coincides with the sensor")
-    from .laplace import decimate_series
-
     int_r, int_r1 = travel_integrals(coeffs, x1_hat, b)
     delta0 = abs(int_r)
     c0 = float(np.exp(int_r1) / (2.0 * np.sqrt(coeffs.diffusion(x1_hat))))
-    psi_d, grid_d = decimate_series(np.asarray(psi_tilde, dtype=float), grid,
-                                    max_points)
-    masses = duhamel_masses(1, delta0, grid_d, kind="distance")
-    dec = volterra_deconvolve(psi_d, None, grid_d, eps=eps, masses=masses,
-                              sigma=sigma)
-    q = dec.q / c0
-    if grid_d.num_steps != grid.num_steps:
-        q = np.interp(grid.times(), grid_d.times(), q)
-    return IntensityFit1D(q=q, travel_distance=delta0, amplitude=c0,
+    masses = duhamel_masses(1, delta0, grid, kind="distance")
+    dec = volterra_deconvolve(psi_tilde, masses, grid, eps=eps, sigma=sigma)
+    return IntensityFit1D(q=dec.q / c0, travel_distance=delta0, amplitude=c0,
                           deconvolution=dec,
-                          exact_amplitude=bool(coeffs.is_constant_diffusion),
-                          stride=round(grid_d.tau / grid.tau))
+                          exact_amplitude=bool(coeffs.is_constant_diffusion))
 
 
 def alternation_findings(sources, sensors) -> list[dict]:

@@ -26,8 +26,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .forward import duhamel_masses, resolvent_green
-from .laplace import (DeconvolutionResult, decimate_series, laplace_grid,
-                      volterra_deconvolve)
+from .laplace import DeconvolutionResult, laplace_grid, volterra_deconvolve
 from .model import DriftFieldND, sensor_source_distances
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
 # floor the log-transform is biased and its error is no longer Gaussian
 NOISE_HEADROOM = 30.0
 MIN_LAMBDAS = 4
-WINDOW_POINTS = 13
 # sensor subsets tested per batched determinant call
 SUBSET_CHUNK = 8192
 
@@ -135,14 +133,12 @@ def _asymptotic_start(sensors: np.ndarray, mu: np.ndarray,
                            b2[1:] - b2[0] - (r2[1:] - r2[0]), rcond=None)[0]
 
 
-def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
+def locate_source_nd(records, n: int, lambdas, lambda0: float = 0.0,
                      noise_sigma: float = 0.0) -> RecoveryND:
     """Weighted least-squares fit of the source location to all transforms.
 
-    ``records`` are background-subtracted SensorRecord objects.
-    ``lam_window`` is either a (lambda_min, lambda_max) pair, sampled at
-    WINDOW_POINTS geometric points, or an increasing grid of more than two
-    lambdas used as given.
+    ``records`` are background-subtracted SensorRecord objects and
+    ``lambdas`` is the increasing grid of transform parameters.
 
     For one source the transform factorizes exactly,
     Phi_j(lam) = Q(lam) * G_n(|x - b_j|, sqrt(lam + lambda0)) with
@@ -170,10 +166,7 @@ def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
     if not ok:
         raise ValueError(f"sensors fail general position; witness indices "
                          f"{witness}")
-    lambdas = np.asarray(lam_window, dtype=float)
-    if lambdas.size == 2:
-        lambdas = np.geomspace(lambdas[0], lambdas[1], WINDOW_POINTS)
-
+    lambdas = np.asarray(lambdas, dtype=float)
     grid = records[0].grid
     phis = [laplace_grid(r.samples, grid, lambdas) for r in records]
     values = np.array([p.values for p in phis])
@@ -232,26 +225,17 @@ def locate_source_nd(records, n: int, lam_window, lambda0: float = 0.0,
 
 @dataclass(frozen=True, eq=False)
 class IntensityFitND:
-    """The intensity fitted jointly to all sensors, with per-sensor misfits.
-
-    ``misfit[j]`` is |A_j q - y_j| / |y_j| for sensor j on the
-    deconvolution grid: a sensor whose distance estimate is off cannot be
-    fitted by the intensity the others agree on.  ``stride`` is the
-    decimation stride applied to the series before the deconvolution
-    (1: not decimated).
-    """
+    """The intensity fitted jointly to all sensors; the per-sensor misfits
+    are on the deconvolution result."""
 
     q: np.ndarray
-    misfit: np.ndarray
     deconvolution: DeconvolutionResult
-    stride: int
 
 
 def recover_intensity_nd(records, alphas, n: int,
                          eps: Union[float, str] = 0.0,
                          lambda0: float = 0.0,
-                         sigma: Union[float, None] = None,
-                         max_points: int = 2500) -> IntensityFitND:
+                         sigma: Union[float, None] = None) -> IntensityFitND:
     """Deconvolve all sensor series jointly by their arrival kernels.
 
     Every sensor sees the same intensity through its own free-space
@@ -259,7 +243,8 @@ def recover_intensity_nd(records, alphas, n: int,
     (``volterra_deconvolve`` with one column per sensor): one Gram
     sum_j A_j^T A_j, one eps search whose eps="auto" target is
     sigma*sqrt(s*N), and one factorization per trial eps.  Cross-sensor
-    consistency is reported as each sensor's relative residual.
+    consistency is reported as each sensor's relative residual, the
+    deconvolution's ``misfit``.
     """
     records = list(records)
     alphas = np.asarray(alphas, dtype=float)
@@ -268,26 +253,17 @@ def recover_intensity_nd(records, alphas, n: int,
     if len(records) != alphas.size:
         raise ValueError("one distance per sensor record is required")
     grid = records[0].grid
-    times = grid.times()
     psi = np.column_stack([np.asarray(r.samples, dtype=float)
                            for r in records])
     if lambda0 != 0.0:
-        psi = psi * np.exp(lambda0 * times)[:, None]
-    psi_d, grid_d = decimate_series(psi, grid, max_points)
-    masses = np.column_stack([duhamel_masses(n, float(a), grid_d, kind="heat")
+        psi = psi * np.exp(lambda0 * grid.times())[:, None]
+    masses = np.column_stack([duhamel_masses(n, float(a), grid, kind="heat")
                               for a in alphas])
-    dec = volterra_deconvolve(psi_d, None, grid_d, eps=eps, masses=masses,
-                              sigma=sigma)
+    dec = volterra_deconvolve(psi, masses, grid, eps=eps, sigma=sigma)
     q = dec.q
-    if grid_d.num_steps != grid.num_steps:
-        q = np.interp(times, grid_d.times(), q)
     if lambda0 != 0.0:
-        q = q * np.exp(-lambda0 * times)
-    # a zero series fitted exactly has misfit 0
-    scale = np.maximum(np.linalg.norm(psi_d[1:], axis=0), 1e-300)
-    return IntensityFitND(q=q, misfit=dec.residual_per_sensor / scale,
-                          deconvolution=dec,
-                          stride=round(grid_d.tau / grid.tau))
+        q = q * np.exp(-lambda0 * grid.times())
+    return IntensityFitND(q=q, deconvolution=dec)
 
 
 # ---------------------------------------------------------------------------

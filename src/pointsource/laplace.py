@@ -14,7 +14,9 @@ precision: plain forward substitution amplifies roundoff without bound.
 ``volterra_deconvolve`` instead minimizes sum_j |K_j*q - psi_j|^2 +
 eps*|Dq|^2 over the series psi_j of one or more sensors that share q, via
 ridge-floored normal equations, and extrapolates the trailing dead-time
-samples that the data cannot see.
+samples that the data cannot see.  The dense normal equations limit the
+solve to MAX_CELLS cells: longer series are decimated inside the
+deconvolution, and q comes back on the caller's grid.
 """
 
 from __future__ import annotations
@@ -30,17 +32,24 @@ from .model import TimeGrid
 __all__ = [
     "LaplaceSamples",
     "laplace_grid",
-    "LambdaGridPlan",
     "suggest_lambda_grid",
     "DeconvolutionResult",
     "volterra_deconvolve",
     "estimate_noise_sigma",
-    "decimate_series",
 ]
 
 
 #: reject transform values whose truncation bound exceeds this fraction
 TRUNCATION_GUARD = 1e-3
+#: most cells the dense deconvolution solves for; longer series are
+#: decimated by an integer stride
+MAX_CELLS = 2500
+#: trailing cells whose kernel column norm falls below this fraction of
+#: the first column's are dead time
+TAIL_RTOL = 1e-7
+#: relative difference-seminorm ridge that keeps the normal equations
+#: factorizable
+RIDGE_FLOOR = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,39 +113,25 @@ def laplace_grid(samples: np.ndarray, grid: TimeGrid, lambdas
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaGridPlan:
-    lambdas: np.ndarray
-    lambda_min: float
-    lambda_max: float
-    rationale: str
-
-
-def suggest_lambda_grid(grid: TimeGrid, delta_hint: float, c: float = 0.05,
-                        num_points: int = 12) -> LambdaGridPlan:
-    """Geometric lambda grid compatible with the sampling rate.
+def suggest_lambda_grid(grid: TimeGrid, delta_hint: float
+                        ) -> tuple[float, float]:
+    """Transform window (lambda_min, lambda_max) compatible with the
+    sampling rate.
 
     The lower end max(4/T^2, 25/delta^2) keeps the asymptotic regime valid
-    across the hinted source-sensor gap; the upper end c/tau keeps the
+    across the hinted source-sensor gap; the upper end 0.05/tau keeps the
     numeric transform trustworthy (large parameters amplify data errors).
     """
-    horizon = grid.horizon
-    lam_min = 4.0 / horizon ** 2
+    lam_min = 4.0 / grid.horizon ** 2
     if np.isfinite(delta_hint) and delta_hint > 0.0:
         lam_min = max(lam_min, 25.0 / delta_hint ** 2)
-    lam_max = c / grid.tau
+    lam_max = 0.05 / grid.tau
     if lam_min >= lam_max:
         raise ValueError(
             f"time grid cannot support the asymptotic regime: needs lambda in "
             f"[{lam_min:.4g}, {lam_max:.4g}]; decrease tau or increase the "
             f"horizon/gap")
-    n = max(int(num_points), 12)
-    lambdas = np.geomspace(lam_min, lam_max, n)
-    rationale = (f"lambda_min=max(4/T^2, 25/delta^2)={lam_min:.6g}, "
-                 f"lambda_max=c/tau={lam_max:.6g} with c={c}, "
-                 f"{n} geometric points")
-    return LambdaGridPlan(lambdas=lambdas, lambda_min=lam_min,
-                          lambda_max=lam_max, rationale=rationale)
+    return lam_min, lam_max
 
 
 # ---------------------------------------------------------------------------
@@ -148,24 +143,29 @@ class DeconvolutionResult:
     """Recovered intensity with solve diagnostics.
 
     ``q`` is the node series on the input grid (cell-midpoint unknowns
-    interpolated back to nodes); ``n_tail_extended`` counts trailing cells
-    no sensor can determine (kernel dead time), filled by constant
-    extrapolation.  ``residual_norm`` is the norm of the stacked residual
-    of all sensors and ``residual_per_sensor`` its per-sensor parts.
-    ``factorizations`` counts the Cholesky factorizations of the normal
-    equations, retries included; ``ridge_escalations`` counts the retries,
-    each of which raised the identity ridge 100-fold.
+    interpolated back to nodes).  The solve runs on the input grid
+    decimated by ``stride`` (1: not decimated); ``cells`` holds its cell
+    values and ``n_tail_extended`` counts its trailing cells no sensor can
+    determine (kernel dead time), filled by constant extrapolation.
+    ``residual_norm`` is the norm of the stacked residual of all sensors
+    on that grid and ``misfit[j]`` is |A_j q - y_j| / |y_j| for sensor j:
+    a sensor whose kernel is off cannot be fitted by the intensity the
+    others agree on.  ``factorizations`` counts the Cholesky
+    factorizations of the normal equations, retries included;
+    ``ridge_escalations`` counts the retries, each of which raised the
+    identity ridge 100-fold.
     """
 
     q: np.ndarray
     cells: np.ndarray
     residual_norm: float
-    residual_per_sensor: np.ndarray
+    misfit: np.ndarray
     eps: float
     seminorm: float
     n_tail_extended: int
     factorizations: int
     ridge_escalations: int
+    stride: int
     noise_sigma: Union[float, None] = None
 
 
@@ -174,20 +174,6 @@ def estimate_noise_sigma(samples: np.ndarray) -> float:
     d = np.diff(np.asarray(samples, dtype=float))
     mad = np.median(np.abs(d - np.median(d)))
     return float(1.4826 * mad / np.sqrt(2.0))
-
-
-def decimate_series(samples: np.ndarray, grid: TimeGrid, max_points: int
-                    ) -> tuple[np.ndarray, TimeGrid]:
-    """Stride-decimate a series, or the columns of (num_samples, s) series,
-    so the deconvolution stays tractable."""
-    samples = np.asarray(samples, dtype=float)
-    n = grid.num_steps
-    stride = int(np.ceil(n / max_points))
-    if stride <= 1:
-        return samples, grid
-    m = n // stride
-    return samples[: m * stride + 1 : stride], TimeGrid(tau=grid.tau * stride,
-                                                        num_steps=m)
 
 
 def _toeplitz_gram(w: np.ndarray, m: int) -> np.ndarray:
@@ -298,63 +284,63 @@ def _discrepancy_search(solve, target: float, lo: float, hi: float
     return min(tried, key=lambda entry: abs(mismatch(entry[1])))
 
 
-def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
+def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
                         eps: Union[float, str] = 0.0, *,
-                        masses: Union[np.ndarray, None] = None,
-                        sigma: Union[float, None] = None,
-                        tail_rtol: float = 1e-7,
-                        ridge_floor: float = 1e-7) -> DeconvolutionResult:
+                        sigma: Union[float, None] = None
+                        ) -> DeconvolutionResult:
     """Solve the first-kind convolution systems psi_j = K_j * q for one q.
 
     ``psi`` is one series, shape (N+1,), or s sensor series that see the
-    same intensity through their own kernels, shape (N+1, s).  The
-    unknowns are cell-midpoint values of q against exactly integrated
-    kernel cell masses (product-midpoint rule).  ``kernel`` holds sampled
-    kernel series on the grid, shaped like ``psi``; pass ``masses``
-    (N entries per sensor, shape (N,) or (N, s)) to use exact analytic
-    cell masses instead of trapezoidal ones.  The s systems are stacked:
-    the normal equations carry sum_j K_j^T K_j and sum_j K_j^T psi_j, the
-    unknown cells are those at least one sensor can see, and the residual
-    is the stacked one.  A single series is the case s = 1.
+    same intensity through their own kernels, shape (N+1, s).  ``masses``
+    holds the exact kernel mass of every cell of the grid, shape (N,) or
+    (N, s).  The unknowns are cell-midpoint values of q against those
+    masses (product-midpoint rule).  The s systems are stacked: the normal
+    equations carry sum_j K_j^T K_j and sum_j K_j^T psi_j, the unknown
+    cells are those at least one sensor can see, and the residual is the
+    stacked one.  A single series is the case s = 1.
+
+    A grid of more than MAX_CELLS cells is decimated by the smallest
+    stride that fits: the series keep every stride-th sample, and a coarse
+    cell's mass is the sum of its sub-cells' masses, which is exact.  The
+    noise estimate, the dead-time cut, the Gram and the eps search all run
+    on the decimated system; q is interpolated back to the input grid.
 
     eps >= 0 adds the Tikhonov term eps*|Dq|^2 with D the first-difference
     matrix.  eps="auto" applies the discrepancy principle: the smallest
     eps in [1e-18, 1e6]*max(diag(sum_j K_j^T K_j)), or 0, whose stacked
     residual reaches sigma*sqrt(s*N), with sigma the per-sample noise
     scale (when not given, the root mean square of the per-sensor
-    estimates).  The search solves at the top of that bracket first and
-    stops there when the residual is still below the target, which is the
-    usual outcome for a constant intensity: a constant lies in the null
-    space of D, so even the largest eps leaves the fit, and the residual,
-    close to the unregularized one.  It then solves at eps = 0 and returns
-    0 when that residual already reaches the target; otherwise a
-    safeguarded Newton iteration on log(residual/target) finishes in a few
-    solves (see ``_discrepancy_search``).  A zero target returns eps = 0
-    after one solve.
+    estimates) and N the decimated cell count.  The search solves at the
+    top of that bracket first and stops there when the residual is still
+    below the target, which is the usual outcome for a constant intensity:
+    a constant lies in the null space of D, so even the largest eps leaves
+    the fit, and the residual, close to the unregularized one.  It then
+    solves at eps = 0 and returns 0 when that residual already reaches the
+    target; otherwise a safeguarded Newton iteration on
+    log(residual/target) finishes in a few solves (see
+    ``_discrepancy_search``).  A zero target returns eps = 0 after one
+    solve.
 
-    A relative ridge of ``ridge_floor`` keeps the normal equations
+    A relative ridge of RIDGE_FLOOR keeps the normal equations
     factorizable; at eps=0 this acts as a machine-precision spectral
     cutoff.  Should a factorization still fail, the identity ridge is
     raised 100-fold and the factorization retried, up to five times.
     """
     psi = np.asarray(psi, dtype=float)
+    w = np.asarray(masses, dtype=float)
     if psi.ndim > 2 or psi.shape[0] != grid.num_samples:
         raise ValueError("series length must match the time grid")
-    n = grid.num_steps
-    series = psi.reshape(n + 1, -1)
-    y = series[1:]
-    if masses is None:
-        k = np.asarray(kernel, dtype=float)
-        if k.shape[0] != grid.num_samples:
-            raise ValueError("kernel series length must match the time grid")
-        w = 0.5 * grid.tau * (k[:-1] + k[1:])
-    else:
-        w = np.asarray(masses, dtype=float)
-        if w.shape[0] != n:
-            raise ValueError("masses must have one entry per time cell")
-    w = w.reshape(n, -1)
-    if w.shape != y.shape:
+    if w.shape[0] != grid.num_steps:
+        raise ValueError("masses must have one entry per time cell")
+    series = psi.reshape(grid.num_samples, -1)
+    w = w.reshape(grid.num_steps, -1)
+    if w.shape[1] != series.shape[1]:
         raise ValueError("one kernel per sensor series is required")
+    stride = -(-grid.num_steps // MAX_CELLS)
+    n = grid.num_steps // stride
+    series = series[:n * stride + 1:stride]
+    w = w[:n * stride].reshape(n, stride, -1).sum(axis=1)
+    y = series[1:]
     total_mass = np.sum(w, axis=0)
     if not np.all(np.isfinite(total_mass)) or np.any(total_mass <= 1e-100):
         raise ValueError("kernel mass vanishes on the horizon "
@@ -364,7 +350,7 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
     # sensor (dead time): the column of cell m sees the first n - m + 1
     # kernel masses of each sensor
     col_norm = np.sqrt(np.cumsum(w ** 2, axis=0).sum(axis=1))[::-1]
-    theta = tail_rtol * col_norm[0]
+    theta = TAIL_RTOL * col_norm[0]
     m = int(np.count_nonzero(col_norm >= theta))
     if m < 1:
         raise ValueError("kernel dead time exceeds the observation window")
@@ -376,7 +362,7 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
     # numerical floor: a difference-seminorm ridge pins the shift modes the
     # dead-time kernel cannot resolve (bias-free on constants), plus a tiny
     # identity ridge so the factorization stays positive definite
-    floor_d = ridge_floor * gmax
+    floor_d = RIDGE_FLOOR * gmax
     floor_i = 1e-14 * gmax
 
     # the first-difference penalty D^T D is tridiagonal: this diagonal and
@@ -446,18 +432,24 @@ def volterra_deconvolve(psi: np.ndarray, kernel, grid: TimeGrid,
         trial = solve(eps_used)
         result_sigma = sigma
 
-    # cell midpoints -> node series
+    # cell midpoints -> node series on the decimated grid, then the input
     q_full = trial.cells
-    q_nodes = np.empty(grid.num_samples)
+    q_nodes = np.empty(n + 1)
     q_nodes[1:-1] = 0.5 * (q_full[:-1] + q_full[1:])
     q_nodes[0] = q_full[0]
     q_nodes[-1] = q_full[-1]
+    if stride > 1:
+        coarse = TimeGrid(tau=grid.tau * stride, num_steps=n)
+        q_nodes = np.interp(grid.times(), coarse.times(), q_nodes)
+    # a zero series fitted exactly has misfit 0
+    scale = np.maximum(np.linalg.norm(y, axis=0), 1e-300)
     return DeconvolutionResult(q=q_nodes, cells=q_full,
                                residual_norm=trial.residual,
-                               residual_per_sensor=trial.per_sensor,
+                               misfit=trial.per_sensor / scale,
                                eps=eps_used,
                                seminorm=trial.seminorm,
                                n_tail_extended=n - m,
                                factorizations=factorizations,
                                ridge_escalations=ridge_escalations,
+                               stride=stride,
                                noise_sigma=result_sigma)

@@ -90,7 +90,8 @@ def test_c4_3d_localization():
     records = [model.SensorRecord(
         location=b, samples=forward.free_space_response([src], b, grid, n=3),
         grid=grid) for b in sensors]
-    rec = identifynd.locate_source_nd(records, n=3, lam_window=(6.0, 50.0))
+    rec = identifynd.locate_source_nd(records, n=3,
+                                      lambdas=np.geomspace(6.0, 50.0, 13))
     pos_err = float(np.linalg.norm(rec.x1_hat - x1))
     alpha_true = np.array([np.linalg.norm(x1 - b) for b in sensors])
     dist_err = float(np.abs(rec.alpha_hat - alpha_true).max())
@@ -108,7 +109,8 @@ def test_c5_2d_localization():
     records = [model.SensorRecord(
         location=b, samples=forward.free_space_response([src], b, grid, n=2),
         grid=grid) for b in sensors]
-    rec = identifynd.locate_source_nd(records, n=2, lam_window=(6.0, 50.0))
+    rec = identifynd.locate_source_nd(records, n=2,
+                                      lambdas=np.geomspace(6.0, 50.0, 13))
     pos_err = float(np.linalg.norm(rec.x1_hat - x1))
     check("C5", "2D localization <= 5e-2", pos_err <= 5e-2,
           f" (pos {pos_err:.2e})")

@@ -122,6 +122,8 @@ class TestIdentify:
         assert rec["ridge_escalations"] == 0
         assert rec["n_tail_extended"] >= 0
         assert rec["stride"] == 4           # 10000 steps down to 2500
+        # one source cannot fail the interleaving checks: diagnose's job
+        assert "alternation" not in report
 
     def test_3d_oracle_round_trip(self, tmp_path):
         spath = tmp_path / "scen.json"
@@ -137,7 +139,7 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         # one joint solve for all sensors; eps=0 factors it once
         rec = report["intensity"]
         assert rec["eps"] == 0.0
@@ -152,7 +154,8 @@ class TestIdentify:
                                    np.diag(report["x1_cov"]))
         assert report["residual_norm"] >= 0.0
         assert not {"d_matrix", "d_uncertainty", "anchor_pair", "ladder",
-                    "multilateration", "degenerate"} & set(report)
+                    "multilateration", "degenerate",
+                    "nearest_source_matrix"} & set(report)
 
     def test_noise_flag_overrides_scenario(self, tmp_path):
         # clean data, scenario sigma 0: the flag's sigma reaches the
@@ -168,6 +171,46 @@ class TestIdentify:
         assert cli.main(argv) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["noise_sigma"] == {"value": 0.0, "source": "scenario"}
+
+    def test_lambda_points_honoured_on_the_advisor_window(self, tmp_path):
+        # without --lambda-min/--lambda-max the advisor's window [25, 50]
+        # is sampled at exactly --lambda-points lambdas
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=1, tau=1e-3, num_steps=10000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--epsilon", "0",
+                         "--lambda-points", "6"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["per_lambda"]) == 6
+        np.testing.assert_allclose(
+            [row["lam"] for row in report["per_lambda"]],
+            np.geomspace(*report["lambda_window"], 6), rtol=1e-15)
+
+    @pytest.mark.parametrize("command, n, flags", [
+        ("simulate", 3, ("--cells", "100")),
+        ("identify", 3, ("--cells", "100")),
+        ("identify", 1, ("--noise", "1e-3")),
+    ], ids=["simulate-cells-free-space", "identify-cells-free-space",
+            "identify-noise-1d"])
+    def test_ineffective_flag_rejected(self, tmp_path, capsys, command, n,
+                                       flags):
+        # free space runs no finite-difference solve, and the 1D pipeline
+        # reads no noise level: such a flag could only be ignored
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=n, tau=1e-3, num_steps=2000)
+        out = tmp_path / "out"
+        if command == "identify":
+            assert cli.main(["simulate", "--scenario", str(spath),
+                             "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = cli.main([command, "--scenario", str(spath), "--out", str(out),
+                       *flags])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"validation: {flags[0]}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("points", [0, 1, 2, 3])
     def test_too_few_lambda_points_rejected(self, tmp_path, capsys, points):

@@ -104,6 +104,19 @@ class TestLocate1D:
         with pytest.raises(ValueError):
             identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0)
 
+    def test_one_sign_flip_rejected(self):
+        # a single lambda whose ratio turns negative makes the data
+        # inconsistent with one source; it is not skipped
+        lams = np.geomspace(100, 400, 10)
+        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
+        values = p1.values.copy()
+        values[4] = -values[4]
+        bad = laplace.LaplaceSamples(
+            lambdas=p1.lambdas, values=values, truncation=p1.truncation,
+            discretization=p1.discretization, horizon=p1.horizon)
+        with pytest.raises(ValueError, match="changes sign"):
+            identify1d.locate_source_1d(bad, p2, UNIT_COEFFS, 0.0, 1.0)
+
     def test_scale_invariance(self):
         lams = np.geomspace(100, 400, 10)
         _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)

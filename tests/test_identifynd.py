@@ -18,6 +18,7 @@ def make_records(x1, sensors, n, grid, lambda0=0.0, intensity=1.0):
 SENSORS_3D = [np.array([1.1, 0.2, 0.1]), np.array([-0.7, 0.9, -0.2]),
               np.array([0.3, -1.0, 0.5]), np.array([-0.2, -0.3, -1.2])]
 X1_3D = np.array([0.2, 0.1, -0.3])
+WINDOW = np.geomspace(6.0, 50.0, 13)
 
 
 @pytest.fixture(scope="module")
@@ -143,25 +144,25 @@ def free3d_fit(traces, sigma, seed):
     recs = [model.SensorRecord(location=b, samples=noisy[:, j],
                                grid=FREE3D_GRID)
             for j, b in enumerate(SENSORS_3D)]
-    lambdas = laplace.suggest_lambda_grid(FREE3D_GRID, np.inf,
-                                          num_points=13).lambdas
-    return identifynd.locate_source_nd(recs, n=3, lam_window=lambdas,
+    lambdas = np.geomspace(*laplace.suggest_lambda_grid(FREE3D_GRID, np.inf),
+                           13)
+    return identifynd.locate_source_nd(recs, n=3, lambdas=lambdas,
                                        noise_sigma=sigma)
 
 
 class TestLocateSourceND:
     def test_space_pipeline(self, records_3d):
         rec = identifynd.locate_source_nd(records_3d, n=3,
-                                          lam_window=(6.0, 50.0))
+                                          lambdas=WINDOW)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
         alpha_true = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
         np.testing.assert_allclose(rec.alpha_hat, alpha_true, atol=1e-9)
-        assert rec.lambdas.size == identifynd.WINDOW_POINTS
+        assert rec.lambdas.size == 13
         assert rec.diagnostics == ()
 
     def test_explicit_lambda_grid_used_as_given(self, records_3d):
         lams = np.geomspace(6.0, 50.0, 5)
-        rec = identifynd.locate_source_nd(records_3d, n=3, lam_window=lams)
+        rec = identifynd.locate_source_nd(records_3d, n=3, lambdas=lams)
         np.testing.assert_array_equal(rec.lambdas, lams)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
@@ -169,7 +170,8 @@ class TestLocateSourceND:
         # short horizon: the truncation bound rejects the smallest lambda
         grid = model.TimeGrid(tau=1e-3, num_steps=2000)   # T = 2
         recs = make_records(X1_3D, SENSORS_3D, 3, grid)
-        rec = identifynd.locate_source_nd(recs, n=3, lam_window=(4.0, 50.0))
+        rec = identifynd.locate_source_nd(recs, n=3,
+                                          lambdas=np.geomspace(4.0, 50.0, 13))
         assert rec.diagnostics == ({"code": "lambdas_dropped",
                                     "guard": "truncation",
                                     "lambdas": [4.0]},)
@@ -180,7 +182,7 @@ class TestLocateSourceND:
     def test_light_noise_still_locates(self, seed):
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
         recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-5, seed)
-        rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
+        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
                                           noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-5
 
@@ -189,7 +191,7 @@ class TestLocateSourceND:
         # pin the source (4.1e-5 measured)
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
         recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-4, 10)
-        rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
+        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
                                           noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 2e-4
         assert [d["guard"] for d in rec.diagnostics] == ["noise_floor"]
@@ -200,7 +202,7 @@ class TestLocateSourceND:
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
         recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-2, 10)
         with pytest.raises(ValueError, match="2 of 13 pass"):
-            identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
+            identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
                                         noise_sigma=sigma)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -220,7 +222,7 @@ class TestLocateSourceND:
     def test_reaction_coefficient_handled(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=12000)
         recs = make_records(X1_3D, SENSORS_3D, 3, grid, lambda0=0.35)
-        rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0),
+        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
                                           lambda0=0.35)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
@@ -230,7 +232,7 @@ class TestLocateSourceND:
         sensors = [np.array([1.2, 0.1]), np.array([-0.8, 0.9]),
                    np.array([-0.2, -1.1])]
         recs = make_records(x1, sensors, 2, grid)
-        rec = identifynd.locate_source_nd(recs, n=2, lam_window=(6.0, 50.0))
+        rec = identifynd.locate_source_nd(recs, n=2, lambdas=WINDOW)
         assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -240,7 +242,7 @@ class TestLocateSourceND:
         sensors = [np.array([1.2, 0.1]), np.array([-0.8, 0.9]),
                    np.array([-0.2, -1.1])]
         recs, sigma = noisy_records(x1, sensors, 2, grid, 1e-4, seed)
-        rec = identifynd.locate_source_nd(recs, n=2, lam_window=(6.0, 50.0),
+        rec = identifynd.locate_source_nd(recs, n=2, lambdas=WINDOW,
                                           noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - x1) <= 2e-3
 
@@ -251,7 +253,7 @@ class TestLocateSourceND:
                    np.array([0, 0, 1.0]), np.array([1.0, 1, 1])]
         center = np.array([0.5, 0.5, 0.5])
         recs = make_records(center, sensors, 3, grid)
-        rec = identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0))
+        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW)
         np.testing.assert_allclose(rec.x1_hat, center, atol=1e-9)
 
     def test_collinear_sensors_rejected_before_transforms(self):
@@ -260,7 +262,7 @@ class TestLocateSourceND:
                                    samples=np.zeros(grid.num_samples),
                                    grid=grid) for k in range(3)]
         with pytest.raises(ValueError, match="general position"):
-            identifynd.locate_source_nd(recs, n=2, lam_window=(6.0, 50.0))
+            identifynd.locate_source_nd(recs, n=2, lambdas=WINDOW)
 
     def test_too_few_sensors(self):
         grid = model.TimeGrid(tau=1e-2, num_steps=10)
@@ -268,7 +270,7 @@ class TestLocateSourceND:
                                    samples=np.zeros(grid.num_samples),
                                    grid=grid)]
         with pytest.raises(ValueError, match="sensors"):
-            identifynd.locate_source_nd(recs, n=3, lam_window=(6.0, 50.0))
+            identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW)
 
     @pytest.mark.parametrize("n,seed", [(3, 0), (3, 5), (3, 12),
                                         (2, 1), (2, 8)])
@@ -286,7 +288,7 @@ class TestLocateSourceND:
             pytest.skip("no usable random layout")
         grid = model.TimeGrid(tau=1e-3, num_steps=15000)
         recs = make_records(x1, list(sensors), n, grid)
-        rec = identifynd.locate_source_nd(recs, n=n, lam_window=(6.0, 50.0))
+        rec = identifynd.locate_source_nd(recs, n=n, lambdas=WINDOW)
         assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
 
     def test_rigid_motion_equivariance(self):
@@ -297,11 +299,11 @@ class TestLocateSourceND:
         shift = np.array([1.5, -2.0, 0.7])
         base = identifynd.locate_source_nd(
             make_records(X1_3D, SENSORS_3D, 3, grid), n=3,
-            lam_window=(6.0, 50.0))
+            lambdas=WINDOW)
         moved = identifynd.locate_source_nd(
             make_records(rot @ X1_3D + shift,
                          [rot @ b + shift for b in SENSORS_3D], 3, grid),
-            n=3, lam_window=(6.0, 50.0))
+            n=3, lambdas=WINDOW)
         np.testing.assert_allclose(moved.x1_hat, rot @ base.x1_hat + shift,
                                    atol=1e-8)
 
@@ -314,8 +316,8 @@ class TestRecoverIntensityND:
         win = grid.times() >= 0.1 * grid.horizon
         rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
         assert rel <= 0.02
-        assert fit.misfit.shape == (4,)
-        assert np.all(fit.misfit <= 1e-3)
+        assert fit.deconvolution.misfit.shape == (4,)
+        assert np.all(fit.deconvolution.misfit <= 1e-3)
 
     def test_one_factorization_for_all_sensors(self, records_3d):
         # eps="auto" searches once for the joint system; the constant
@@ -324,7 +326,7 @@ class TestRecoverIntensityND:
         fit = identifynd.recover_intensity_nd(records_3d, alpha, n=3,
                                               eps="auto")
         assert fit.deconvolution.factorizations == 1
-        assert fit.deconvolution.residual_per_sensor.shape == (4,)
+        assert fit.deconvolution.misfit.shape == (4,)
 
     def test_varying_intensity_round_trip(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=5000)
@@ -352,8 +354,9 @@ class TestRecoverIntensityND:
         alpha = np.array([np.linalg.norm(X1_3D - b) for b in SENSORS_3D])
         alpha_bad = alpha * np.array([1.3, 1.0, 1.0, 1.0])
         fit = identifynd.recover_intensity_nd(records_3d, alpha_bad, n=3)
-        assert fit.misfit[0] > 0.05
-        assert fit.misfit[0] > 2.0 * fit.misfit[1:].max()
+        misfit = fit.deconvolution.misfit
+        assert misfit[0] > 0.05
+        assert misfit[0] > 2.0 * misfit[1:].max()
 
 
 class TestNearestSourceMatrix:

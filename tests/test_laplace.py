@@ -86,12 +86,9 @@ class TestLaplaceGrid:
 class TestLambdaGridAdvisor:
     def test_nominal(self):
         grid = model.TimeGrid(tau=1e-4, num_steps=100000)  # T = 10
-        plan = laplace.suggest_lambda_grid(grid, delta_hint=0.5)
-        assert plan.lambda_max == pytest.approx(500.0)
-        assert plan.lambda_min == pytest.approx(100.0)
-        assert plan.lambdas.size >= 12
-        assert plan.lambdas[0] == pytest.approx(plan.lambda_min)
-        assert plan.lambdas[-1] == pytest.approx(plan.lambda_max)
+        lam_min, lam_max = laplace.suggest_lambda_grid(grid, delta_hint=0.5)
+        assert lam_max == pytest.approx(500.0)
+        assert lam_min == pytest.approx(100.0)
 
     def test_unsupportable_grid(self):
         grid = model.TimeGrid(tau=0.1, num_steps=100)
@@ -100,8 +97,8 @@ class TestLambdaGridAdvisor:
 
     def test_infinite_hint_falls_back_to_horizon(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=10000)  # T = 10
-        plan = laplace.suggest_lambda_grid(grid, delta_hint=np.inf)
-        assert plan.lambda_min == pytest.approx(4.0 / 100.0)
+        lam_min, _ = laplace.suggest_lambda_grid(grid, delta_hint=np.inf)
+        assert lam_min == pytest.approx(4.0 / 100.0)
 
 
 def noisy_sine_case():
@@ -121,8 +118,8 @@ class TestVolterraDeconvolve:
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
         masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
-        res = laplace.volterra_deconvolve(np.zeros(grid.num_samples), None,
-                                          grid, eps=0.0, masses=masses)
+        res = laplace.volterra_deconvolve(np.zeros(grid.num_samples), masses,
+                                          grid, eps=0.0)
         np.testing.assert_allclose(res.q, 0.0, atol=1e-10)
 
     def test_round_trip_constant(self):
@@ -130,8 +127,7 @@ class TestVolterraDeconvolve:
         q = np.ones(grid.num_samples)
         psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
         masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
-        res = laplace.volterra_deconvolve(psi, None, grid, eps=0.0,
-                                          masses=masses)
+        res = laplace.volterra_deconvolve(psi, masses, grid, eps=0.0)
         rel = np.linalg.norm(res.q - q) / np.linalg.norm(q)
         assert rel <= 1e-3
 
@@ -144,16 +140,15 @@ class TestVolterraDeconvolve:
         q = np.minimum(t / 0.5, 1.0)        # nonnegative, q(0) = 0
         psi = forward.convolve_intensity(q, 1, gamma, grid, kind="distance")
         masses = forward.duhamel_masses(1, gamma, grid, kind="distance")
-        res = laplace.volterra_deconvolve(psi, None, grid, eps=0.0,
-                                          masses=masses)
+        res = laplace.volterra_deconvolve(psi, masses, grid, eps=0.0)
         keep = grid.num_steps - res.n_tail_extended
         rel = np.linalg.norm((res.q - q)[:keep]) / np.linalg.norm(q[:keep])
         assert rel <= 1e-3
 
     def test_round_trip_with_noise_discrepancy(self):
         grid, q, noisy, masses, sigma = noisy_sine_case()
-        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
-                                          masses=masses, sigma=sigma)
+        res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
+                                          sigma=sigma)
         rel = np.linalg.norm(res.q - q) / np.linalg.norm(q)
         assert rel <= 0.05
         assert res.eps > 0.0
@@ -162,8 +157,8 @@ class TestVolterraDeconvolve:
         # a geometric bisection to a bracket ratio of 1.2 (11 solves)
         # picked eps = 2.934577832042261 on this case
         grid, _, noisy, masses, sigma = noisy_sine_case()
-        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
-                                          masses=masses, sigma=sigma)
+        res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
+                                          sigma=sigma)
         assert 1.0 / 1.2 <= res.eps / 2.934577832042261 <= 1.2
         target = sigma * np.sqrt(grid.num_steps)
         assert abs(res.residual_norm / target - 1.0) <= 0.01
@@ -179,8 +174,8 @@ class TestVolterraDeconvolve:
         rng = np.random.default_rng(3)
         noisy = psi + 1e-5 * rng.standard_normal(psi.shape)
         masses = forward.duhamel_masses(3, 0.9, grid, kind="heat")
-        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
-                                          masses=masses, sigma=1e-5)
+        res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
+                                          sigma=1e-5)
         # the bracket top is 1e6 * max(diag(K^T K)) = 1e6 * sum(masses^2)
         assert res.eps == pytest.approx(1e6 * np.sum(masses ** 2),
                                         rel=1e-12)
@@ -190,8 +185,8 @@ class TestVolterraDeconvolve:
 
     def test_zero_noise_target_solves_once(self):
         grid, _, noisy, masses, _ = noisy_sine_case()
-        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
-                                          masses=masses, sigma=0.0)
+        res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
+                                          sigma=0.0)
         assert res.eps == 0.0
         assert res.factorizations == 1
 
@@ -207,27 +202,17 @@ class TestVolterraDeconvolve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(laplace.linalg, "cho_factor", flaky)
-        res = laplace.volterra_deconvolve(noisy, None, grid, eps=1e-3,
-                                          masses=masses)
+        res = laplace.volterra_deconvolve(noisy, masses, grid, eps=1e-3)
         assert res.factorizations == 3
         assert res.ridge_escalations == 2
         assert np.linalg.norm(res.q - q) / np.linalg.norm(q) <= 0.05
-
-    def test_sampled_kernel_path(self):
-        grid = model.TimeGrid(tau=1e-3, num_steps=2000)
-        q = np.ones(grid.num_samples)
-        psi = forward.convolve_intensity(q, 1, 0.4, grid, kind="distance")
-        kernel = sampled_distance_kernel(1, 0.4, grid)
-        res = laplace.volterra_deconvolve(psi, kernel, grid, eps=0.0)
-        rel = np.linalg.norm(res.q - q) / np.linalg.norm(q)
-        assert rel <= 5e-3
 
     def test_vanishing_mass_rejected(self):
         grid = model.TimeGrid(tau=1e-4, num_steps=100)   # T = 0.01
         masses = forward.duhamel_masses(1, 5.0, grid, kind="distance")
         with pytest.raises(ValueError):
-            laplace.volterra_deconvolve(np.zeros(grid.num_samples), None,
-                                        grid, eps=0.0, masses=masses)
+            laplace.volterra_deconvolve(np.zeros(grid.num_samples), masses,
+                                        grid, eps=0.0)
 
     def test_regularization_monotonicity(self):
         grid = model.TimeGrid(tau=2e-3, num_steps=1000)
@@ -239,8 +224,7 @@ class TestVolterraDeconvolve:
         masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
         residuals, seminorms = [], []
         for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
-            res = laplace.volterra_deconvolve(noisy, None, grid, eps=eps,
-                                              masses=masses)
+            res = laplace.volterra_deconvolve(noisy, masses, grid, eps=eps)
             residuals.append(res.residual_norm)
             seminorms.append(res.seminorm)
         assert np.all(np.diff(residuals) >= -1e-12)
@@ -285,27 +269,25 @@ class TestJointDeconvolution:
     def test_single_column_is_the_series(self):
         # an (N+1, 1) column solves exactly the same system as the series
         grid, _, noisy, masses, _ = noisy_sine_case()
-        flat = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
-                                           masses=masses)
-        col = laplace.volterra_deconvolve(noisy[:, None], None, grid,
-                                          eps="auto", masses=masses[:, None])
+        flat = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto")
+        col = laplace.volterra_deconvolve(noisy[:, None], masses[:, None],
+                                          grid, eps="auto")
         np.testing.assert_array_equal(col.q, flat.q)
         assert col.eps == flat.eps
-        assert col.residual_per_sensor.shape == (1,)
+        assert col.misfit.shape == (1,)
 
     def test_identical_columns_give_the_same_intensity(self):
         # two copies of one sensor double the Gram, the right-hand side,
         # the bracket and the residual target alike
         grid, _, noisy, masses, sigma = noisy_sine_case()
-        one = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
-                                          masses=masses, sigma=sigma)
+        one = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
+                                          sigma=sigma)
         two = laplace.volterra_deconvolve(
-            np.column_stack([noisy, noisy]), None, grid, eps="auto",
-            masses=np.column_stack([masses, masses]), sigma=sigma)
+            np.column_stack([noisy, noisy]),
+            np.column_stack([masses, masses]), grid, eps="auto", sigma=sigma)
         rel = np.linalg.norm(two.q - one.q) / np.linalg.norm(one.q)
         assert rel <= 1e-12
-        np.testing.assert_allclose(two.residual_per_sensor,
-                                   one.residual_norm, rtol=1e-9)
+        np.testing.assert_allclose(two.misfit, one.misfit[0], rtol=1e-9)
 
     def test_sensors_share_one_intensity(self):
         # three distances, one intensity: the joint fit recovers it and
@@ -322,19 +304,20 @@ class TestJointDeconvolution:
         masses = np.column_stack([
             forward.duhamel_masses(1, g, grid, kind="distance")
             for g in gammas])
-        res = laplace.volterra_deconvolve(noisy, None, grid, eps="auto",
-                                          masses=masses, sigma=sigma)
+        res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
+                                          sigma=sigma)
         assert np.linalg.norm(res.q - q) / np.linalg.norm(q) <= 0.05
         target = sigma * np.sqrt(3 * grid.num_steps)
         assert abs(res.residual_norm / target - 1.0) <= 0.01
-        np.testing.assert_allclose(np.linalg.norm(res.residual_per_sensor),
+        per_sensor = res.misfit * np.linalg.norm(noisy[1:], axis=0)
+        np.testing.assert_allclose(np.linalg.norm(per_sensor),
                                    res.residual_norm, rtol=1e-12)
 
     def test_mismatched_kernels_rejected(self):
         grid, _, noisy, masses, _ = noisy_sine_case()
         with pytest.raises(ValueError):
-            laplace.volterra_deconvolve(np.column_stack([noisy, noisy]), None,
-                                        grid, masses=masses)
+            laplace.volterra_deconvolve(np.column_stack([noisy, noisy]),
+                                        masses, grid)
 
 
 class TestConvolutionTransformExchange:
@@ -358,15 +341,44 @@ class TestConvolutionTransformExchange:
 
 class TestDecimation:
     def test_stride_preserves_grid(self):
+        # 10000 cells exceed MAX_CELLS = 2500: the solve runs on every
+        # fourth sample with summed cell masses, and q comes back on the
+        # input grid
         grid = model.TimeGrid(tau=1e-3, num_steps=10000)
-        s = np.sin(grid.times())
-        s2, g2 = laplace.decimate_series(s, grid, max_points=2000)
-        assert g2.num_steps <= 2000
-        assert g2.tau == pytest.approx(5e-3)
-        np.testing.assert_allclose(s2, np.sin(g2.times()), atol=1e-12)
+        q = np.ones(grid.num_samples)
+        psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
+        masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+        res = laplace.volterra_deconvolve(psi, masses, grid, eps=0.0)
+        assert res.stride == 4
+        assert res.cells.size == 2500
+        assert res.q.shape == (grid.num_samples,)
+        assert np.linalg.norm(res.q - q) / np.linalg.norm(q) <= 1e-3
+
+    def test_summed_masses_match_the_coarse_grid(self):
+        # a coarse cell's mass is the sum of its sub-cells' masses, so the
+        # decimated solve is the solve on the coarse grid
+        grid = model.TimeGrid(tau=1e-3, num_steps=10000)
+        coarse = model.TimeGrid(tau=4e-3, num_steps=2500)
+        t = grid.times()
+        psi = forward.convolve_intensity(1.0 + np.sin(t), 1, 0.5, grid,
+                                         kind="distance")
+        fine = laplace.volterra_deconvolve(
+            psi, forward.duhamel_masses(1, 0.5, grid, kind="distance"),
+            grid, eps="auto", sigma=1e-6)
+        direct = laplace.volterra_deconvolve(
+            psi[::4], forward.duhamel_masses(1, 0.5, coarse, kind="distance"),
+            coarse, eps="auto", sigma=1e-6)
+        assert direct.stride == 1
+        assert fine.eps == pytest.approx(direct.eps, rel=1e-12)
+        assert fine.factorizations == direct.factorizations
+        np.testing.assert_allclose(fine.cells, direct.cells, rtol=1e-12)
+        np.testing.assert_allclose(fine.q[::4], direct.q, rtol=1e-12)
 
     def test_no_op_when_short(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=100)
-        s = np.ones(grid.num_samples)
-        s2, g2 = laplace.decimate_series(s, grid, max_points=2000)
-        assert g2 is grid and s2 is s
+        masses = forward.duhamel_masses(1, 0.1, grid, kind="distance")
+        res = laplace.volterra_deconvolve(np.zeros(grid.num_samples), masses,
+                                          grid, eps=0.0)
+        assert res.stride == 1
+        assert res.cells.size == grid.num_steps
+        assert res.q.shape == (grid.num_samples,)
