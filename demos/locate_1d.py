@@ -10,7 +10,9 @@ import numpy as np
 
 from pointsource import (
     CoefficientField1D,
+    FreeSpace,
     PointSource,
+    Scenario,
     TimeGrid,
     forward,
     identify1d,
@@ -44,12 +46,15 @@ for lam, x1, used in zip(fit.lambdas, fit.x1_per_lambda, fit.used):
     print(f"  {mark} lam = {lam:7.1f}   x1 = {x1:.8f}")
 
 # ---- intensity from the nearer sensor ---------------------------------------
-intensity = identify1d.recover_intensity_1d(series[0], grid, coeffs,
-                                            fit.x1_hat, sensors[0])
+scenario = Scenario(domain=FreeSpace(n=1), sources=(source,),
+                    sensors=tuple([b] for b in sensors), grid=grid)
+intensity = identify1d.recover_intensity_1d(series[0], scenario, fit.x1_hat,
+                                            sensors[0])
 t = grid.times()
 win = t >= 1.0
 err = np.linalg.norm(intensity.q[win] - 1.0) / np.sqrt(win.sum())
 print(f"\nintensity: mean {intensity.q[win].mean():.4f} over [1, 10], "
       f"rms error {err:.2e} (true intensity is 1)")
-print(f"arrival distance used: {intensity.travel_distance:.4f}, "
-      f"amplitude {intensity.amplitude:.4f}")
+print(f"kernel: {intensity.kernel['source']}, "
+      f"{intensity.deconvolution.factorizations} factorization(s), "
+      f"eps {intensity.deconvolution.eps:.3g}")

@@ -41,8 +41,8 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 5
-# finite-difference cells of the interval solve when --cells is not given
+REPORT_SCHEMA_VERSION = 6
+# finite-difference cells of the interval solves when --cells is not given
 DEFAULT_CELLS = 400
 # relative residual of one sensor in the joint intensity fit above which its
 # distance estimate is suspect
@@ -77,14 +77,39 @@ def _report_violations(violations: list[str]) -> bool:
     return bool(violations)
 
 
+def _load_scenario(path):
+    """The scenario at ``path``, or None after a validation message when
+    the file cannot be read or does not describe a scenario."""
+    try:
+        return model.load_scenario(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"validation: scenario {path}: {detail}", file=sys.stderr)
+        return None
+
+
+def _zero_background(scenario: model.Scenario) -> bool:
+    """Whether the source-free solve is zero without running it.
+
+    The initial field is zero, so by linearity the solve is zero when the
+    scenario has no f0 (or an all-zero one) and zero boundary data.  Free
+    space has neither.
+    """
+    dom = scenario.domain
+    if isinstance(dom, model.FreeSpace):
+        return True
+    no_f0 = scenario.f0 is None or not np.any(scenario.f0)
+    return no_f0 and not np.any(dom.bc_left.g) and not np.any(dom.bc_right.g)
+
+
 def _simulate_traces(scenario: model.Scenario, include_sources: bool,
                      num_cells) -> np.ndarray:
     """Clean sensor series, shape (num_samples, s); ``num_cells`` None
     means DEFAULT_CELLS."""
     dom = scenario.domain
+    if not include_sources and _zero_background(scenario):
+        return np.zeros((scenario.grid.num_samples, len(scenario.sensors)))
     if isinstance(dom, model.FreeSpace):
-        if not include_sources:
-            return np.zeros((scenario.grid.num_samples, len(scenario.sensors)))
         cols = [forward.free_space_response(scenario.sources, b, scenario.grid,
                                             n=dom.n, lambda0=dom.lambda0)
                 for b in scenario.sensors]
@@ -113,7 +138,9 @@ def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    scenario = model.load_scenario(args.scenario)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
+        return EXIT_VALIDATION
     violations = model.validate_scenario(scenario)
     violations += _ineffective_flags(args, scenario)
     if _report_violations(violations):
@@ -239,8 +266,8 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
     idx = i1 if abs(fit.x1_hat - b1) <= abs(fit.x1_hat - b2) else i2
     eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
     intensity = identify1d.recover_intensity_1d(
-        psi_tilde[:, idx], scenario.grid, coeffs, fit.x1_hat,
-        float(sensors[idx]), eps=eps)
+        psi_tilde[:, idx], scenario, fit.x1_hat, float(sensors[idx]),
+        eps=eps, num_cells=DEFAULT_CELLS if args.cells is None else args.cells)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dimension": 1,
@@ -260,7 +287,8 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
         "intensity": {
             "sensor_index": int(idx),
             **_intensity_record(intensity.deconvolution),
-            "exact_amplitude": intensity.exact_amplitude,
+            "kernel": intensity.kernel,
+            "background": "zero" if _zero_background(scenario) else "solved",
             "q_hat": intensity.q.tolist(),
         },
         "diagnostics": list(fit.diagnostics) + notes,
@@ -322,7 +350,9 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
 
 
 def cmd_identify(args) -> int:
-    scenario = model.load_scenario(args.scenario)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
+        return EXIT_VALIDATION
     violations = model.validate_scenario(scenario)
     violations += _ineffective_flags(args, scenario)
     violations += _window_violations(args, identifynd.MIN_LAMBDAS)
@@ -375,7 +405,9 @@ def cmd_identify(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    scenario = model.load_scenario(args.scenario)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
+        return EXIT_VALIDATION
     if _report_violations(model.validate_scenario(scenario)):
         return EXIT_VALIDATION
     out = Path(args.out)

@@ -241,26 +241,17 @@ def kernel_moment_cumulative(n: int, r: float, t) -> np.ndarray:
     return out
 
 
-def _kernel_scale(n: int, r: float, kind: str) -> float:
-    if kind == "heat":
-        return 1.0
-    if kind == "distance":
-        return {1: 2.0, 2: 1.0, 3: 4.0 * np.pi * r}[n]
-    raise ValueError("kernel kind must be 'heat' or 'distance'")
-
-
-def duhamel_masses(n: int, r: float, grid: TimeGrid, kind: str = "heat"
-                   ) -> np.ndarray:
-    """Exact kernel masses over each time cell: W[j-1] = int_{t_{j-1}}^{t_j} K.
+def duhamel_masses(n: int, r: float, grid: TimeGrid) -> np.ndarray:
+    """Exact heat-kernel masses over each time cell:
+    W[j-1] = int_{t_{j-1}}^{t_j} heat_kernel(n, r, .).
 
     Cell masses come from differencing the closed-form cumulative, so the
     sharp early-time kernel peak is integrated exactly rather than sampled.
     """
-    c = kernel_mass_cumulative(n, r, grid.times()) * _kernel_scale(n, r, kind)
-    return np.diff(c)
+    return np.diff(kernel_mass_cumulative(n, r, grid.times()))
 
 
-def duhamel_weights(n: int, r: float, grid: TimeGrid, kind: str = "heat"
+def duhamel_weights(n: int, r: float, grid: TimeGrid
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Convolution weights exact for piecewise-linear intensities.
 
@@ -268,9 +259,8 @@ def duhamel_weights(n: int, r: float, grid: TimeGrid, kind: str = "heat"
     psi_k = sum_{j=1..k} P[j-1]*q_{k-j} + Q[j-1]*q_{k-j+1}.
     """
     times = grid.times()
-    scale = _kernel_scale(n, r, kind)
-    mass = np.diff(kernel_mass_cumulative(n, r, times)) * scale
-    mom = np.diff(kernel_moment_cumulative(n, r, times)) * scale
+    mass = np.diff(kernel_mass_cumulative(n, r, times))
+    mom = np.diff(kernel_moment_cumulative(n, r, times))
     p = (mom - times[:-1] * mass) / grid.tau
     # guard against cancellation noise in exponentially flat cells
     p = np.clip(p, 0.0, mass)
@@ -278,7 +268,7 @@ def duhamel_weights(n: int, r: float, grid: TimeGrid, kind: str = "heat"
 
 
 def convolve_intensity(q: np.ndarray, n: int, r: float, grid: TimeGrid,
-                       lambda0: float = 0.0, kind: str = "heat") -> np.ndarray:
+                       lambda0: float = 0.0) -> np.ndarray:
     """Duhamel convolution of intensity samples with a point-source kernel.
 
     Evaluates psi(t_k) = int_0^{t_k} q(s) * exp(-lambda0 (t_k - s)) *
@@ -294,7 +284,7 @@ def convolve_intensity(q: np.ndarray, n: int, r: float, grid: TimeGrid,
                          "formulation")
     times = grid.times()
     qk = q * np.exp(lambda0 * times) if lambda0 != 0.0 else q
-    p, qq = duhamel_weights(n, r, grid, kind=kind)
+    p, qq = duhamel_weights(n, r, grid)
     pfull = np.concatenate(([0.0], p))
     qfull = np.concatenate(([0.0], qq))
     c1 = signal.convolve(qk, pfull)[:grid.num_samples]

@@ -11,21 +11,24 @@ first-order amplitude density.  Solving for the travel distance from b1
 and inverting the (strictly monotone) travel integral yields the source
 coordinate; sensors sitting on a reflecting boundary see the image charge
 and acquire a factor 2 handled by the boundary branches.  Intensity
-recovery deconvolves the sensor series by the arrival kernel at the
-recovered travel distance and rescales by the leading amplitude.
+recovery deconvolves the sensor series by the exact kernel of the
+forward model at the recovered location: on an interval, the
+Crank-Nicolson response to a unit source there; in free space, the
+closed-form heat-kernel masses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.integrate import solve_ivp
 
-from .forward import _travel, duhamel_masses, travel_integrals
+from .forward import (_travel, crank_nicolson_1d, duhamel_masses,
+                      travel_integrals)
 from .laplace import DeconvolutionResult, LaplaceSamples, volterra_deconvolve
-from .model import CoefficientField1D, TimeGrid
+from .model import CoefficientField1D, FreeSpace, PointSource, Scenario
 
 __all__ = [
     "OffsetFit",
@@ -99,29 +102,36 @@ def estimate_offset(phi1: LaplaceSamples, phi2: LaplaceSamples) -> OffsetFit:
                      residual=residual, lambdas=lam_ok, samples=a)
 
 
-def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m: float,
-                           direction: int = 1) -> float:
+def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m,
+                           direction: int = 1):
     """Find x with |int_{b1}^{x} slowness| = m on the given side of b1.
 
-    The slowness is strictly positive, so the travel integral is strictly
-    monotone and the root is unique; bisection refines it to
-    1e-12 * (interval length).
+    ``m`` is a scalar or an array of travel distances.  x(m) solves
+    dx/dm = +-sqrt(a2(x)) with x(0) = b1, so one DOP853 integration
+    through the sorted targets (rtol = atol = 1e-13) inverts them all; the
+    slowness is strictly positive, so each root is unique.
     """
-    if m < 0.0:
+    m_arr = np.asarray(m, dtype=float)
+    if np.any(m_arr < 0.0):
         raise ValueError("travel distance must be nonnegative")
-    if m == 0.0:
-        return b1
     end = coeffs.b if direction > 0 else coeffs.a
-    total = _travel(coeffs, b1, end)
-    if m > abs(total) * (1.0 + 1e-12):
+    total = abs(_travel(coeffs, b1, end))
+    if np.any(m_arr > total * (1.0 + 1e-12)):
         raise ValueError("travel distance exceeds the domain extent")
-
-    def f(x: float) -> float:
-        return abs(_travel(coeffs, b1, x)) - m
-
-    if m >= abs(total):
-        return end
-    return float(brentq(f, b1, end, xtol=1e-12 * (coeffs.b - coeffs.a)))
+    targets, inverse = np.unique(np.minimum(m_arr.ravel(), total),
+                                 return_inverse=True)
+    x = np.full(targets.shape, float(b1))
+    inside = (targets > 0.0) & (targets < total)
+    if np.any(inside):
+        sign = 1.0 if direction > 0 else -1.0
+        sol = solve_ivp(lambda _, y: sign * np.sqrt(coeffs.diffusion(y)),
+                        (0.0, targets[inside][-1]), [float(b1)],
+                        method="DOP853", t_eval=targets[inside],
+                        rtol=1e-13, atol=1e-13)
+        x[inside] = sol.y[0]
+    x[targets >= total] = end
+    out = x[inverse].reshape(m_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +204,7 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
         x1 = 0.5 * (b1 + b2) - root_a2 * (amp_total + logr) / (2.0 * sq)
     else:
         x1 = np.full_like(sq, np.nan)
-        for i in np.nonzero(in_range)[0]:
-            x1[i] = invert_travel_distance(coeffs, b1, float(travel[i]))
+        x1[in_range] = invert_travel_distance(coeffs, b1, travel[in_range])
 
     rel_bound = (phi1.bounds / np.abs(np.where(phi1.values == 0, 1.0,
                                                phi1.values))
@@ -223,36 +232,49 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
 
 @dataclass(frozen=True, eq=False)
 class IntensityFit1D:
-    """Recovered intensity with the deconvolution diagnostics attached."""
+    """Recovered intensity, the kernel it was deconvolved against
+    (``{"source": "crank_nicolson", "cells": N}`` or
+    ``{"source": "analytic"}``) and the deconvolution diagnostics."""
 
     q: np.ndarray
-    travel_distance: float
-    amplitude: float
+    kernel: dict
     deconvolution: DeconvolutionResult
-    exact_amplitude: bool
 
 
-def recover_intensity_1d(psi_tilde: np.ndarray, grid: TimeGrid,
-                         coeffs: CoefficientField1D, x1_hat: float, b: float,
+def recover_intensity_1d(psi_tilde: np.ndarray, scenario: Scenario,
+                         x1_hat: float, b: float,
                          eps: Union[float, str] = 0.0,
-                         sigma: Union[float, None] = None) -> IntensityFit1D:
+                         sigma: Union[float, None] = None,
+                         num_cells: int = 400) -> IntensityFit1D:
     """Deconvolve a background-subtracted sensor series into an intensity.
 
-    The series is modelled as amplitude * (kernel_at_travel_distance * q)
-    with amplitude exp(amp(x1, b)) / (2 sqrt(a2(x1))); this is exact for
-    constant coefficients and leading-order otherwise (flagged on the
-    result).
+    The kernel is the scenario's own response at b to a unit constant
+    source at x1_hat, so q needs no amplitude.  On an interval it is one
+    Crank-Nicolson run on ``num_cells`` cells with homogeneous boundary
+    data and no f0 (the background is subtracted from the series, so by
+    linearity it plays no part), and its first differences are the cell
+    masses of the discrete model.  In free space the heat-kernel masses
+    at |x1_hat - b| are exact in closed form.
     """
     if x1_hat == b:
         raise ValueError("source estimate coincides with the sensor")
-    int_r, int_r1 = travel_integrals(coeffs, x1_hat, b)
-    delta0 = abs(int_r)
-    c0 = float(np.exp(int_r1) / (2.0 * np.sqrt(coeffs.diffusion(x1_hat))))
-    masses = duhamel_masses(1, delta0, grid, kind="distance")
+    grid = scenario.grid
+    dom = scenario.domain
+    if isinstance(dom, FreeSpace):
+        masses = duhamel_masses(1, abs(x1_hat - b), grid)
+        kernel = {"source": "analytic"}
+    else:
+        unit = Scenario(
+            domain=replace(dom, bc_left=replace(dom.bc_left, g=0.0),
+                           bc_right=replace(dom.bc_right, g=0.0)),
+            coefficients=scenario.coefficients,
+            sources=(PointSource(location=[x1_hat], intensity=1.0),),
+            sensors=([b],), grid=grid)
+        trace = crank_nicolson_1d(unit, num_cells=num_cells).traces[:, 0]
+        masses = np.diff(trace)
+        kernel = {"source": "crank_nicolson", "cells": num_cells}
     dec = volterra_deconvolve(psi_tilde, masses, grid, eps=eps, sigma=sigma)
-    return IntensityFit1D(q=dec.q / c0, travel_distance=delta0, amplitude=c0,
-                          deconvolution=dec,
-                          exact_amplitude=bool(coeffs.is_constant_diffusion))
+    return IntensityFit1D(q=dec.q, kernel=kernel, deconvolution=dec)
 
 
 def alternation_findings(sources, sensors) -> list[dict]:

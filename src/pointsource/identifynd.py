@@ -257,7 +257,7 @@ def recover_intensity_nd(records, alphas, n: int,
                            for r in records])
     if lambda0 != 0.0:
         psi = psi * np.exp(lambda0 * grid.times())[:, None]
-    masses = np.column_stack([duhamel_masses(n, float(a), grid, kind="heat")
+    masses = np.column_stack([duhamel_masses(n, float(a), grid)
                               for a in alphas])
     dec = volterra_deconvolve(psi, masses, grid, eps=eps, sigma=sigma)
     q = dec.q

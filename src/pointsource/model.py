@@ -163,14 +163,14 @@ class CoefficientField1D:
         a2 = np.atleast_1d(np.asarray(a2, dtype=float))
         a1 = np.atleast_1d(np.asarray(a1, dtype=float))
         a0 = np.atleast_1d(np.asarray(a0, dtype=float))
-        m = max(a2.size, a1.size, a0.size, 4)
+        # size-1 arrays are constants; all-constant input gets 4 samples
+        sizes = {a2.size, a1.size, a0.size} - {1}
+        if len(sizes) > 1:
+            raise ValueError("coefficient sample arrays must share a length")
+        m = sizes.pop() if sizes else 4
 
         def expand(v):
-            if v.size == 1:
-                return np.full(m, v[0])
-            if v.size != m:
-                raise ValueError("coefficient sample arrays must share a length")
-            return v
+            return np.full(m, v[0]) if v.size == 1 else v
 
         self.a = float(a)
         self.b = float(b)

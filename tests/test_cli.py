@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pointsource import cli, forward, model
+from pointsource import cli, forward, identify1d, model
 
 
 def write_free_space_scenario(path, n=3, x1=(0.2, 0.1, -0.3), tau=1e-3,
@@ -23,6 +23,27 @@ def write_free_space_scenario(path, n=3, x1=(0.2, 0.1, -0.3), tau=1e-3,
     )
     model.save_scenario(path, scen)
     return scen
+
+
+# the interval1d benchmark coefficients on [-10, 10]
+_NODES = np.linspace(-10.0, 10.0, 41)
+INTERVAL1D_COEFFS = model.CoefficientField1D(
+    -10.0, 10.0, 1.0 + 0.3 * np.sin(0.3 * _NODES), np.full(41, 0.1),
+    np.full(41, 0.02))
+
+
+def run_interval_identify(tmp_path, scen, cells):
+    """simulate then identify --epsilon auto at ``cells`` cells; the
+    report."""
+    spath = tmp_path / "scen.json"
+    model.save_scenario(spath, scen)
+    out = tmp_path / "out"
+    cells_flag = ["--cells", str(cells)]
+    assert cli.main(["simulate", "--scenario", str(spath),
+                     "--out", str(out), *cells_flag]) == 0
+    assert cli.main(["identify", "--scenario", str(spath), "--out", str(out),
+                     "--epsilon", "auto", *cells_flag]) == 0
+    return json.loads((out / "report.json").read_text())
 
 
 class TestSimulate:
@@ -122,6 +143,10 @@ class TestIdentify:
         assert rec["ridge_escalations"] == 0
         assert rec["n_tail_extended"] >= 0
         assert rec["stride"] == 4           # 10000 steps down to 2500
+        # free space has no background, and its kernel is closed-form
+        assert rec["kernel"] == {"source": "analytic"}
+        assert rec["background"] == "zero"
+        assert "exact_amplitude" not in rec
         # one source cannot fail the interleaving checks: diagnose's job
         assert "alternation" not in report
 
@@ -139,7 +164,7 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         # one joint solve for all sensors; eps=0 factors it once
         rec = report["intensity"]
         assert rec["eps"] == 0.0
@@ -356,6 +381,79 @@ class TestIdentify:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert abs(report["x1_hat"] - 0.3) <= 1e-2
+        assert report["intensity"]["background"] == "solved"
+        assert report["intensity"]["kernel"] == {"source": "crank_nicolson",
+                                                 "cells": 2000}
+
+    def test_reflecting_boundary_sensor_intensity(self, tmp_path):
+        # the deconvolved sensor sits on a reflecting end and sees the
+        # image source too; the discrete kernel carries that factor
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=4.0,
+                                    bc_left=model.Robin(sigma=0.0, g=0.0),
+                                    bc_right=model.Dirichlet(g=0.0)),
+            coefficients=model.CoefficientField1D.constant(
+                1.0, 0.0, 0.0, interval=(0.0, 4.0)),
+            sources=(model.PointSource(location=[0.3], intensity=1.0),),
+            sensors=([0.0], [1.0]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=10000))
+        report = run_interval_identify(tmp_path, scen, cells=800)
+        assert report["branch"] == "left_boundary"
+        assert report["intensity"]["sensor_index"] == 0
+        assert report["intensity"]["kernel"] == {"source": "crank_nicolson",
+                                                 "cells": 800}
+        assert report["intensity"]["background"] == "zero"
+        assert report["evaluation"]["q_rel_l2"] <= 1e-2
+
+    def test_variable_intensity_on_variable_coefficients(self, tmp_path):
+        grid = model.TimeGrid(tau=1e-3, num_steps=10000)
+        q = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid.times() / 3.0)
+        scen = model.Scenario(
+            domain=model.Interval1D(a=-10.0, b=10.0,
+                                    bc_left=model.Dirichlet(g=0.0),
+                                    bc_right=model.Robin(sigma=0.5, g=0.0)),
+            coefficients=INTERVAL1D_COEFFS,
+            sources=(model.PointSource(location=[0.3], intensity=q),),
+            sensors=([0.0], [1.0]), grid=grid)
+        report = run_interval_identify(tmp_path, scen, cells=800)
+        assert report["evaluation"]["x_error"] <= 1e-3
+        assert report["evaluation"]["q_rel_l2"] <= 0.02
+
+    def test_zero_background_runs_only_the_kernel_solve(self, tmp_path,
+                                                        monkeypatch):
+        # no f0 and zero boundary data: the background is zero without a
+        # solve, and the one Crank-Nicolson run is the unit-source kernel
+        scen = model.Scenario(
+            domain=model.Interval1D(a=-10.0, b=10.0,
+                                    bc_left=model.Dirichlet(g=0.0),
+                                    bc_right=model.Robin(sigma=0.5, g=0.0)),
+            coefficients=INTERVAL1D_COEFFS,
+            sources=(model.PointSource(location=[0.3], intensity=1.0),),
+            sensors=([0.0], [1.0]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=4000))
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out), "--cells", "400"]) == 0
+        runs = []
+        solve = forward.crank_nicolson_1d
+
+        def counted(scenario, *args, **kwargs):
+            runs.append(scenario)
+            return solve(scenario, *args, **kwargs)
+
+        for module in (forward, identify1d):
+            monkeypatch.setattr(module, "crank_nicolson_1d", counted)
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--cells", "400"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(runs) == 1
+        (kernel_run,) = runs
+        assert [float(s.location[0]) for s in kernel_run.sources] == \
+            [report["x1_hat"]]
+        assert [float(p[0]) for p in kernel_run.sensors] == [0.0]
+        assert report["intensity"]["background"] == "zero"
 
     def test_absorbing_boundary_sensor_rejected(self, tmp_path):
         # a sensor on a homogeneous Dirichlet boundary measures zero
@@ -455,6 +553,29 @@ class TestIdentify:
                 scen, num_cells=400, store_field=False).traces
         np.testing.assert_allclose(tr["full"] - tr["bg"], tr["src"],
                                    atol=1e-10)
+
+
+class TestUnloadableScenario:
+    @pytest.mark.parametrize("command, defect", [
+        ("simulate", "missing"), ("identify", "truncated"),
+        ("diagnose", "no_domain")])
+    def test_validation_exit_code(self, tmp_path, capsys, command, defect):
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=300)
+        text = spath.read_text()
+        if defect == "missing":
+            spath.unlink()
+        elif defect == "truncated":
+            spath.write_text(text[:len(text) // 2])
+        else:
+            data = json.loads(text)
+            del data["domain"]
+            spath.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--scenario", str(spath), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"validation: scenario {spath}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiagnose:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pointsource import forward, identify1d, laplace, model
 
@@ -17,6 +18,18 @@ def oracle_transforms(x1, sensors, lams, tau=1e-3, num_steps=10000,
 
 UNIT_COEFFS = model.CoefficientField1D.constant(1.0, 0.0, 0.0,
                                                 interval=(0.0, 1.0))
+# the interval1d benchmark coefficients on [-10, 10]
+_NODES = np.linspace(-10.0, 10.0, 41)
+VARIABLE_COEFFS = model.CoefficientField1D(
+    -10.0, 10.0, 1.0 + 0.3 * np.sin(0.3 * _NODES), np.full(41, 0.1),
+    np.full(41, 0.02))
+
+
+def free_line(grid):
+    """A 1D free-space scenario: all recover_intensity_1d reads of it is
+    the domain and the grid."""
+    return model.Scenario(domain=model.FreeSpace(n=1), sources=(),
+                          sensors=(), grid=grid)
 
 
 class TestEstimateOffset:
@@ -77,6 +90,26 @@ class TestInvertTravelDistance:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             identify1d.invert_travel_distance(UNIT_COEFFS, 0.0, 5.0)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_array_matches_root_search(self, direction):
+        # one integration through unsorted, repeated and end-point targets
+        # agrees with a root search per target
+        b1 = 0.0
+        end = 10.0 if direction > 0 else -10.0
+        total = abs(forward.travel_integrals(VARIABLE_COEFFS, b1, end)[0])
+        m = total * np.array([0.07, 0.005, 0.32, 0.0, 0.07, 0.91, 1.0])
+        x = identify1d.invert_travel_distance(VARIABLE_COEFFS, b1, m,
+                                              direction=direction)
+        assert x.shape == m.shape
+        assert x[3] == b1 and x[-1] == end
+        for mk, xk in zip(m[:-1], x[:-1]):
+            if mk == 0.0:
+                continue
+            ref = brentq(lambda y: abs(forward.travel_integrals(
+                VARIABLE_COEFFS, b1, y)[0]) - mk, b1, end, xtol=1e-14)
+            assert abs(xk - ref) <= 1e-10 * (VARIABLE_COEFFS.b -
+                                             VARIABLE_COEFFS.a)
 
 
 class TestLocate1D:
@@ -278,24 +311,45 @@ class TestRecoverIntensity1D:
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
         fit = identify1d.recover_intensity_1d(
-            np.zeros(grid.num_samples), grid, UNIT_COEFFS, 0.3, 1.0)
+            np.zeros(grid.num_samples), free_line(grid), 0.3, 1.0)
         np.testing.assert_allclose(fit.q, 0.0, atol=1e-10)
 
-    def test_amplitude_constant_coefficients(self):
+    def test_kernel_source_recorded(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=500)
         fit = identify1d.recover_intensity_1d(
-            np.zeros(grid.num_samples), grid, UNIT_COEFFS, 0.3, 1.0)
-        # exact kernel e^{-sqrt(lam) r}/(2 sqrt(lam)) = c0 * arrival kernel
-        assert fit.amplitude == pytest.approx(0.5)
-        assert fit.exact_amplitude
-        assert fit.travel_distance == pytest.approx(0.7)
+            np.zeros(grid.num_samples), free_line(grid), 0.3, 1.0)
+        assert fit.kernel == {"source": "analytic"}
+        interval = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0), coefficients=UNIT_COEFFS,
+            sources=(), sensors=(), grid=grid)
+        fit = identify1d.recover_intensity_1d(
+            np.zeros(grid.num_samples), interval, 0.3, 0.7, num_cells=50)
+        assert fit.kernel == {"source": "crank_nicolson", "cells": 50}
+
+    def test_interval_kernel_matches_free_space(self):
+        # far from the ends the interval's discrete kernel is the free-space
+        # one up to the O(h^2) mesh error, and so is the intensity
+        grid = model.TimeGrid(tau=1e-3, num_steps=2000)
+        src = model.PointSource(location=[0.3], intensity=1.0)
+        psi = forward.free_space_response([src], [1.0], grid, n=1)
+        interval = model.Scenario(
+            domain=model.Interval1D(a=-10.0, b=10.0),
+            coefficients=model.CoefficientField1D.constant(
+                1.0, 0.0, 0.0, interval=(-10.0, 10.0)),
+            sources=(), sensors=(), grid=grid)
+        exact = identify1d.recover_intensity_1d(psi, free_line(grid), 0.3,
+                                                1.0)
+        fd = identify1d.recover_intensity_1d(psi, interval, 0.3, 1.0,
+                                             num_cells=2000)
+        win = grid.times() >= 0.1 * grid.horizon
+        assert np.abs(exact.q[win] - 1.0).max() <= 1e-3
+        assert np.abs(fd.q[win] - exact.q[win]).max() <= 1e-2
 
     def test_round_trip(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=10000)
         src = model.PointSource(location=[0.3], intensity=1.0)
         psi = forward.free_space_response([src], [1.0], grid, n=1)
-        fit = identify1d.recover_intensity_1d(psi, grid, UNIT_COEFFS, 0.3,
-                                              1.0)
+        fit = identify1d.recover_intensity_1d(psi, free_line(grid), 0.3, 1.0)
         t = grid.times()
         win = t >= 0.1 * grid.horizon
         rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
@@ -307,17 +361,17 @@ class TestRecoverIntensity1D:
         grid = model.TimeGrid(tau=1e-3, num_steps=2000)
         src = model.PointSource(location=[0.3], intensity=1.0)
         psi = forward.free_space_response([src], [1.0], grid, n=1)
-        f1 = identify1d.recover_intensity_1d(psi, grid, UNIT_COEFFS, 0.3, 1.0)
-        f2 = identify1d.recover_intensity_1d(3.0 * psi, grid, UNIT_COEFFS,
-                                             0.3, 1.0)
+        f1 = identify1d.recover_intensity_1d(psi, free_line(grid), 0.3, 1.0)
+        f2 = identify1d.recover_intensity_1d(3.0 * psi, free_line(grid), 0.3,
+                                             1.0)
         scale = np.abs(3.0 * f1.q).max()
         assert np.abs(f2.q - 3.0 * f1.q).max() <= 1e-3 * scale
 
     def test_sensor_on_source_rejected(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=100)
         with pytest.raises(ValueError):
-            identify1d.recover_intensity_1d(np.zeros(grid.num_samples), grid,
-                                            UNIT_COEFFS, 0.3, 0.3)
+            identify1d.recover_intensity_1d(np.zeros(grid.num_samples),
+                                            free_line(grid), 0.3, 0.3)
 
 
 class TestAlternationFindings:

@@ -102,22 +102,23 @@ class TestLambdaGridAdvisor:
 
 
 def noisy_sine_case():
-    """1D distance kernel, q = 1 + sin t, noise at 1e-3 of the peak."""
+    """1D distance kernel (twice the heat kernel), q = 1 + sin t, noise
+    at 1e-3 of the peak."""
     grid = model.TimeGrid(tau=2.5e-3, num_steps=2000)
     t = grid.times()
     q = 1.0 + np.sin(t)
-    psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
+    psi = 2.0 * forward.convolve_intensity(q, 1, 0.5, grid)
     rng = np.random.default_rng(11)
     sigma = 1e-3 * np.abs(psi).max()
     noisy = psi + sigma * rng.standard_normal(psi.shape)
-    masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+    masses = 2.0 * forward.duhamel_masses(1, 0.5, grid)
     return grid, q, noisy, masses, sigma
 
 
 class TestVolterraDeconvolve:
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
-        masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+        masses = 2.0 * forward.duhamel_masses(1, 0.5, grid)
         res = laplace.volterra_deconvolve(np.zeros(grid.num_samples), masses,
                                           grid, eps=0.0)
         np.testing.assert_allclose(res.q, 0.0, atol=1e-10)
@@ -125,8 +126,8 @@ class TestVolterraDeconvolve:
     def test_round_trip_constant(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=5000)
         q = np.ones(grid.num_samples)
-        psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
-        masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+        psi = 2.0 * forward.convolve_intensity(q, 1, 0.5, grid)
+        masses = 2.0 * forward.duhamel_masses(1, 0.5, grid)
         res = laplace.volterra_deconvolve(psi, masses, grid, eps=0.0)
         rel = np.linalg.norm(res.q - q) / np.linalg.norm(q)
         assert rel <= 1e-3
@@ -138,8 +139,8 @@ class TestVolterraDeconvolve:
         grid = model.TimeGrid(tau=1e-3, num_steps=steps)
         t = grid.times()
         q = np.minimum(t / 0.5, 1.0)        # nonnegative, q(0) = 0
-        psi = forward.convolve_intensity(q, 1, gamma, grid, kind="distance")
-        masses = forward.duhamel_masses(1, gamma, grid, kind="distance")
+        psi = 2.0 * forward.convolve_intensity(q, 1, gamma, grid)
+        masses = 2.0 * forward.duhamel_masses(1, gamma, grid)
         res = laplace.volterra_deconvolve(psi, masses, grid, eps=0.0)
         keep = grid.num_steps - res.n_tail_extended
         rel = np.linalg.norm((res.q - q)[:keep]) / np.linalg.norm(q[:keep])
@@ -170,10 +171,10 @@ class TestVolterraDeconvolve:
         # keeps the residual below the target, so one solve decides
         grid = model.TimeGrid(tau=4e-3, num_steps=2000)
         q = np.ones(grid.num_samples)
-        psi = forward.convolve_intensity(q, 3, 0.9, grid, kind="heat")
+        psi = forward.convolve_intensity(q, 3, 0.9, grid)
         rng = np.random.default_rng(3)
         noisy = psi + 1e-5 * rng.standard_normal(psi.shape)
-        masses = forward.duhamel_masses(3, 0.9, grid, kind="heat")
+        masses = forward.duhamel_masses(3, 0.9, grid)
         res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
                                           sigma=1e-5)
         # the bracket top is 1e6 * max(diag(K^T K)) = 1e6 * sum(masses^2)
@@ -209,7 +210,7 @@ class TestVolterraDeconvolve:
 
     def test_vanishing_mass_rejected(self):
         grid = model.TimeGrid(tau=1e-4, num_steps=100)   # T = 0.01
-        masses = forward.duhamel_masses(1, 5.0, grid, kind="distance")
+        masses = 2.0 * forward.duhamel_masses(1, 5.0, grid)
         with pytest.raises(ValueError):
             laplace.volterra_deconvolve(np.zeros(grid.num_samples), masses,
                                         grid, eps=0.0)
@@ -218,10 +219,10 @@ class TestVolterraDeconvolve:
         grid = model.TimeGrid(tau=2e-3, num_steps=1000)
         t = grid.times()
         q = 1.0 + np.sin(2 * t)
-        psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
+        psi = 2.0 * forward.convolve_intensity(q, 1, 0.5, grid)
         rng = np.random.default_rng(5)
         noisy = psi + 1e-4 * rng.standard_normal(psi.shape)
-        masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+        masses = 2.0 * forward.duhamel_masses(1, 0.5, grid)
         residuals, seminorms = [], []
         for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
             res = laplace.volterra_deconvolve(noisy, masses, grid, eps=eps)
@@ -297,12 +298,12 @@ class TestJointDeconvolution:
         rng = np.random.default_rng(4)
         gammas = (0.4, 0.6, 0.8)
         psi = np.column_stack([
-            forward.convolve_intensity(q, 1, g, grid, kind="distance")
+            2.0 * forward.convolve_intensity(q, 1, g, grid)
             for g in gammas])
         sigma = 1e-3 * np.abs(psi).max()
         noisy = psi + sigma * rng.standard_normal(psi.shape)
         masses = np.column_stack([
-            forward.duhamel_masses(1, g, grid, kind="distance")
+            2.0 * forward.duhamel_masses(1, g, grid)
             for g in gammas])
         res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",
                                           sigma=sigma)
@@ -327,7 +328,7 @@ class TestConvolutionTransformExchange:
         t = grid.times()
         q = 1.0 + 0.5 * np.sin(t)
         gamma = 0.7
-        psi = forward.convolve_intensity(q, 1, gamma, grid, kind="distance")
+        psi = 2.0 * forward.convolve_intensity(q, 1, gamma, grid)
         for lam in (4.0, 9.0, 25.0):
             lhs = laplace.laplace_grid(psi, grid, [lam])
             rq = laplace.laplace_grid(q, grid, [lam])
@@ -346,8 +347,8 @@ class TestDecimation:
         # input grid
         grid = model.TimeGrid(tau=1e-3, num_steps=10000)
         q = np.ones(grid.num_samples)
-        psi = forward.convolve_intensity(q, 1, 0.5, grid, kind="distance")
-        masses = forward.duhamel_masses(1, 0.5, grid, kind="distance")
+        psi = 2.0 * forward.convolve_intensity(q, 1, 0.5, grid)
+        masses = 2.0 * forward.duhamel_masses(1, 0.5, grid)
         res = laplace.volterra_deconvolve(psi, masses, grid, eps=0.0)
         assert res.stride == 4
         assert res.cells.size == 2500
@@ -360,13 +361,13 @@ class TestDecimation:
         grid = model.TimeGrid(tau=1e-3, num_steps=10000)
         coarse = model.TimeGrid(tau=4e-3, num_steps=2500)
         t = grid.times()
-        psi = forward.convolve_intensity(1.0 + np.sin(t), 1, 0.5, grid,
-                                         kind="distance")
+        psi = 2.0 * forward.convolve_intensity(1.0 + np.sin(t), 1, 0.5,
+                                               grid)
         fine = laplace.volterra_deconvolve(
-            psi, forward.duhamel_masses(1, 0.5, grid, kind="distance"),
+            psi, 2.0 * forward.duhamel_masses(1, 0.5, grid),
             grid, eps="auto", sigma=1e-6)
         direct = laplace.volterra_deconvolve(
-            psi[::4], forward.duhamel_masses(1, 0.5, coarse, kind="distance"),
+            psi[::4], 2.0 * forward.duhamel_masses(1, 0.5, coarse),
             coarse, eps="auto", sigma=1e-6)
         assert direct.stride == 1
         assert fine.eps == pytest.approx(direct.eps, rel=1e-12)
@@ -376,7 +377,7 @@ class TestDecimation:
 
     def test_no_op_when_short(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=100)
-        masses = forward.duhamel_masses(1, 0.1, grid, kind="distance")
+        masses = 2.0 * forward.duhamel_masses(1, 0.1, grid)
         res = laplace.volterra_deconvolve(np.zeros(grid.num_samples), masses,
                                           grid, eps=0.0)
         assert res.stride == 1

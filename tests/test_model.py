@@ -54,6 +54,21 @@ class TestCoefficientField:
         c = model.CoefficientField1D.constant(1.0, 1.0, 0.0)
         np.testing.assert_allclose(c.amplitude_density(0.5), 0.5, rtol=1e-12)
 
+    def test_short_consistent_samples(self):
+        # three equal samples per coefficient share a length: no floor of
+        # four applies, and the field is the constant one
+        c = model.CoefficientField1D(0.0, 2.0, [4.0] * 3, [0.5] * 3,
+                                     [0.1] * 3)
+        ref = model.CoefficientField1D.constant(4.0, 0.5, 0.1,
+                                                interval=(0.0, 2.0))
+        xs = np.linspace(0.0, 2.0, 9)
+        for name in ("diffusion", "drift", "reaction", "slowness",
+                     "amplitude_density"):
+            np.testing.assert_allclose(getattr(c, name)(xs),
+                                       getattr(ref, name)(xs), atol=1e-14)
+        with pytest.raises(ValueError, match="share a length"):
+            model.CoefficientField1D(0.0, 2.0, [4.0] * 3, [0.5] * 2, [0.1])
+
 
 class TestValidation:
     def test_well_formed(self):
