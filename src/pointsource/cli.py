@@ -124,16 +124,29 @@ def _simulate_traces(scenario: model.Scenario, include_sources: bool,
 
 
 def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
-    """Violations for flags that cannot change the output on this
-    scenario."""
+    """Violations for flags and scenario inputs of simulate and identify
+    that cannot act on this scenario, or that the pipeline does not
+    model."""
     out = []
-    if args.cells is not None and isinstance(scenario.domain,
-                                             model.FreeSpace):
+    dom = scenario.domain
+    if args.cells is not None and isinstance(dom, model.FreeSpace):
         out.append("--cells: a free-space scenario runs no finite-difference "
                    "solve")
-    if args.command == "identify" and args.noise is not None and \
-            scenario.dimension == 1:
-        out.append("--noise: 1D identification does not use a noise level")
+    if isinstance(scenario.coefficients, model.DriftFieldND) and \
+            np.any(scenario.coefficients.velocity):
+        out.append(f"coefficients: {args.command} models no drift; a "
+                   f"drift_nd velocity is used by diagnose only")
+    if args.command != "identify":
+        return out
+    if scenario.dimension == 1:
+        if args.noise is not None:
+            out.append("--noise: 1D identification does not use a noise "
+                       "level")
+        if getattr(dom, "lambda0", 0.0) > 0.0:
+            out.append("domain.lambda0: 1D identification models no "
+                       "reaction term")
+    elif args.format == "csv":
+        out.append("--format csv: only a 1D report has a per-lambda table")
     return out
 
 
@@ -393,7 +406,7 @@ def cmd_identify(args) -> int:
         print(f"identification: {exc}", file=sys.stderr)
         return EXIT_IDENTIFY
     _write_json(out / "report.json", report)
-    if args.format == "csv" and "per_lambda" in report:
+    if args.format == "csv":
         with open(out / "report_per_lambda.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lam", "x1", "weight", "used"])

@@ -138,7 +138,9 @@ def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m,
 class LocationFit1D:
     """Per-lambda and aggregate source-location estimates.
 
-    ``diagnostics`` holds ``{code, ...}`` records.
+    ``x1_per_lambda`` is NaN where ``used`` is false: at lambdas whose
+    transforms failed the guards or whose travel distance fell outside
+    the sensor bracket.  ``diagnostics`` holds ``{code, ...}`` records.
     """
 
     x1_hat: float
@@ -146,7 +148,6 @@ class LocationFit1D:
     x1_per_lambda: np.ndarray
     travel_per_lambda: np.ndarray
     weights: np.ndarray
-    in_range: np.ndarray
     used: np.ndarray
     branch: str
     travel_total: float
@@ -193,25 +194,18 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
     # range check needs a margin wider than the transform noise floor
     travel = 0.5 * travel_total - (amp_total + logr) / (2.0 * sq)
     margin = 1e-4 * travel_total
-    in_range = ok & (travel > margin) & (travel < travel_total - margin)
-    if not np.any(in_range):
+    used = ok & (travel > margin) & (travel < travel_total - margin)
+    if not np.any(used):
         raise ValueError("recovered travel distance out of range at every "
                          "lambda: the source is not bracketed by the sensors")
-
-    if coeffs.is_constant_diffusion:
-        # constant-diffusion shortcut: x1 = midpoint - correction
-        root_a2 = np.sqrt(coeffs.diffusion(0.5 * (b1 + b2)))
-        x1 = 0.5 * (b1 + b2) - root_a2 * (amp_total + logr) / (2.0 * sq)
-    else:
-        x1 = np.full_like(sq, np.nan)
-        x1[in_range] = invert_travel_distance(coeffs, b1, travel[in_range])
+    x1 = np.full_like(sq, np.nan)
+    x1[used] = invert_travel_distance(coeffs, b1, travel[used])
 
     rel_bound = (phi1.bounds / np.abs(np.where(phi1.values == 0, 1.0,
                                                phi1.values))
                  + phi2.bounds / np.abs(np.where(phi2.values == 0, 1.0,
                                                  phi2.values)))
     weights = 1.0 / (rel_bound + 1e-12)
-    used = in_range
     x1_hat = _weighted_median(x1[used], weights[used])
 
     offset = estimate_offset(phi1, phi2)
@@ -224,10 +218,9 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
                             "bound": 0.5 * travel_total})
     return LocationFit1D(
         x1_hat=x1_hat, lambdas=lam, x1_per_lambda=x1,
-        travel_per_lambda=travel, weights=weights, in_range=in_range,
-        used=used, branch=branch, travel_total=travel_total,
-        amp_total=amp_total, offset=offset, admissible=admissible,
-        diagnostics=tuple(diagnostics))
+        travel_per_lambda=travel, weights=weights, used=used, branch=branch,
+        travel_total=travel_total, amp_total=amp_total, offset=offset,
+        admissible=admissible, diagnostics=tuple(diagnostics))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,13 @@ sensor series jointly, each through its own arrival kernel.
 
 Also here: the geometric general-position check (no collinear triples /
 coplanar quadruples of sensors), the nearest-source visibility matrix
-with drift weighting and its determinant, sensor-count sufficiency for
-constant-intensity multi-source recovery, and evaluators for the two
-built-in non-uniqueness configurations used by the CLI.
+and its determinant, sensor-count sufficiency for constant-intensity
+multi-source recovery, and evaluators for the two built-in
+non-uniqueness configurations used by the CLI.  The visibility matrix
+is the one consumer of a scenario's constant drift velocity
+(``DriftFieldND``), which enters in closed form as
+exp(-(1/2) a . (x_i - b_j)); the location fit and the intensity
+deconvolution model no drift.
 """
 
 from __future__ import annotations
@@ -270,55 +274,41 @@ def recover_intensity_nd(records, alphas, n: int,
 # Identifiability diagnostics
 
 
-def drift_exponent(drift: DriftFieldND, b: np.ndarray, x: np.ndarray,
-                   order: int = 32) -> float:
-    """Line-integral drift weight -(1/2) int_0^1 a(b + t(x-b)) . (x-b) dt."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * (nodes + 1.0)
-    seg = x - b
-    vals = np.array([np.dot(drift.velocity(b + ti * seg), seg) for ti in t])
-    return float(-0.25 * np.dot(weights, vals))
-
-
 @dataclass(frozen=True, eq=False)
 class NearestSourceMatrix:
     """Visibility matrix of nearest sources with drift weighting.
 
-    Entry (j, i) is exp(drift_exponent(b_j, x_i)) when source i attains
-    sensor j's minimal distance, and 0 otherwise.  A vanishing determinant
-    signals that the leading asymptotics cannot separate the sources.
+    Entry (j, i) is exp(-(1/2) a . (x_i - b_j)) for a constant drift a
+    when source i attains sensor j's minimal distance, and 0 otherwise.
+    A vanishing determinant signals that the leading asymptotics cannot
+    separate the sources.
     """
 
     matrix: np.ndarray
     determinant: Union[float, None]
     near_singular: Union[bool, None]
-    phi: np.ndarray
 
 
 def nearest_source_matrix(sources, sensors, drift: Union[DriftFieldND, None]
                           ) -> NearestSourceMatrix:
     xs = np.atleast_2d(np.asarray(sources, dtype=float))
     bs = np.atleast_2d(np.asarray(sensors, dtype=float))
-    if drift is None:
-        drift = DriftFieldND.zero(xs.shape[1])
     table = sensor_source_distances(xs, bs)
-    s, r = bs.shape[0], xs.shape[0]
-    phi = np.zeros((s, r))
-    mat = np.zeros((s, r))
-    for j in range(s):
-        for i in range(r):
-            phi[j, i] = drift_exponent(drift, bs[j], xs[i])
-        for i in table.nearest[j]:
-            mat[j, i] = np.exp(phi[j, i])
-    if s == r:
-        det = float(np.linalg.det(mat))
-        row_norms = np.linalg.norm(mat, axis=1)
-        hadamard = float(np.prod(np.where(row_norms > 0.0, row_norms, 1.0)))
-        near_singular = bool(abs(det) <= 1e-10 * hadamard)
-        return NearestSourceMatrix(matrix=mat, determinant=det,
-                                   near_singular=near_singular, phi=phi)
-    return NearestSourceMatrix(matrix=mat, determinant=None,
-                               near_singular=None, phi=phi)
+    velocity = np.zeros(xs.shape[1]) if drift is None else drift.velocity
+    # the drift line integral from sensor j to source i, shape (s, r)
+    exponent = -0.5 * (xs[None] - bs[:, None]) @ velocity
+    mat = np.zeros_like(exponent)
+    for j, nearest in enumerate(table.nearest):
+        mat[j, nearest] = np.exp(exponent[j, nearest])
+    if mat.shape[0] != mat.shape[1]:
+        return NearestSourceMatrix(matrix=mat, determinant=None,
+                                   near_singular=None)
+    det = float(np.linalg.det(mat))
+    row_norms = np.linalg.norm(mat, axis=1)
+    hadamard = float(np.prod(np.where(row_norms > 0.0, row_norms, 1.0)))
+    near_singular = bool(abs(det) <= 1e-10 * hadamard)
+    return NearestSourceMatrix(matrix=mat, determinant=det,
+                               near_singular=near_singular)
 
 
 def sensor_count_sufficient(r: int, s: int, n: int) -> bool:
@@ -372,6 +362,17 @@ def _bisector_probes(x1: np.ndarray, x2: np.ndarray, count: int,
     return mid[None, :] + coef @ basis
 
 
+def _signed_field(n: int, sources: np.ndarray, signs: np.ndarray,
+                  probes: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """|sum_i sign_i G_n(|p - x_i|, lam)| for every probe p (rows) and
+    lambda (columns)."""
+    r = np.linalg.norm(probes[:, None, :] - sources[None, :, :], axis=2)
+    if np.any(r == 0.0):
+        raise ValueError("probe coincides with a source")
+    green = resolvent_green(n, r[:, None, :], lambdas[None, :, None])
+    return np.abs((signs * green).sum(axis=2))
+
+
 def nonuniqueness_discrepancy(case: int, a: float = 1.0, m_dist: float = 3.0,
                               lambdas=(1.0, 10.0, 100.0), n: int = 3,
                               probes=None, num_probes: int = 20
@@ -384,59 +385,42 @@ def nonuniqueness_discrepancy(case: int, a: float = 1.0, m_dist: float = 3.0,
     same-sign source pairs on the diagonals of a square of half-side a;
     their transforms coincide at the six axis probes at distance m_dist,
     so six sensors cannot separate the configurations while a generic
-    seventh probe can.
+    seventh probe can.  Each case is a set of signed sources whose
+    transform difference is tabulated at the probes; the reference is the
+    same difference at a point where nothing cancels.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if case == 1:
-        x1 = np.zeros(n)
-        x2 = np.zeros(n)
-        x1[0], x2[0] = a, -a
+        sources = np.zeros((2, n))
+        sources[:, 0] = a, -a
+        signs = np.array([1.0, -1.0])
+        x1, x2 = sources
         if probes is None:
             probes = _bisector_probes(x1, x2, num_probes, extent=m_dist)
         probes = np.atleast_2d(np.asarray(probes, dtype=float))
-
-        def field(p, lam):
-            r1 = np.linalg.norm(p - x1)
-            r2 = np.linalg.norm(p - x2)
-            if r1 == 0.0 or r2 == 0.0:
-                raise ValueError("probe coincides with a source")
-            return resolvent_green(n, r1, lam) - resolvent_green(n, r2, lam)
-
-        table = np.array([[abs(field(p, lam)) for lam in lambdas]
-                          for p in probes])
         # reference probe at the same distance from x1 as the first bisector
         # probe, but on the x1 side of the axis where nothing cancels
         axis = (x1 - x2) / np.linalg.norm(x1 - x2)
         ref_p = x1 + np.linalg.norm(probes[0] - x1) * axis
-        reference = float(max(abs(field(ref_p, lam)) for lam in lambdas))
     elif case == 2:
         if n != 3:
             raise ValueError("case 2 is a spatial (n=3) configuration")
-        pair_a = np.array([[a, a, 0.0], [-a, -a, 0.0]])
-        pair_b = np.array([[a, -a, 0.0], [-a, a, 0.0]])
+        # pair A (+) on one diagonal, pair B (-) on the other
+        sources = np.array([[a, a, 0.0], [-a, -a, 0.0],
+                            [a, -a, 0.0], [-a, a, 0.0]])
+        signs = np.array([1.0, 1.0, -1.0, -1.0])
         if probes is None:
             m = m_dist
             probes = np.array([[m, 0, 0], [-m, 0, 0], [0, m, 0],
                                [0, -m, 0], [0, 0, m], [0, 0, -m]],
                               dtype=float)
         probes = np.atleast_2d(np.asarray(probes, dtype=float))
-
-        def field(p, lam):
-            tot = 0.0
-            for src, sign in ((pair_a, 1.0), (pair_b, -1.0)):
-                for x in src:
-                    r = np.linalg.norm(p - x)
-                    if r == 0.0:
-                        raise ValueError("probe coincides with a source")
-                    tot += sign * resolvent_green(3, r, lam)
-            return tot
-
-        table = np.array([[abs(field(p, lam)) for lam in lambdas]
-                          for p in probes])
-        reference = float(max(abs(field(np.array([1.0, 2.0, 0.0]), lam))
-                              for lam in lambdas))
+        ref_p = np.array([1.0, 2.0, 0.0])
     else:
         raise ValueError("case must be 1 or 2")
+    table = _signed_field(n, sources, signs, probes, lambdas)
+    reference = float(_signed_field(n, sources, signs, ref_p[None],
+                                    lambdas).max())
     return DiscrepancyReport(case=case, probes=probes, lambdas=lambdas,
                              table=table,
                              max_discrepancy=float(table.max()),

@@ -30,6 +30,9 @@ array of ``num_steps + 1`` samples on the uniform time grid.  ``f0`` is a
 time-independent volumetric source sampled on the coefficient grid.
 ``field1d`` coefficients are always evaluated as cubic splines; a
 ``"degree"`` key, which older files carry, is accepted and ignored.
+``drift_nd`` is a constant drift velocity on a free-space domain.  Only
+``diagnose`` uses it, to weight the nearest-source visibility matrix;
+``simulate`` and ``identify`` model no drift and reject a nonzero one.
 
 Sensor series interchange is a CSV file with header ``t,psi_1,...,psi_s``
 and one row per time sample; floats are written with 17 significant digits
@@ -41,7 +44,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -216,20 +219,23 @@ class CoefficientField1D:
 
 @dataclass(frozen=True, eq=False)
 class DriftFieldND:
-    """Velocity field of -Delta u + (drift . grad u) + a0*u on R^n, n in {2, 3}."""
+    """Constant drift velocity a of -Delta u + a . grad u on R^n, n in {2, 3}.
 
-    n: int
-    velocity: Callable[[np.ndarray], np.ndarray]
-    constant: Union[np.ndarray, None] = None
+    Only ``diagnose`` reads it: the nearest-source visibility matrix
+    weights sensor j's view of source i by exp(-(1/2) a . (x_i - b_j)).
+    The free-space oracle and the 2D/3D locator model no drift, so
+    ``simulate`` and ``identify`` reject a nonzero one.
+    """
 
-    @classmethod
-    def from_constant(cls, vec) -> "DriftFieldND":
-        vec = np.asarray(vec, dtype=float)
-        return cls(n=vec.size, velocity=lambda x, v=vec: v, constant=vec)
+    velocity: np.ndarray
 
-    @classmethod
-    def zero(cls, n: int) -> "DriftFieldND":
-        return cls.from_constant(np.zeros(n))
+    def __post_init__(self):
+        object.__setattr__(self, "velocity",
+                           np.atleast_1d(np.asarray(self.velocity, dtype=float)))
+
+    @property
+    def n(self) -> int:
+        return self.velocity.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,8 +355,13 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append("domain.n: free-space dimension must be 1, 2, or 3")
         if dom.lambda0 < 0.0:
             out.append("domain.lambda0: reaction coefficient must be nonnegative")
-        if isinstance(s.coefficients, DriftFieldND) and s.coefficients.n != dom.n:
-            out.append("coefficients: drift dimension must match the domain")
+        if isinstance(s.coefficients, DriftFieldND):
+            if s.coefficients.n != dom.n:
+                out.append("coefficients: drift dimension must match the "
+                           "domain")
+            if not np.all(np.isfinite(s.coefficients.velocity)):
+                out.append("coefficients.constant: drift components must be "
+                           "finite")
         if isinstance(s.coefficients, CoefficientField1D):
             c = s.coefficients
             unit = (np.all(c.a2 == 1.0) and np.all(c.a1 == 0.0)
@@ -466,9 +477,7 @@ def scenario_to_dict(s: Scenario) -> dict:
                  "a2": co.a2.tolist(), "a1": co.a1.tolist(),
                  "a0": co.a0.tolist()}
     else:
-        if co.constant is None:
-            raise ValueError("only constant drift fields are JSON-serializable")
-        coeff = {"type": "drift_nd", "n": co.n, "constant": co.constant.tolist()}
+        coeff = {"type": "drift_nd", "n": co.n, "constant": co.velocity.tolist()}
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -509,7 +518,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             cd["a2"], cd.get("a1", 0.0), cd.get("a0", 0.0),
             interval=(cd["a"], cd["b"]))
     elif cd["type"] == "drift_nd":
-        coefficients = DriftFieldND.from_constant(cd["constant"])
+        coefficients = DriftFieldND(cd["constant"])
     else:
         raise ValueError(f"unknown coefficient type {cd['type']!r}")
 

@@ -7,14 +7,15 @@ from pointsource import cli, forward, identify1d, model
 
 
 def write_free_space_scenario(path, n=3, x1=(0.2, 0.1, -0.3), tau=1e-3,
-                              num_steps=8000, sigma=0.0, seed=0):
+                              num_steps=8000, sigma=0.0, seed=0,
+                              lambda0=0.0):
     sensors = {
         3: ([1.1, 0.2, 0.1], [-0.7, 0.9, -0.2], [0.3, -1.0, 0.5],
             [-0.2, -0.3, -1.2]),
         1: ([0.0], [1.0]),
     }[n]
     scen = model.Scenario(
-        domain=model.FreeSpace(n=n),
+        domain=model.FreeSpace(n=n, lambda0=lambda0),
         sources=(model.PointSource(location=list(x1)[:n] if n > 1 else [0.3],
                                    intensity=1.0),),
         sensors=tuple(sensors),
@@ -218,12 +219,14 @@ class TestIdentify:
         ("simulate", 3, ("--cells", "100")),
         ("identify", 3, ("--cells", "100")),
         ("identify", 1, ("--noise", "1e-3")),
+        ("identify", 3, ("--format", "csv")),
     ], ids=["simulate-cells-free-space", "identify-cells-free-space",
-            "identify-noise-1d"])
+            "identify-noise-1d", "identify-csv-3d"])
     def test_ineffective_flag_rejected(self, tmp_path, capsys, command, n,
                                        flags):
-        # free space runs no finite-difference solve, and the 1D pipeline
-        # reads no noise level: such a flag could only be ignored
+        # free space runs no finite-difference solve, the 1D pipeline
+        # reads no noise level, and only a 1D report has a per-lambda
+        # table: such a flag could only be ignored
         spath = tmp_path / "scen.json"
         write_free_space_scenario(spath, n=n, tau=1e-3, num_steps=2000)
         out = tmp_path / "out"
@@ -235,6 +238,44 @@ class TestIdentify:
                        *flags])
         assert rc == cli.EXIT_VALIDATION
         assert f"validation: {flags[0]}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "identify"])
+    def test_nonzero_drift_rejected(self, tmp_path, capsys, command):
+        # the free-space oracle and the locator model no drift: simulate
+        # would write the drift-free series, identify fit a drift-free model
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, tau=1e-3, num_steps=2000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        data = json.loads(spath.read_text())
+        data["coefficients"] = {"type": "drift_nd", "n": 3,
+                                "constant": [5.0, 0.0, 0.0]}
+        spath.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = cli.main([command, "--scenario", str(spath),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: coefficients" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_1d_reaction_rejected(self, tmp_path, capsys):
+        # the oracle damps the 1D series by exp(-lambda0 t), but neither the
+        # 1D locator nor its kernel models lambda0: identify would exit 0
+        # with x_error 4e-4 and q_rel_l2 0.65 at lambda0 = 0.5
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=1, tau=1e-3, num_steps=2000,
+                                  lambda0=0.5)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out),
+                       "--lambda-min", "100", "--lambda-max", "400"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: domain.lambda0" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("points", [0, 1, 2, 3])
@@ -669,6 +710,54 @@ class TestDiagnose:
         diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert abs(diag["nearest_source_matrix"]["det"]) == 1.0
         assert diag["nearest_source_matrix"]["near_singular"] is False
+
+    def test_drift_weights_visibility_determinant(self, tmp_path):
+        # each sensor sees its own nearest source, weighted by the drift
+        # line integral exp(-(1/2) a . (x_i - b_j))
+        a = np.array([1.0, 0.5])
+        xs = np.array([[0.0, 0.0], [3.0, 0.0]])
+        bs = np.array([[0.2, 0.4], [2.8, 0.3]])
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=2),
+            coefficients=model.DriftFieldND(a),
+            sources=tuple(model.PointSource(location=x) for x in xs),
+            sensors=tuple(bs),
+            grid=model.TimeGrid(tau=1e-2, num_steps=100),
+        )
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        assert json.loads(spath.read_text())["coefficients"] == {
+            "type": "drift_nd", "n": 2, "constant": [1.0, 0.5]}
+        rc = cli.main(["diagnose", "--scenario", str(spath),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        want = np.exp(-0.5 * a @ (xs[0] - bs[0])) \
+            * np.exp(-0.5 * a @ (xs[1] - bs[1]))
+        np.testing.assert_allclose(diag["nearest_source_matrix"]["det"],
+                                   want, rtol=1e-12)
+        assert diag["nearest_source_matrix"]["near_singular"] is False
+
+    def test_nonfinite_drift_rejected(self, tmp_path, capsys):
+        # a NaN drift used to reach the determinant, which diagnostics.json
+        # then carried as the invalid JSON token NaN
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=2),
+            sources=(model.PointSource(location=[0.0, 0.0]),
+                     model.PointSource(location=[3.0, 0.0])),
+            sensors=([0.2, 0.4], [2.8, 0.3]),
+            grid=model.TimeGrid(tau=1e-2, num_steps=100),
+        )
+        data = model.scenario_to_dict(scen)
+        data["coefficients"] = {"type": "drift_nd", "n": 2,
+                                "constant": [float("nan"), 0.0]}
+        spath = tmp_path / "scen.json"
+        spath.write_text(json.dumps(data))
+        rc = cli.main(["diagnose", "--scenario", str(spath),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: coefficients.constant" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "diagnostics.json").exists()
 
 
 class TestFlagsPerCommand:

@@ -377,11 +377,23 @@ class TestNearestSourceMatrix:
         assert nsm.near_singular
 
     def test_constant_drift_line_integral(self):
-        drift = model.DriftFieldND.from_constant([1.0, 0.0])
+        drift = model.DriftFieldND([1.0, 0.0])
         nsm = identifynd.nearest_source_matrix([[1.0, 0.0]], [[0.0, 0.0]],
                                                drift)
         np.testing.assert_allclose(nsm.matrix[0, 0], np.exp(-0.5),
                                    rtol=1e-12)
+
+    def test_constant_drift_tied_row(self):
+        # sensor 0 is equidistant from both sources, so its row holds two
+        # drift-weighted entries exp(-(1/2) a . (x_i - b_j))
+        drift = model.DriftFieldND([0.6, 0.2])
+        sources = [[0.0, 0.0], [2.0, 0.0]]
+        sensors = [[1.0, 0.5], [2.1, 0.1]]
+        nsm = identifynd.nearest_source_matrix(sources, sensors, drift)
+        want = np.exp([[0.35, -0.25], [-np.inf, 0.04]])
+        np.testing.assert_allclose(nsm.matrix, want, rtol=1e-12)
+        np.testing.assert_allclose(nsm.determinant, np.exp(0.39), rtol=1e-12)
+        assert not nsm.near_singular
 
     def test_rectangular_skips_determinant(self):
         nsm = identifynd.nearest_source_matrix(
