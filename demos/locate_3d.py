@@ -1,30 +1,27 @@
 """Localize a 3D point source seen by four sensors.
 
-The pipeline: Laplace transforms of each sensor series on a geometric
-lambda window, one weighted least-squares fit of the source location to
-the mean-removed log-transforms of all sensors (the unknown intensity
-transform cancels), then one joint deconvolution of all sensor series for
-the intensity, with each sensor's relative misfit as a consistency check.
+The pipeline takes the sensor data as one (samples, sensors) matrix:
+Laplace transforms of all its columns on a geometric lambda window, one
+weighted least-squares fit of the source location to the mean-removed
+log-transforms of all sensors (the unknown intensity transform cancels),
+then one joint deconvolution of all columns for the intensity, with each
+sensor's relative misfit as a consistency check.
 """
 
 import numpy as np
 
-from pointsource import PointSource, SensorRecord, TimeGrid, forward, \
-    identifynd
+from pointsource import PointSource, TimeGrid, forward, identifynd
 
 x_true = np.array([0.2, 0.1, -0.3])
-sensors = [np.array([1.1, 0.2, 0.1]), np.array([-0.7, 0.9, -0.2]),
-           np.array([0.3, -1.0, 0.5]), np.array([-0.2, -0.3, -1.2])]
+sensors = np.array([[1.1, 0.2, 0.1], [-0.7, 0.9, -0.2],
+                    [0.3, -1.0, 0.5], [-0.2, -0.3, -1.2]])
 
 grid = TimeGrid(tau=1e-3, num_steps=20000)          # 20 time units
 source = PointSource(location=x_true, intensity=1.0)
-records = [SensorRecord(location=b,
-                        samples=forward.free_space_response([source], b,
-                                                            grid, n=3),
-                        grid=grid)
-           for b in sensors]
+psi = np.column_stack([forward.free_space_response([source], b, grid, n=3)
+                       for b in sensors])
 
-recovery = identifynd.locate_source_nd(records, n=3,
+recovery = identifynd.locate_source_nd(psi, sensors, grid, n=3,
                                        lambdas=np.geomspace(6.0, 50.0, 13))
 
 print("transform parameters used:", np.round(recovery.lambdas, 3))
@@ -41,7 +38,7 @@ print(f"position error:     "
 print(f"weighted residual {recovery.residual_norm:.2e}, location std "
       f"{np.sqrt(np.diag(recovery.x1_cov))}")
 
-intensity = identifynd.recover_intensity_nd(records, recovery.alpha_hat,
+intensity = identifynd.recover_intensity_nd(psi, grid, recovery.alpha_hat,
                                             n=3)
 t = grid.times()
 win = t >= 2.0

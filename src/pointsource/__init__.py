@@ -22,7 +22,6 @@ from .forward import (
 )
 from .identify1d import (
     alternation_findings,
-    estimate_offset,
     invert_travel_distance,
     locate_source_1d,
     recover_intensity_1d,
@@ -49,7 +48,6 @@ from .model import (
     PointSource,
     Robin,
     Scenario,
-    SensorRecord,
     TimeGrid,
     load_scenario,
     save_scenario,

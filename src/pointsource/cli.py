@@ -41,7 +41,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 6
+REPORT_SCHEMA_VERSION = 7
 # finite-difference cells of the interval solves when --cells is not given
 DEFAULT_CELLS = 400
 # relative residual of one sensor in the joint intensity fit above which its
@@ -119,8 +119,7 @@ def _simulate_traces(scenario: model.Scenario, include_sources: bool,
                        sources=(), sensors=scenario.sensors,
                        grid=scenario.grid, f0=scenario.f0)
     return forward.crank_nicolson_1d(
-        run, num_cells=DEFAULT_CELLS if num_cells is None else num_cells
-    ).traces
+        run, num_cells=DEFAULT_CELLS if num_cells is None else num_cells)
 
 
 def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
@@ -271,10 +270,9 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
     # the bracket width is the natural gap scale; sensor-source gaps sit
     # within a factor 2 of it for any bracketed source
     lambdas, window = _lambda_window(args, scenario, delta_hint=b2 - b1)
-    phi1 = laplace.laplace_grid(psi_tilde[:, i1], scenario.grid, lambdas)
-    phi2 = laplace.laplace_grid(psi_tilde[:, i2], scenario.grid, lambdas)
-    fit = identify1d.locate_source_1d(phi1, phi2, coeffs, b1, b2,
-                                      branch=branch)
+    phi = laplace.laplace_grid(psi_tilde[:, [i1, i2]], scenario.grid,
+                               lambdas)
+    fit = identify1d.locate_source_1d(phi, coeffs, b1, b2, branch=branch)
     # deconvolve the sensor closer to the recovered source
     idx = i1 if abs(fit.x1_hat - b1) <= abs(fit.x1_hat - b2) else i2
     eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
@@ -286,13 +284,15 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
         "dimension": 1,
         "x1_hat": fit.x1_hat,
         "branch": fit.branch,
-        "offset_hat": fit.offset.offset,
-        "offset_residual": fit.offset.residual,
+        "offset_hat": fit.offset,
+        "offset_residual": fit.offset_residual,
         "admissible": fit.admissible,
         "travel_total": fit.travel_total,
+        # an unused lambda has no estimate: null, not NaN, keeps the
+        # report valid JSON
         "per_lambda": [
             {"lam": float(fit.lambdas[k]),
-             "x1": float(fit.x1_per_lambda[k]),
+             "x1": float(fit.x1_per_lambda[k]) if fit.used[k] else None,
              "weight": float(fit.weights[k]),
              "used": bool(fit.used[k])}
             for k in range(fit.lambdas.size)],
@@ -315,9 +315,6 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
 def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
     dom = scenario.domain
     n = dom.n
-    records = [model.SensorRecord(location=p, samples=psi_tilde[:, j],
-                                  grid=scenario.grid)
-               for j, p in enumerate(scenario.sensors)]
     # the fit uses the exact resolvent, so no source-sensor gap bounds the
     # window from below
     lambdas, window = _lambda_window(args, scenario, delta_hint=np.inf)
@@ -325,12 +322,13 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         noise = {"value": scenario.noise_sigma, "source": "scenario"}
     else:
         noise = {"value": args.noise, "source": "flag"}
-    rec = identifynd.locate_source_nd(records, n=n, lambdas=lambdas,
+    rec = identifynd.locate_source_nd(psi_tilde, scenario.sensor_points(),
+                                      scenario.grid, n=n, lambdas=lambdas,
                                       lambda0=getattr(dom, "lambda0", 0.0),
                                       noise_sigma=noise["value"])
     eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
     intensity = identifynd.recover_intensity_nd(
-        records, rec.alpha_hat, n=n, eps=eps,
+        psi_tilde, scenario.grid, rec.alpha_hat, n=n, eps=eps,
         lambda0=getattr(dom, "lambda0", 0.0))
     misfits = intensity.deconvolution.misfit
     diagnostics = list(rec.diagnostics)
@@ -345,7 +343,6 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         "x1_cov": rec.x1_cov.tolist(),
         "x1_std": np.sqrt(np.diag(rec.x1_cov)).tolist(),
         "alpha_hat": rec.alpha_hat.tolist(),
-        "general_position": rec.general_position,
         "lambda_window": list(window),
         "lambdas": rec.lambdas.tolist(),
         "residual_norm": rec.residual_norm,
@@ -411,7 +408,8 @@ def cmd_identify(args) -> int:
             w = csv.writer(fh)
             w.writerow(["lam", "x1", "weight", "used"])
             for row in report["per_lambda"]:
-                w.writerow([f"{row['lam']:.17g}", f"{row['x1']:.17g}",
+                x1 = "" if row["x1"] is None else f"{row['x1']:.17g}"
+                w.writerow([f"{row['lam']:.17g}", x1,
                             f"{row['weight']:.17g}", row["used"]])
     print(f"wrote {out / 'report.json'}")
     return EXIT_OK

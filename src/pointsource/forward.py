@@ -46,7 +46,6 @@ __all__ = [
     "duhamel_weights",
     "convolve_intensity",
     "free_space_response",
-    "Solution1D",
     "crank_nicolson_1d",
 ]
 
@@ -320,15 +319,6 @@ def free_space_response(sources, sensor, grid: TimeGrid, n: int,
 # Crank-Nicolson finite differences on a bounded interval
 
 
-@dataclass(frozen=True, eq=False)
-class Solution1D:
-    """Output of the 1D finite-difference solve."""
-
-    mesh: np.ndarray
-    traces: np.ndarray              # (num_samples, num_sensors)
-    field: Union[np.ndarray, None]  # (num_samples, num_nodes) when stored
-
-
 def _bc_series(bc, grid: TimeGrid) -> np.ndarray:
     g = bc.g
     if isinstance(g, np.ndarray):
@@ -338,8 +328,8 @@ def _bc_series(bc, grid: TimeGrid) -> np.ndarray:
     return np.full(grid.num_samples, float(g))
 
 
-def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
-                      store_field: bool = False) -> Solution1D:
+def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400
+                      ) -> np.ndarray:
     """Second-order FD in space, trapezoidal in time, for
     u_t = a2 u_xx - a1 u_x - a0 u + sum_i q_i(t) delta(x - x_i) + f0(x).
 
@@ -349,8 +339,11 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
     second order with ghost nodes.  The first two steps are split into
     backward-Euler half-steps to damp the non-smooth startup transient;
     this leaves the scheme second order in time.  All steps share the
-    matrix I - (tau/2) L, factored once.  ``store_field`` keeps every time
-    slice of the solution on the mesh.
+    matrix I - (tau/2) L, factored once.
+
+    Returns the sensor traces, shape (num_samples, s): column j is the
+    solution interpolated linearly between the mesh nodes bracketing
+    sensor j, so a sensor on a mesh node reads that node's value.
     """
     dom = scenario.domain
     if not isinstance(dom, Interval1D):
@@ -462,12 +455,9 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
         u[-1] = g_right[0]
 
     traces = np.zeros((grid.num_samples, sensors.size))
-    field = np.zeros((grid.num_samples, nmesh)) if store_field else None
 
     def record(k: int, u: np.ndarray) -> None:
         traces[k] = s_wl * u[s_m] + (1.0 - s_wl) * u[s_m + 1]
-        if field is not None:
-            field[k] = u
 
     record(0, u)
     n_damped = 2
@@ -485,4 +475,4 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400,
         record(k + 1, u)
         f_k = f_next
 
-    return Solution1D(mesh=x, traces=traces, field=field)
+    return traces

@@ -1,7 +1,9 @@
 """1D source identification from two sensor transforms.
 
-Location recovery uses the large-parameter behaviour of the transform
-ratio: for a single source between two sensors,
+The two sensor series are transformed in one ``laplace_grid`` call on
+their (N+1, 2) matrix, so both columns share the lambda grid by
+construction.  Location recovery uses the large-parameter behaviour of
+the transform ratio: for a single source between two sensors,
 
     log(Phi_1/Phi_2)(lam) = -sqrt(lam) * (travel(b1, x1) - travel(x1, b2))
                             - amp(b1, b2) + O(1/sqrt(lam)),
@@ -10,7 +12,9 @@ where travel integrates the slowness 1/sqrt(a2) and amp integrates the
 first-order amplitude density.  Solving for the travel distance from b1
 and inverting the (strictly monotone) travel integral yields the source
 coordinate; sensors sitting on a reflecting boundary see the image charge
-and acquire a factor 2 handled by the boundary branches.  Intensity
+and acquire a factor 2 handled by the boundary branches.  Scaled by
+1/(2 sqrt(lam)), the same log-ratio tends to the midpoint offset at
+large lambda, which the admissibility check reads.  Intensity
 recovery deconvolves the sensor series by the exact kernel of the
 forward model at the recovered location: on an interval, the
 Crank-Nicolson response to a unit source there; in free space, the
@@ -31,8 +35,6 @@ from .laplace import DeconvolutionResult, LaplaceSamples, volterra_deconvolve
 from .model import CoefficientField1D, FreeSpace, PointSource, Scenario
 
 __all__ = [
-    "OffsetFit",
-    "estimate_offset",
     "LocationFit1D",
     "locate_source_1d",
     "invert_travel_distance",
@@ -42,10 +44,9 @@ __all__ = [
 ]
 
 
-def _log_ratio(phi1: LaplaceSamples, phi2: LaplaceSamples
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shared lambdas, the mask of trustworthy ones and
-    log(Phi_1/Phi_2) on that mask (NaN elsewhere).
+def _log_ratio(phi: LaplaceSamples) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of trustworthy lambdas and log(Phi_1/Phi_2) on that mask
+    (NaN elsewhere), from the two columns of ``phi``.
 
     Points where either value sits below its own truncation bound are
     treated as (near-)zeros and skipped; the two series vanish together
@@ -53,53 +54,18 @@ def _log_ratio(phi1: LaplaceSamples, phi2: LaplaceSamples
     gives a positive ratio at every kept point, so any other sign rejects
     the data.
     """
-    lam = phi1.lambdas
-    if lam.shape != phi2.lambdas.shape or \
-            not np.allclose(lam, phi2.lambdas, rtol=1e-12):
-        raise ValueError("sensor transforms must share the lambda grid")
-    ok = phi1.truncation_ok() & phi2.truncation_ok()
-    ok &= (phi1.values != 0.0) & (phi2.values != 0.0)
+    ok = np.all(phi.truncation_ok() & (phi.values != 0.0), axis=1)
     if np.count_nonzero(ok) < 3:
         raise ValueError("need at least 3 trustworthy lambda points")
-    ratio = phi1.values[ok] / phi2.values[ok]
+    ratio = phi.values[ok, 0] / phi.values[ok, 1]
     if (ratio > 0.0).any() and (ratio < 0.0).any():
         raise ValueError("transform ratio changes sign across the window; "
                          "sensor data inconsistent with a single source")
     if not (ratio > 0.0).all():
         raise ValueError("transform ratio is nonpositive across the window")
-    logr = np.full(lam.shape, np.nan)
+    logr = np.full(phi.lambdas.shape, np.nan)
     logr[ok] = np.log(ratio)
-    return lam, ok, logr
-
-
-@dataclass(frozen=True, eq=False)
-class OffsetFit:
-    """Large-lambda limit of log(Phi_1/Phi_2)/(2 sqrt(lam)).
-
-    The limit measures how far the source travel-coordinate sits from the
-    sensor midpoint; |offset| < travel(b1, b2)/2 must hold for a source
-    bracketed by the sensors (the admissibility check).
-    """
-
-    offset: float
-    slope: float
-    residual: float
-    lambdas: np.ndarray
-    samples: np.ndarray
-
-
-def estimate_offset(phi1: LaplaceSamples, phi2: LaplaceSamples) -> OffsetFit:
-    """Fit a_k = offset + slope/sqrt(lam_k) to the scaled log-ratio."""
-    lam, ok, logr = _log_ratio(phi1, phi2)
-    lam_ok = lam[ok]
-    a = logr[ok] / (2.0 * np.sqrt(lam_ok))
-    x = 1.0 / np.sqrt(lam_ok)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, res, *_ = np.linalg.lstsq(design, a, rcond=None)
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((a - fitted) ** 2)))
-    return OffsetFit(offset=float(coef[0]), slope=float(coef[1]),
-                     residual=residual, lambdas=lam_ok, samples=a)
+    return ok, logr
 
 
 def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m,
@@ -140,7 +106,10 @@ class LocationFit1D:
 
     ``x1_per_lambda`` is NaN where ``used`` is false: at lambdas whose
     transforms failed the guards or whose travel distance fell outside
-    the sensor bracket.  ``diagnostics`` holds ``{code, ...}`` records.
+    the sensor bracket.  ``offset`` is the large-lambda limit of
+    log(Phi_1/Phi_2)/(2 sqrt(lam)): how far the source travel-coordinate
+    sits from the sensor midpoint, with ``offset_residual`` the rms
+    residual of its fit.  ``diagnostics`` holds ``{code, ...}`` records.
     """
 
     x1_hat: float
@@ -152,7 +121,8 @@ class LocationFit1D:
     branch: str
     travel_total: float
     amp_total: float
-    offset: OffsetFit
+    offset: float
+    offset_residual: float
     admissible: bool
     diagnostics: tuple
 
@@ -165,23 +135,39 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[np.searchsorted(c, 0.5 * c[-1])])
 
 
-def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
-                     coeffs: CoefficientField1D, b1: float, b2: float,
+def locate_source_1d(phi: LaplaceSamples, coeffs: CoefficientField1D,
+                     b1: float, b2: float,
                      branch: str = "interior") -> LocationFit1D:
     """Recover the source coordinate between sensors b1 < b2.
 
-    branch selects the sensor placement: "interior" for two interior
-    sensors, "left_boundary" when b1 sits on a reflecting (derivative)
-    boundary, "right_boundary" when b2 does.  Each lambda yields one
-    travel-distance estimate; the aggregate is the bound-weighted median
-    over the window (the largest lambdas are the most asymptotic but the
-    most error-amplified, so no single point is trusted).
+    ``phi`` holds the transforms of both sensor series from one
+    ``laplace_grid`` call, shape (K, 2): column 0 is the sensor at b1,
+    column 1 the sensor at b2.  branch selects the sensor placement:
+    "interior" for two interior sensors, "left_boundary" when b1 sits on
+    a reflecting (derivative) boundary, "right_boundary" when b2 does.
+    Each lambda yields one travel-distance estimate; the aggregate is the
+    bound-weighted median over the window (the largest lambdas are the
+    most asymptotic but the most error-amplified, so no single point is
+    trusted).  The midpoint offset is fitted to the same log-ratio over
+    all trustworthy lambdas; a source bracketed by the sensors has
+    |offset| < travel(b1, b2)/2 (the admissibility check).
     """
     if not b1 < b2:
         raise ValueError("sensors must satisfy b1 < b2")
     if branch not in ("interior", "left_boundary", "right_boundary"):
         raise ValueError(f"unknown branch {branch!r}")
-    lam, ok, logr = _log_ratio(phi1, phi2)
+    if phi.values.shape != phi.lambdas.shape + (2,):
+        raise ValueError("need the transforms of two sensor series")
+    lam = phi.lambdas
+    ok, logr = _log_ratio(phi)
+    # the offset: a_k = offset + slope/sqrt(lam_k) fitted to the scaled
+    # log-ratio a_k = logr_k/(2 sqrt(lam_k)) at the trustworthy lambdas
+    a = logr[ok] / (2.0 * np.sqrt(lam[ok]))
+    x = 1.0 / np.sqrt(lam[ok])
+    design = np.column_stack([np.ones_like(x), x])
+    coef = np.linalg.lstsq(design, a, rcond=None)[0]
+    offset = float(coef[0])
+    offset_residual = float(np.sqrt(np.mean((a - design @ coef) ** 2)))
     travel_total, amp_total = travel_integrals(coeffs, b1, b2)
     sq = np.sqrt(lam)
     if branch == "left_boundary":
@@ -201,26 +187,22 @@ def locate_source_1d(phi1: LaplaceSamples, phi2: LaplaceSamples,
     x1 = np.full_like(sq, np.nan)
     x1[used] = invert_travel_distance(coeffs, b1, travel[used])
 
-    rel_bound = (phi1.bounds / np.abs(np.where(phi1.values == 0, 1.0,
-                                               phi1.values))
-                 + phi2.bounds / np.abs(np.where(phi2.values == 0, 1.0,
-                                                 phi2.values)))
-    weights = 1.0 / (rel_bound + 1e-12)
+    rel = phi.bounds / np.abs(np.where(phi.values == 0, 1.0, phi.values))
+    weights = 1.0 / (rel[:, 0] + rel[:, 1] + 1e-12)
     x1_hat = _weighted_median(x1[used], weights[used])
 
-    offset = estimate_offset(phi1, phi2)
-    # a source bracketed by the sensors has |offset| < travel(b1, b2)/2
-    admissible = abs(offset.offset) < 0.5 * travel_total
+    admissible = abs(offset) < 0.5 * travel_total
     diagnostics = []
     if not admissible:
         diagnostics.append({"code": "offset_inadmissible",
-                            "offset": offset.offset,
+                            "offset": offset,
                             "bound": 0.5 * travel_total})
     return LocationFit1D(
         x1_hat=x1_hat, lambdas=lam, x1_per_lambda=x1,
         travel_per_lambda=travel, weights=weights, used=used, branch=branch,
         travel_total=travel_total, amp_total=amp_total, offset=offset,
-        admissible=admissible, diagnostics=tuple(diagnostics))
+        offset_residual=offset_residual, admissible=admissible,
+        diagnostics=tuple(diagnostics))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +245,7 @@ def recover_intensity_1d(psi_tilde: np.ndarray, scenario: Scenario,
             coefficients=scenario.coefficients,
             sources=(PointSource(location=[x1_hat], intensity=1.0),),
             sensors=([b],), grid=grid)
-        trace = crank_nicolson_1d(unit, num_cells=num_cells).traces[:, 0]
+        trace = crank_nicolson_1d(unit, num_cells=num_cells)[:, 0]
         masses = np.diff(trace)
         kernel = {"source": "crank_nicolson", "cells": num_cells}
     dec = volterra_deconvolve(psi_tilde, masses, grid, eps=eps, sigma=sigma)

@@ -1,13 +1,16 @@
 """Multidimensional (n = 2, 3) single-source localization and diagnostics.
 
-For one source the sensor transforms factorize exactly into the intensity
-transform times the free-space resolvent Green function of the
-source-sensor distance.  ``locate_source_nd`` removes the intensity factor
-by taking the per-lambda sensor mean out of the log-transforms and fits
-the location to all sensors and all trustworthy lambdas in one weighted
-least-squares problem; the Jacobian at the solution gives the location
-covariance.  ``recover_intensity_nd`` then fits one intensity to all
-sensor series jointly, each through its own arrival kernel.
+Both identify steps take the sensor data as one (N+1, s) matrix, column
+j measured at sensor point j.  For one source the sensor transforms
+factorize exactly into the intensity transform times the free-space
+resolvent Green function of the source-sensor distance.
+``locate_source_nd`` transforms all columns in one call, removes the
+intensity factor by taking the per-lambda sensor mean out of the
+log-transforms and fits the location to all sensors and all trustworthy
+lambdas in one weighted least-squares problem; the Jacobian at the
+solution gives the location covariance.  ``recover_intensity_nd`` then
+fits one intensity to all columns jointly, each through its own arrival
+kernel.
 
 Also here: the geometric general-position check (no collinear triples /
 coplanar quadruples of sensors), the nearest-source visibility matrix
@@ -31,7 +34,7 @@ from scipy import optimize, special
 
 from .forward import duhamel_masses, resolvent_green
 from .laplace import DeconvolutionResult, laplace_grid, volterra_deconvolve
-from .model import DriftFieldND, sensor_source_distances
+from .model import DriftFieldND, TimeGrid, sensor_source_distances
 
 __all__ = [
     "in_general_position",
@@ -97,7 +100,6 @@ class RecoveryND:
     x1_cov: np.ndarray
     lambdas: np.ndarray
     residual_norm: float
-    general_position: bool
     diagnostics: tuple
 
 
@@ -137,12 +139,16 @@ def _asymptotic_start(sensors: np.ndarray, mu: np.ndarray,
                            b2[1:] - b2[0] - (r2[1:] - r2[0]), rcond=None)[0]
 
 
-def locate_source_nd(records, n: int, lambdas, lambda0: float = 0.0,
+def locate_source_nd(psi: np.ndarray, sensors, grid: TimeGrid, n: int,
+                     lambdas, lambda0: float = 0.0,
                      noise_sigma: float = 0.0) -> RecoveryND:
     """Weighted least-squares fit of the source location to all transforms.
 
-    ``records`` are background-subtracted SensorRecord objects and
-    ``lambdas`` is the increasing grid of transform parameters.
+    ``psi`` holds the background-subtracted series of the s sensors, shape
+    (N+1, s) on ``grid``; row j of ``sensors`` (shape (s, n)) is where
+    column j was measured.  ``lambdas`` is the increasing grid of
+    transform parameters; all s series are transformed in one
+    ``laplace_grid`` call.
 
     For one source the transform factorizes exactly,
     Phi_j(lam) = Q(lam) * G_n(|x - b_j|, sqrt(lam + lambda0)) with
@@ -159,25 +165,27 @@ def locate_source_nd(records, n: int, lambdas, lambda0: float = 0.0,
     clear the noise floor by NOISE_HEADROOM, are dropped and reported; if
     fewer than MIN_LAMBDAS remain, the call fails with that diagnosis.
     """
-    records = list(records)
     if n not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    s = len(records)
+    sensors = np.atleast_2d(np.asarray(sensors, dtype=float))
+    s = sensors.shape[0]
     if s < n + 1:
         raise ValueError(f"need at least {n + 1} sensors, got {s}")
-    sensors = np.array([r.location for r in records], dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (grid.num_samples, s):
+        raise ValueError("need one series column per sensor on the time grid")
     ok, witness = in_general_position(sensors, n)
     if not ok:
         raise ValueError(f"sensors fail general position; witness indices "
                          f"{witness}")
     lambdas = np.asarray(lambdas, dtype=float)
-    grid = records[0].grid
-    phis = [laplace_grid(r.samples, grid, lambdas) for r in records]
-    values = np.array([p.values for p in phis])
+    phi = laplace_grid(psi, grid, lambdas)
+    # one row per sensor from here on
+    values = np.ascontiguousarray(phi.values.T)
     noise = noise_sigma * np.sqrt(grid.tau / (2.0 * lambdas))
-    err = np.array([p.bounds for p in phis]) + noise
+    err = phi.bounds.T + noise
     guards = {
-        "truncation": np.all([p.truncation_ok() for p in phis], axis=0),
+        "truncation": np.all(phi.truncation_ok(), axis=1),
         "noise_floor": np.all(values > NOISE_HEADROOM * noise, axis=0),
     }
     keep = np.ones(lambdas.size, dtype=bool)
@@ -223,7 +231,7 @@ def locate_source_nd(records, n: int, lambdas, lambda0: float = 0.0,
     return RecoveryND(
         x1_hat=fit.x, alpha_hat=np.linalg.norm(sensors - fit.x, axis=1),
         x1_cov=np.linalg.inv(fit.jac.T @ fit.jac), lambdas=lambdas,
-        residual_norm=float(np.linalg.norm(fit.fun)), general_position=True,
+        residual_norm=float(np.linalg.norm(fit.fun)),
         diagnostics=tuple(diagnostics))
 
 
@@ -236,29 +244,29 @@ class IntensityFitND:
     deconvolution: DeconvolutionResult
 
 
-def recover_intensity_nd(records, alphas, n: int,
+def recover_intensity_nd(psi: np.ndarray, grid: TimeGrid, alphas, n: int,
                          eps: Union[float, str] = 0.0,
                          lambda0: float = 0.0,
                          sigma: Union[float, None] = None) -> IntensityFitND:
     """Deconvolve all sensor series jointly by their arrival kernels.
 
-    Every sensor sees the same intensity through its own free-space
-    kernel, so one q is fitted to the s stacked convolution systems
+    ``psi`` holds the background-subtracted series, shape (N+1, s) on
+    ``grid``, and ``alphas`` the s source-sensor distances.  Every sensor
+    sees the same intensity through its own free-space kernel, so one q
+    is fitted to the s stacked convolution systems
     (``volterra_deconvolve`` with one column per sensor): one Gram
     sum_j A_j^T A_j, one eps search whose eps="auto" target is
     sigma*sqrt(s*N), and one factorization per trial eps.  Cross-sensor
     consistency is reported as each sensor's relative residual, the
     deconvolution's ``misfit``.
     """
-    records = list(records)
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0.0):
         raise ValueError("distances must be positive")
-    if len(records) != alphas.size:
-        raise ValueError("one distance per sensor record is required")
-    grid = records[0].grid
-    psi = np.column_stack([np.asarray(r.samples, dtype=float)
-                           for r in records])
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (grid.num_samples, alphas.size):
+        raise ValueError("need one series column per distance on the time "
+                         "grid")
     if lambda0 != 0.0:
         psi = psi * np.exp(lambda0 * grid.times())[:, None]
     masses = np.column_stack([duhamel_masses(n, float(a), grid)

@@ -1,8 +1,10 @@
 """Truncated Laplace transforms of sampled series and Volterra deconvolution.
 
-The transforms carry explicit error bookkeeping: a truncation bound for the
-lost tail beyond the measurement horizon and a discretization bound for the
-trapezoidal rule.  Identification code uses the bounds to decide which
+``laplace_grid`` transforms one series or a whole (N+1, s) sensor matrix
+in one call, column j giving column j of every transform array.  The
+transforms carry explicit error bookkeeping: a truncation bound for the
+lost tail beyond the measurement horizon and a discretization bound for
+the trapezoidal rule.  Identification code uses the bounds to decide which
 transform parameters are trustworthy, since large parameters shrink the
 transform values toward the noise floor.
 
@@ -54,13 +56,13 @@ RIDGE_FLOOR = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class LaplaceSamples:
-    """Transform values of one sensor series on an increasing lambda grid."""
+    """Transform values on an increasing lambda grid: shape (K,) for one
+    series, (K, s) for s sensor series (column j is sensor j)."""
 
     lambdas: np.ndarray
     values: np.ndarray
     truncation: np.ndarray
     discretization: np.ndarray
-    horizon: float
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -76,7 +78,7 @@ class LaplaceSamples:
         return self.truncation + self.discretization
 
     def truncation_ok(self) -> np.ndarray:
-        """Mask of lambdas whose truncation bound stays below
+        """Mask of values whose truncation bound stays below
         TRUNCATION_GUARD*|value|."""
         return self.truncation <= TRUNCATION_GUARD * np.abs(self.values)
 
@@ -86,6 +88,12 @@ def laplace_grid(samples: np.ndarray, grid: TimeGrid, lambdas
     """Trapezoidal approximations of int_0^T exp(-lam*t) * psi(t) dt for
     every lam of the grid, with per-point error bounds.
 
+    ``samples`` is one series, shape (N+1,), or s sensor series, shape
+    (N+1, s); the transform arrays then have shape (K,) or (K, s).
+    exp(-lam*t) is evaluated once per lam for all series, and each
+    series is integrated on its own, so a column of the matrix transform
+    equals the transform of that column alone.
+
     The truncation bound |psi(T)| exp(-lam*T)/lam estimates the discarded
     tail assuming the series has levelled off; the discretization bound
     combines the interior curvature proxy (tau*lam)^2/12 * int |f| with
@@ -93,23 +101,35 @@ def laplace_grid(samples: np.ndarray, grid: TimeGrid, lambdas
     """
     lambdas = np.asarray(lambdas, dtype=float)
     samples = np.asarray(samples, dtype=float)
-    if samples.size != grid.num_samples:
+    if samples.ndim not in (1, 2) or samples.shape[0] != grid.num_samples:
         raise ValueError("series length must match the time grid")
     if np.any(lambdas <= 0.0):
         raise ValueError("transform parameter lam must be positive")
     tau = grid.tau
-    tail = np.exp(-lambdas * grid.horizon)
-    f = np.exp(-lambdas[:, None] * grid.times()) * samples
-    i_abs = np.trapezoid(np.abs(f), dx=tau, axis=1)
-    fp0 = np.abs((samples[1] - samples[0]) / tau - lambdas * samples[0])
-    fpT = np.abs((samples[-1] - samples[-2]) / tau - lambdas * samples[-1]) \
-        * tail
+    t = grid.times()
+    # one contiguous row per series; integrating one row at a time keeps
+    # each product in cache and sums it as the single-series call does
+    rows = np.ascontiguousarray(np.atleast_2d(samples.T))
+    values = np.empty((lambdas.size, rows.shape[0]))
+    i_abs = np.empty_like(values)
+    for k, lam in enumerate(lambdas):
+        decay = np.exp(-lam * t)
+        for j, row in enumerate(rows):
+            f = row * decay
+            values[k, j] = np.trapezoid(f, dx=tau)
+            i_abs[k, j] = np.trapezoid(np.abs(f), dx=tau)
+    lam = lambdas[:, None]
+    tail = np.exp(-lam * grid.horizon)
+    first, last = rows[:, 0], rows[:, -1]
+    fp0 = np.abs((rows[:, 1] - first) / tau - lam * first)
+    fpT = np.abs((last - rows[:, -2]) / tau - lam * last) * tail
+    shape = (lambdas.size,) + samples.shape[1:]
     return LaplaceSamples(
         lambdas=lambdas,
-        values=np.trapezoid(f, dx=tau, axis=1),
-        truncation=np.abs(samples[-1]) * tail / lambdas,
-        discretization=tau ** 2 / 12.0 * (lambdas ** 2 * i_abs + fp0 + fpT),
-        horizon=grid.horizon,
+        values=values.reshape(shape),
+        truncation=(np.abs(last) * tail / lam).reshape(shape),
+        discretization=(tau ** 2 / 12.0 * (lam ** 2 * i_abs + fp0 + fpT)
+                        ).reshape(shape),
     )
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "CoefficientField1D",
     "DriftFieldND",
     "PointSource",
-    "SensorRecord",
     "Scenario",
     "DistanceTable",
     "validate_scenario",
@@ -195,11 +194,6 @@ class CoefficientField1D:
     def ellipticity_bounds(self) -> tuple[float, float]:
         return float(self.a2.min()), float(self.a2.max())
 
-    @property
-    def is_constant_diffusion(self) -> bool:
-        lo, hi = self.ellipticity_bounds
-        return hi - lo <= 1e-13 * max(abs(hi), 1.0)
-
     def diffusion(self, x):
         return self._s2(x)
 
@@ -256,22 +250,6 @@ class PointSource:
         if isinstance(self.intensity, np.ndarray):
             return self.intensity
         return np.full(grid.num_samples, float(self.intensity))
-
-
-@dataclass(frozen=True, eq=False)
-class SensorRecord:
-    """A sensor location with its uniformly sampled measurement series."""
-
-    location: np.ndarray
-    samples: np.ndarray
-    grid: TimeGrid
-
-    def __post_init__(self):
-        object.__setattr__(self, "location",
-                           np.atleast_1d(np.asarray(self.location, dtype=float)))
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.samples.size != self.grid.num_samples:
-            raise ValueError("sensor series length must match the time grid")
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,17 +48,17 @@ def oracle_1d():
     grid = model.TimeGrid(tau=1e-3, num_steps=10000)
     src = model.PointSource(location=[0.3], intensity=1.0)
     lams = np.geomspace(100.0, 400.0, 13)
-    phis = [laplace.laplace_grid(
-        forward.free_space_response([src], [b], grid, n=1), grid, lams)
-        for b in (0.0, 1.0)]
+    phi = laplace.laplace_grid(np.column_stack([
+        forward.free_space_response([src], [b], grid, n=1)
+        for b in (0.0, 1.0)]), grid, lams)
     coeffs = model.CoefficientField1D.constant(1.0, 0.0, 0.0,
                                                interval=(0.0, 1.0))
-    return grid, coeffs, phis
+    return grid, coeffs, phi
 
 
 def test_c2_1d_location(oracle_1d):
-    _, coeffs, (p1, p2) = oracle_1d
-    fit = identify1d.locate_source_1d(p1, p2, coeffs, 0.0, 1.0)
+    _, coeffs, phi = oracle_1d
+    fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
     err = abs(fit.x1_hat - 0.3)
     ok_agg = err <= 1e-2
     per = np.abs(fit.x1_per_lambda[fit.used] - 0.3)
@@ -73,8 +73,8 @@ def test_c2_1d_location(oracle_1d):
 
 
 def test_c3_offset_consistency(oracle_1d):
-    _, coeffs, (p1, p2) = oracle_1d
-    fit = identify1d.estimate_offset(p1, p2)
+    _, coeffs, phi = oracle_1d
+    fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
     travel, _ = forward.travel_integrals(coeffs, 0.0, 1.0)
     ok = abs(fit.offset - 0.2) <= 5e-3 and abs(fit.offset) < 0.5 * travel
     check("C3", "offset limit 0.2 within 5e-3 and admissible",
@@ -87,10 +87,9 @@ def test_c4_3d_localization():
                np.array([0.3, -1.0, 0.5]), np.array([-0.2, -0.3, -1.2])]
     grid = model.TimeGrid(tau=1e-3, num_steps=20000)
     src = model.PointSource(location=x1, intensity=1.0)
-    records = [model.SensorRecord(
-        location=b, samples=forward.free_space_response([src], b, grid, n=3),
-        grid=grid) for b in sensors]
-    rec = identifynd.locate_source_nd(records, n=3,
+    psi = np.column_stack([forward.free_space_response([src], b, grid, n=3)
+                           for b in sensors])
+    rec = identifynd.locate_source_nd(psi, sensors, grid, n=3,
                                       lambdas=np.geomspace(6.0, 50.0, 13))
     pos_err = float(np.linalg.norm(rec.x1_hat - x1))
     alpha_true = np.array([np.linalg.norm(x1 - b) for b in sensors])
@@ -106,10 +105,9 @@ def test_c5_2d_localization():
                np.array([-0.2, -1.1])]
     grid = model.TimeGrid(tau=1e-3, num_steps=20000)
     src = model.PointSource(location=x1, intensity=1.0)
-    records = [model.SensorRecord(
-        location=b, samples=forward.free_space_response([src], b, grid, n=2),
-        grid=grid) for b in sensors]
-    rec = identifynd.locate_source_nd(records, n=2,
+    psi = np.column_stack([forward.free_space_response([src], b, grid, n=2)
+                           for b in sensors])
+    rec = identifynd.locate_source_nd(psi, sensors, grid, n=2,
                                       lambdas=np.geomspace(6.0, 50.0, 13))
     pos_err = float(np.linalg.norm(rec.x1_hat - x1))
     check("C5", "2D localization <= 5e-2", pos_err <= 5e-2,
@@ -126,19 +124,16 @@ def test_c6_intensity_round_trip():
     sensor = np.array([alpha, 0.0, 0.0])
     src = model.PointSource(location=x1, intensity=q)
     psi = forward.free_space_response([src], sensor, grid, n=3)
-    rec = model.SensorRecord(location=sensor, samples=psi, grid=grid)
-
-    clean = identifynd.recover_intensity_nd([rec], [alpha], n=3, eps=0.0)
+    clean = identifynd.recover_intensity_nd(psi[:, None], grid, [alpha], n=3,
+                                            eps=0.0)
     rel_clean = np.linalg.norm(clean.q[win] - q[win]) \
         / np.linalg.norm(q[win])
 
     rng = np.random.default_rng(17)
     sigma = 0.01 * np.abs(psi).max()
-    noisy_rec = model.SensorRecord(
-        location=sensor, samples=psi + sigma * rng.standard_normal(psi.shape),
-        grid=grid)
-    noisy = identifynd.recover_intensity_nd([noisy_rec], [alpha], n=3,
-                                            eps="auto", sigma=sigma)
+    noisy_psi = psi + sigma * rng.standard_normal(psi.shape)
+    noisy = identifynd.recover_intensity_nd(noisy_psi[:, None], grid, [alpha],
+                                            n=3, eps="auto", sigma=sigma)
     rel_noisy = np.linalg.norm(noisy.q[win] - q[win]) \
         / np.linalg.norm(q[win])
     check("C6", "intensity 1+sin(t): noiseless <= 5%, 1% noise with "
@@ -179,9 +174,9 @@ def test_c9_fd_vs_oracle():
         sensors=([0.5],),
         grid=grid,
     )
-    sol = forward.crank_nicolson_1d(scen, num_cells=8000, store_field=False)
+    traces = forward.crank_nicolson_1d(scen, num_cells=8000)
     oracle = forward.free_space_response(scen.sources, [0.5], grid, n=1)
-    sup = float(np.abs(sol.traces[:, 0] - oracle).max()
+    sup = float(np.abs(traces[:, 0] - oracle).max()
                 / np.abs(oracle).max())
     check("C9", "Crank-Nicolson trace matches the free-space oracle "
           "within 1% sup-norm at h=1/400, tau=1e-3", sup <= 0.01,

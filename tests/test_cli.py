@@ -165,7 +165,7 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 6
+        assert report["schema_version"] == 7
         # one joint solve for all sensors; eps=0 factors it once
         rec = report["intensity"]
         assert rec["eps"] == 0.0
@@ -590,8 +590,7 @@ class TestIdentify:
         tr = {}
         for key, scen in (("full", with_everything),
                           ("bg", background_only), ("src", sources_only)):
-            tr[key] = forward.crank_nicolson_1d(
-                scen, num_cells=400, store_field=False).traces
+            tr[key] = forward.crank_nicolson_1d(scen, num_cells=400)
         np.testing.assert_allclose(tr["full"] - tr["bg"], tr["src"],
                                    atol=1e-10)
 
@@ -826,6 +825,34 @@ class TestCsvReportFormat:
         table = (out / "report_per_lambda.csv").read_text().splitlines()
         assert table[0] == "lam,x1,weight,used"
         assert len(table) >= 13
+
+
+    def test_unused_lambdas_written_as_null(self, tmp_path):
+        # a window reaching far past the sampling rate leaves lambdas
+        # without an estimate; the report stays strict JSON and the table
+        # leaves their x1 cell empty
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=1, tau=1e-3, num_steps=4000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--format", "csv",
+                         "--lambda-min", "0.01",
+                         "--lambda-max", "2000"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        rows = report["per_lambda"]
+        assert any(not row["used"] for row in rows)
+        assert all((row["x1"] is None) == (not row["used"]) for row in rows)
+        table = (out / "report_per_lambda.csv").read_text().splitlines()
+        cells = [line.split(",") for line in table[1:]]
+        assert [c[1] == "" for c in cells] == [not row["used"]
+                                               for row in rows]
 
 
 class TestReportDeterminism:

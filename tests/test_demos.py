@@ -21,3 +21,14 @@ def test_demo_exits_cleanly(demo, tmp_path):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs():
+    # the README's library example runs as written and finds the source
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(code, "README.md quickstart", "exec"), scope)
+    err = scope["recovery"].x1_hat - scope["x_true"]
+    assert float(err @ err) <= 1e-12

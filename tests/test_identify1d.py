@@ -7,13 +7,20 @@ from pointsource import forward, identify1d, laplace, model
 
 def oracle_transforms(x1, sensors, lams, tau=1e-3, num_steps=10000,
                       intensity=1.0):
+    """The grid and the transform of the sensor matrix, one column per
+    sensor."""
     grid = model.TimeGrid(tau=tau, num_steps=num_steps)
     src = model.PointSource(location=[x1], intensity=intensity)
-    out = []
-    for b in sensors:
-        psi = forward.free_space_response([src], [b], grid, n=1)
-        out.append(laplace.laplace_grid(psi, grid, lams))
-    return grid, out
+    psi = np.column_stack([forward.free_space_response([src], [b], grid, n=1)
+                           for b in sensors])
+    return grid, laplace.laplace_grid(psi, grid, lams)
+
+
+def with_values(phi, values, scale=1.0):
+    """``phi`` with its values replaced and its bounds scaled."""
+    return laplace.LaplaceSamples(
+        lambdas=phi.lambdas, values=values, truncation=scale * phi.truncation,
+        discretization=scale * phi.discretization)
 
 
 UNIT_COEFFS = model.CoefficientField1D.constant(1.0, 0.0, 0.0,
@@ -33,42 +40,42 @@ def free_line(grid):
 
 
 class TestEstimateOffset:
+    """The midpoint offset ``locate_source_1d`` fits to its log-ratio."""
+
     def test_symmetric_layout_gives_zero(self):
         lams = np.geomspace(100, 400, 10)
-        _, (p1, p2) = oracle_transforms(0.5, [0.0, 1.0], lams)
-        fit = identify1d.estimate_offset(p1, p2)
+        _, phi = oracle_transforms(0.5, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
         assert abs(fit.offset) < 1e-9
 
     def test_offset_value(self):
         lams = np.geomspace(100, 400, 13)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.estimate_offset(p1, p2)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
         # travel midpoint minus travel to the source: 0.5 - 0.3
         np.testing.assert_allclose(fit.offset, 0.2, atol=5e-3)
 
     def test_admissibility_bound(self):
         lams = np.geomspace(100, 400, 13)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.estimate_offset(p1, p2)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
         travel, _ = forward.travel_integrals(UNIT_COEFFS, 0.0, 1.0)
         assert abs(fit.offset) < 0.5 * travel
 
     def test_too_few_points(self):
         lams = np.array([100.0, 200.0])
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
         with pytest.raises(ValueError):
-            identify1d.estimate_offset(p1, p2)
+            identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
 
     def test_sign_change_rejected(self):
         lams = np.geomspace(100, 400, 6)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
-        values = p1.values.copy()
-        values[-1] = -values[-1]
-        bad = laplace.LaplaceSamples(
-            lambdas=p1.lambdas, values=values, truncation=p1.truncation,
-            discretization=p1.discretization, horizon=p1.horizon)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        values = phi.values.copy()
+        values[-1, 0] = -values[-1, 0]
         with pytest.raises(ValueError):
-            identify1d.estimate_offset(bad, p2)
+            identify1d.locate_source_1d(with_values(phi, values),
+                                        UNIT_COEFFS, 0.0, 1.0)
 
 
 class TestInvertTravelDistance:
@@ -115,16 +122,16 @@ class TestInvertTravelDistance:
 class TestLocate1D:
     def test_midpoint_source(self):
         lams = np.geomspace(100, 400, 10)
-        _, (p1, p2) = oracle_transforms(0.5, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0)
+        _, phi = oracle_transforms(0.5, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
         np.testing.assert_allclose(fit.x1_per_lambda[fit.used], 0.5,
                                    atol=1e-9)
         np.testing.assert_allclose(fit.x1_hat, 0.5, atol=1e-9)
 
     def test_oracle_location(self):
         lams = np.geomspace(100, 400, 13)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
         assert abs(fit.x1_hat - 0.3) <= 1e-2
         assert fit.admissible
 
@@ -132,37 +139,30 @@ class TestLocate1D:
         # a source beyond the far sensor pins the travel estimate onto the
         # bracket edge; with a sampling-compatible window this is detected
         lams = np.geomspace(100, 400, 10)
-        _, (p1, p2) = oracle_transforms(1.5, [0.0, 1.0], lams, tau=1e-4,
-                                        num_steps=200000)
+        _, phi = oracle_transforms(1.5, [0.0, 1.0], lams, tau=1e-4,
+                                   num_steps=200000)
         with pytest.raises(ValueError):
-            identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0)
+            identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
 
     def test_one_sign_flip_rejected(self):
         # a single lambda whose ratio turns negative makes the data
         # inconsistent with one source; it is not skipped
         lams = np.geomspace(100, 400, 10)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
-        values = p1.values.copy()
-        values[4] = -values[4]
-        bad = laplace.LaplaceSamples(
-            lambdas=p1.lambdas, values=values, truncation=p1.truncation,
-            discretization=p1.discretization, horizon=p1.horizon)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        values = phi.values.copy()
+        values[4, 0] = -values[4, 0]
         with pytest.raises(ValueError, match="changes sign"):
-            identify1d.locate_source_1d(bad, p2, UNIT_COEFFS, 0.0, 1.0)
+            identify1d.locate_source_1d(with_values(phi, values),
+                                        UNIT_COEFFS, 0.0, 1.0)
 
     def test_scale_invariance(self):
         lams = np.geomspace(100, 400, 10)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
-        scaled = [laplace.LaplaceSamples(
-            lambdas=p.lambdas, values=7.5 * p.values,
-            truncation=7.5 * p.truncation,
-            discretization=7.5 * p.discretization, horizon=p.horizon)
-            for p in (p1, p2)]
-        a = identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0)
-        b = identify1d.locate_source_1d(*scaled, UNIT_COEFFS, 0.0, 1.0)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        scaled = with_values(phi, 7.5 * phi.values, scale=7.5)
+        a = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        b = identify1d.locate_source_1d(scaled, UNIT_COEFFS, 0.0, 1.0)
         np.testing.assert_allclose(a.x1_hat, b.x1_hat, rtol=1e-12)
-        np.testing.assert_allclose(a.offset.offset, b.offset.offset,
-                                   atol=1e-12)
+        np.testing.assert_allclose(a.offset, b.offset, atol=1e-12)
 
     def test_onset_delay_consistency(self):
         # delaying the source onset multiplies both transforms by the same
@@ -177,17 +177,18 @@ class TestLocate1D:
         fits = []
         for q in (q_now, q_late):
             src = model.PointSource(location=[0.3], intensity=q)
-            phis = [laplace.laplace_grid(
-                forward.free_space_response([src], [b], grid, n=1),
-                grid, lams) for b in (0.0, 1.0)]
+            psi = np.column_stack([
+                forward.free_space_response([src], [b], grid, n=1)
+                for b in (0.0, 1.0)])
             fits.append(identify1d.locate_source_1d(
-                phis[0], phis[1], UNIT_COEFFS, 0.0, 1.0))
+                laplace.laplace_grid(psi, grid, lams), UNIT_COEFFS, 0.0,
+                1.0))
         assert abs(fits[0].x1_hat - fits[1].x1_hat) <= 1e-6
 
     def test_bracketing_invariant(self):
         lams = np.geomspace(100, 400, 13)
-        _, (p1, p2) = oracle_transforms(0.25, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0)
+        _, phi = oracle_transforms(0.25, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
         used = fit.used
         assert np.all(fit.travel_per_lambda[used] > 0)
         assert np.all(fit.travel_per_lambda[used] < fit.travel_total)
@@ -195,13 +196,13 @@ class TestLocate1D:
     def test_offset_consistency_identity(self):
         # offset + travel(b1, x1) = travel(b1, b2)/2 within the fit residual
         lams = np.geomspace(100, 400, 13)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
         travel_to_src, _ = forward.travel_integrals(UNIT_COEFFS, 0.0,
                                                     fit.x1_hat)
-        lhs = fit.offset.offset + travel_to_src
+        lhs = fit.offset + travel_to_src
         assert abs(lhs - 0.5 * fit.travel_total) <= \
-            max(10 * fit.offset.residual, 1e-6)
+            max(10 * fit.offset_residual, 1e-6)
 
 
 def drift_sensor_data(lams, x1=0.5, a1=1.0, tau=5e-4, horizon=5.0):
@@ -217,10 +218,8 @@ def drift_sensor_data(lams, x1=0.5, a1=1.0, tau=5e-4, horizon=5.0):
         sensors=([0.0], [1.0]),
         grid=grid,
     )
-    sol = forward.crank_nicolson_1d(scen, num_cells=1800, store_field=False)
-    phis = [laplace.laplace_grid(sol.traces[:, j], grid, lams)
-            for j in (0, 1)]
-    return coeffs, phis
+    traces = forward.crank_nicolson_1d(scen, num_cells=1800)
+    return coeffs, laplace.laplace_grid(traces, grid, lams)
 
 
 class TestDriftCorrection:
@@ -233,8 +232,8 @@ class TestDriftCorrection:
         # with drift, the uncorrected midpoint estimate carries a bias
         # proportional to 1/sqrt(lam); the amplitude correction removes it
         lams = np.geomspace(16.0, 100.0, 10)
-        coeffs, (p1, p2) = drift_sensor_data(lams)
-        fit = identify1d.locate_source_1d(p1, p2, coeffs, 0.0, 1.0)
+        coeffs, phi = drift_sensor_data(lams)
+        fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
         corrected_err = np.abs(fit.x1_per_lambda[fit.used] - 0.5)
         # uncorrected: drop the amplitude integral from the estimate
         sq = np.sqrt(fit.lambdas[fit.used])
@@ -253,8 +252,8 @@ class TestDriftCorrection:
         # 1/sqrt(lam); check the fitted envelope has nonnegative scale and
         # the errors decrease across the window
         lams = np.geomspace(16.0, 100.0, 10)
-        coeffs, (p1, p2) = drift_sensor_data(lams, a1=0.5)
-        fit = identify1d.locate_source_1d(p1, p2, coeffs, 0.0, 1.0)
+        coeffs, phi = drift_sensor_data(lams, a1=0.5)
+        fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
         err = np.abs(fit.x1_per_lambda[fit.used] - 0.5)
         x = 1.0 / np.sqrt(fit.lambdas[fit.used])
         c = np.polyfit(x, err, 1)[0]
@@ -290,20 +289,25 @@ class TestBoundaryBranches:
             sensors=([b1], [b2]),
             grid=grid,
         )
-        sol = forward.crank_nicolson_1d(scen, num_cells=1600,
-                                        store_field=False)
+        traces = forward.crank_nicolson_1d(scen, num_cells=1600)
         lams = np.geomspace(25.0, 100.0, 10)
-        p1, p2 = [laplace.laplace_grid(sol.traces[:, j], grid, lams)
-                  for j in (0, 1)]
-        fit = identify1d.locate_source_1d(p1, p2, coeffs, b1, b2,
+        phi = laplace.laplace_grid(traces, grid, lams)
+        fit = identify1d.locate_source_1d(phi, coeffs, b1, b2,
                                           branch=branch)
         assert abs(fit.x1_hat - x1) < 1.5e-2
 
+    def test_single_series_rejected(self):
+        lams = np.geomspace(100, 400, 6)
+        grid, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        one = laplace.laplace_grid(np.ones(grid.num_samples), grid, lams)
+        with pytest.raises(ValueError, match="two sensor series"):
+            identify1d.locate_source_1d(one, UNIT_COEFFS, 0.0, 1.0)
+
     def test_unknown_branch_rejected(self):
         lams = np.geomspace(100, 400, 6)
-        _, (p1, p2) = oracle_transforms(0.3, [0.0, 1.0], lams)
+        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
         with pytest.raises(ValueError):
-            identify1d.locate_source_1d(p1, p2, UNIT_COEFFS, 0.0, 1.0,
+            identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0,
                                         branch="top")
 
 

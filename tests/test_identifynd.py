@@ -6,25 +6,24 @@ import pytest
 from pointsource import forward, identifynd, laplace, model
 
 
-def make_records(x1, sensors, n, grid, lambda0=0.0, intensity=1.0):
+def make_series(x1, sensors, n, grid, lambda0=0.0, intensity=1.0):
+    """Clean sensor matrix, one column per sensor."""
     src = model.PointSource(location=x1, intensity=intensity)
-    return [model.SensorRecord(
-        location=b,
-        samples=forward.free_space_response([src], b, grid, n=n,
-                                            lambda0=lambda0),
-        grid=grid) for b in sensors]
+    return np.column_stack([
+        forward.free_space_response([src], b, grid, n=n, lambda0=lambda0)
+        for b in sensors])
 
 
 SENSORS_3D = [np.array([1.1, 0.2, 0.1]), np.array([-0.7, 0.9, -0.2]),
               np.array([0.3, -1.0, 0.5]), np.array([-0.2, -0.3, -1.2])]
 X1_3D = np.array([0.2, 0.1, -0.3])
 WINDOW = np.geomspace(6.0, 50.0, 13)
+GRID_3D = model.TimeGrid(tau=1e-3, num_steps=12000)
 
 
 @pytest.fixture(scope="module")
-def records_3d():
-    grid = model.TimeGrid(tau=1e-3, num_steps=12000)
-    return make_records(X1_3D, SENSORS_3D, 3, grid)
+def psi_3d():
+    return make_series(X1_3D, SENSORS_3D, 3, GRID_3D)
 
 
 class TestGeneralPosition:
@@ -110,19 +109,17 @@ class TestGeneralPosition:
         assert identifynd.in_general_position(pts, 3) == (False, late)
 
 
-def noisy_records(x1, sensors, n, grid, rel_sigma, seed):
-    """Records with iid noise at rel_sigma times the running peak."""
+def noisy_series(x1, sensors, n, grid, rel_sigma, seed):
+    """Sensor matrix with iid noise at rel_sigma times the running peak."""
     src = model.PointSource(location=x1, intensity=1.0)
     rng = np.random.default_rng(seed)
-    recs = []
+    cols = []
     sigma = 0.0
     for b in sensors:
         psi = forward.free_space_response([src], b, grid, n=n)
         sigma = max(sigma, rel_sigma * np.abs(psi).max())
-        recs.append(model.SensorRecord(
-            location=b, samples=psi + sigma * rng.standard_normal(psi.shape),
-            grid=grid))
-    return recs, sigma
+        cols.append(psi + sigma * rng.standard_normal(psi.shape))
+    return np.column_stack(cols), sigma
 
 
 FREE3D_GRID = model.TimeGrid(tau=1e-3, num_steps=20000)
@@ -141,18 +138,15 @@ def free3d_fit(traces, sigma, seed):
     noise drawn over the whole (samples, sensors) array, CLI lambda grid."""
     rng = np.random.default_rng(seed)
     noisy = traces + sigma * rng.standard_normal(traces.shape)
-    recs = [model.SensorRecord(location=b, samples=noisy[:, j],
-                               grid=FREE3D_GRID)
-            for j, b in enumerate(SENSORS_3D)]
     lambdas = np.geomspace(*laplace.suggest_lambda_grid(FREE3D_GRID, np.inf),
                            13)
-    return identifynd.locate_source_nd(recs, n=3, lambdas=lambdas,
-                                       noise_sigma=sigma)
+    return identifynd.locate_source_nd(noisy, SENSORS_3D, FREE3D_GRID, n=3,
+                                       lambdas=lambdas, noise_sigma=sigma)
 
 
 class TestLocateSourceND:
-    def test_space_pipeline(self, records_3d):
-        rec = identifynd.locate_source_nd(records_3d, n=3,
+    def test_space_pipeline(self, psi_3d):
+        rec = identifynd.locate_source_nd(psi_3d, SENSORS_3D, GRID_3D, n=3,
                                           lambdas=WINDOW)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
         alpha_true = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
@@ -160,17 +154,18 @@ class TestLocateSourceND:
         assert rec.lambdas.size == 13
         assert rec.diagnostics == ()
 
-    def test_explicit_lambda_grid_used_as_given(self, records_3d):
+    def test_explicit_lambda_grid_used_as_given(self, psi_3d):
         lams = np.geomspace(6.0, 50.0, 5)
-        rec = identifynd.locate_source_nd(records_3d, n=3, lambdas=lams)
+        rec = identifynd.locate_source_nd(psi_3d, SENSORS_3D, GRID_3D, n=3,
+                                          lambdas=lams)
         np.testing.assert_array_equal(rec.lambdas, lams)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
     def test_guard_drops_untrustworthy_small_lambdas(self):
         # short horizon: the truncation bound rejects the smallest lambda
         grid = model.TimeGrid(tau=1e-3, num_steps=2000)   # T = 2
-        recs = make_records(X1_3D, SENSORS_3D, 3, grid)
-        rec = identifynd.locate_source_nd(recs, n=3,
+        psi = make_series(X1_3D, SENSORS_3D, 3, grid)
+        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
                                           lambdas=np.geomspace(4.0, 50.0, 13))
         assert rec.diagnostics == ({"code": "lambdas_dropped",
                                     "guard": "truncation",
@@ -181,18 +176,18 @@ class TestLocateSourceND:
     @pytest.mark.parametrize("seed", [3, 9, 21])
     def test_light_noise_still_locates(self, seed):
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
-        recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-5, seed)
-        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
-                                          noise_sigma=sigma)
+        psi, sigma = noisy_series(X1_3D, SENSORS_3D, 3, grid, 1e-5, seed)
+        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
+                                          lambdas=WINDOW, noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-5
 
     def test_noise_at_1e4_of_peak_locates(self):
         # the noise floor guard drops the largest lambdas; the rest still
         # pin the source (4.1e-5 measured)
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
-        recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-4, 10)
-        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
-                                          noise_sigma=sigma)
+        psi, sigma = noisy_series(X1_3D, SENSORS_3D, 3, grid, 1e-4, 10)
+        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
+                                          lambdas=WINDOW, noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 2e-4
         assert [d["guard"] for d in rec.diagnostics] == ["noise_floor"]
 
@@ -200,10 +195,10 @@ class TestLocateSourceND:
         # at 1e-2 of the peak only 2 of 13 lambdas clear the noise floor:
         # the fit must refuse instead of returning a noise-driven estimate
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
-        recs, sigma = noisy_records(X1_3D, SENSORS_3D, 3, grid, 1e-2, 10)
+        psi, sigma = noisy_series(X1_3D, SENSORS_3D, 3, grid, 1e-2, 10)
         with pytest.raises(ValueError, match="2 of 13 pass"):
-            identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
-                                        noise_sigma=sigma)
+            identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
+                                        lambdas=WINDOW, noise_sigma=sigma)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_free3d_high_noise_locates(self, free3d_traces, seed):
@@ -221,9 +216,9 @@ class TestLocateSourceND:
 
     def test_reaction_coefficient_handled(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=12000)
-        recs = make_records(X1_3D, SENSORS_3D, 3, grid, lambda0=0.35)
-        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW,
-                                          lambda0=0.35)
+        psi = make_series(X1_3D, SENSORS_3D, 3, grid, lambda0=0.35)
+        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
+                                          lambdas=WINDOW, lambda0=0.35)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
     def test_plane_pipeline(self):
@@ -231,8 +226,9 @@ class TestLocateSourceND:
         x1 = np.array([0.2, 0.3])
         sensors = [np.array([1.2, 0.1]), np.array([-0.8, 0.9]),
                    np.array([-0.2, -1.1])]
-        recs = make_records(x1, sensors, 2, grid)
-        rec = identifynd.locate_source_nd(recs, n=2, lambdas=WINDOW)
+        psi = make_series(x1, sensors, 2, grid)
+        rec = identifynd.locate_source_nd(psi, sensors, grid, n=2,
+                                          lambdas=WINDOW)
         assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -241,9 +237,9 @@ class TestLocateSourceND:
         x1 = np.array([0.2, 0.3])
         sensors = [np.array([1.2, 0.1]), np.array([-0.8, 0.9]),
                    np.array([-0.2, -1.1])]
-        recs, sigma = noisy_records(x1, sensors, 2, grid, 1e-4, seed)
-        rec = identifynd.locate_source_nd(recs, n=2, lambdas=WINDOW,
-                                          noise_sigma=sigma)
+        psi, sigma = noisy_series(x1, sensors, 2, grid, 1e-4, seed)
+        rec = identifynd.locate_source_nd(psi, sensors, grid, n=2,
+                                          lambdas=WINDOW, noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - x1) <= 2e-3
 
     def test_degenerate_circumcenter_path(self):
@@ -252,25 +248,29 @@ class TestLocateSourceND:
         sensors = [np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
                    np.array([0, 0, 1.0]), np.array([1.0, 1, 1])]
         center = np.array([0.5, 0.5, 0.5])
-        recs = make_records(center, sensors, 3, grid)
-        rec = identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW)
+        psi = make_series(center, sensors, 3, grid)
+        rec = identifynd.locate_source_nd(psi, sensors, grid, n=3,
+                                          lambdas=WINDOW)
         np.testing.assert_allclose(rec.x1_hat, center, atol=1e-9)
 
     def test_collinear_sensors_rejected_before_transforms(self):
         grid = model.TimeGrid(tau=1e-2, num_steps=10)
-        recs = [model.SensorRecord(location=np.array([float(k), 0.0]),
-                                   samples=np.zeros(grid.num_samples),
-                                   grid=grid) for k in range(3)]
+        sensors = [[float(k), 0.0] for k in range(3)]
         with pytest.raises(ValueError, match="general position"):
-            identifynd.locate_source_nd(recs, n=2, lambdas=WINDOW)
+            identifynd.locate_source_nd(np.zeros((grid.num_samples, 3)),
+                                        sensors, grid, n=2, lambdas=WINDOW)
 
     def test_too_few_sensors(self):
         grid = model.TimeGrid(tau=1e-2, num_steps=10)
-        recs = [model.SensorRecord(location=np.array([0.0, 0.0, 1.0]),
-                                   samples=np.zeros(grid.num_samples),
-                                   grid=grid)]
         with pytest.raises(ValueError, match="sensors"):
-            identifynd.locate_source_nd(recs, n=3, lambdas=WINDOW)
+            identifynd.locate_source_nd(np.zeros((grid.num_samples, 1)),
+                                        [[0.0, 0.0, 1.0]], grid, n=3,
+                                        lambdas=WINDOW)
+
+    def test_one_column_per_sensor_required(self, psi_3d):
+        with pytest.raises(ValueError, match="one series column per sensor"):
+            identifynd.locate_source_nd(psi_3d[:, :3], SENSORS_3D, GRID_3D,
+                                        n=3, lambdas=WINDOW)
 
     @pytest.mark.parametrize("n,seed", [(3, 0), (3, 5), (3, 12),
                                         (2, 1), (2, 8)])
@@ -287,8 +287,9 @@ class TestLocateSourceND:
         else:
             pytest.skip("no usable random layout")
         grid = model.TimeGrid(tau=1e-3, num_steps=15000)
-        recs = make_records(x1, list(sensors), n, grid)
-        rec = identifynd.locate_source_nd(recs, n=n, lambdas=WINDOW)
+        psi = make_series(x1, list(sensors), n, grid)
+        rec = identifynd.locate_source_nd(psi, sensors, grid, n=n,
+                                          lambdas=WINDOW)
         assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
 
     def test_rigid_motion_equivariance(self):
@@ -298,32 +299,31 @@ class TestLocateSourceND:
                         [np.sin(theta), np.cos(theta), 0], [0, 0, 1]])
         shift = np.array([1.5, -2.0, 0.7])
         base = identifynd.locate_source_nd(
-            make_records(X1_3D, SENSORS_3D, 3, grid), n=3,
+            make_series(X1_3D, SENSORS_3D, 3, grid), SENSORS_3D, grid, n=3,
             lambdas=WINDOW)
+        moved_sensors = [rot @ b + shift for b in SENSORS_3D]
         moved = identifynd.locate_source_nd(
-            make_records(rot @ X1_3D + shift,
-                         [rot @ b + shift for b in SENSORS_3D], 3, grid),
-            n=3, lambdas=WINDOW)
+            make_series(rot @ X1_3D + shift, moved_sensors, 3, grid),
+            moved_sensors, grid, n=3, lambdas=WINDOW)
         np.testing.assert_allclose(moved.x1_hat, rot @ base.x1_hat + shift,
                                    atol=1e-8)
 
 
 class TestRecoverIntensityND:
-    def test_constant_round_trip(self, records_3d):
+    def test_constant_round_trip(self, psi_3d):
         alpha = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
-        fit = identifynd.recover_intensity_nd(records_3d, alpha, n=3)
-        grid = records_3d[0].grid
-        win = grid.times() >= 0.1 * grid.horizon
+        fit = identifynd.recover_intensity_nd(psi_3d, GRID_3D, alpha, n=3)
+        win = GRID_3D.times() >= 0.1 * GRID_3D.horizon
         rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
         assert rel <= 0.02
         assert fit.deconvolution.misfit.shape == (4,)
         assert np.all(fit.deconvolution.misfit <= 1e-3)
 
-    def test_one_factorization_for_all_sensors(self, records_3d):
+    def test_one_factorization_for_all_sensors(self, psi_3d):
         # eps="auto" searches once for the joint system; the constant
         # intensity stops at the bracket top after one factorization
         alpha = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
-        fit = identifynd.recover_intensity_nd(records_3d, alpha, n=3,
+        fit = identifynd.recover_intensity_nd(psi_3d, GRID_3D, alpha, n=3,
                                               eps="auto")
         assert fit.deconvolution.factorizations == 1
         assert fit.deconvolution.misfit.shape == (4,)
@@ -332,28 +332,27 @@ class TestRecoverIntensityND:
         grid = model.TimeGrid(tau=1e-3, num_steps=5000)
         t = grid.times()
         q = 1.0 + np.sin(t)
-        recs = make_records(X1_3D, SENSORS_3D[:2], 3, grid, intensity=q)
+        psi = make_series(X1_3D, SENSORS_3D[:2], 3, grid, intensity=q)
         alpha = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D[:2]]
-        fit = identifynd.recover_intensity_nd(recs, alpha, n=3)
+        fit = identifynd.recover_intensity_nd(psi, grid, alpha, n=3)
         win = t >= 0.1 * grid.horizon
         rel = np.linalg.norm(fit.q[win] - q[win]) / np.linalg.norm(q[win])
         assert rel <= 0.05
 
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
-        recs = [model.SensorRecord(location=np.array([1.0, 0, 0]),
-                                   samples=np.zeros(grid.num_samples),
-                                   grid=grid)]
-        fit = identifynd.recover_intensity_nd(recs, [1.0], n=3)
+        fit = identifynd.recover_intensity_nd(
+            np.zeros((grid.num_samples, 1)), grid, [1.0], n=3)
         np.testing.assert_allclose(fit.q, 0.0, atol=1e-12)
 
-    def test_bad_distance_flagged_by_misfit(self, records_3d):
+    def test_bad_distance_flagged_by_misfit(self, psi_3d):
         # the joint fit compromises between the sensors, so the good ones
         # carry part of the misfit (about 0.09 each here), but the sensor
         # with the wrong distance stands out (about 0.24)
         alpha = np.array([np.linalg.norm(X1_3D - b) for b in SENSORS_3D])
         alpha_bad = alpha * np.array([1.3, 1.0, 1.0, 1.0])
-        fit = identifynd.recover_intensity_nd(records_3d, alpha_bad, n=3)
+        fit = identifynd.recover_intensity_nd(psi_3d, GRID_3D, alpha_bad,
+                                              n=3)
         misfit = fit.deconvolution.misfit
         assert misfit[0] > 0.05
         assert misfit[0] > 2.0 * misfit[1:].max()

@@ -53,7 +53,8 @@ class TestLaplaceGrid:
         assert np.all(np.diff(ls.values) < 0)
 
     def test_matches_per_lambda_loop(self):
-        # the broadcast transform does the per-lambda arithmetic unchanged
+        # the transform does the per-lambda arithmetic unchanged, and a
+        # sensor matrix gives every column exactly its single-series values
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
         t = grid.times()
         psi = np.sin(t) + 0.1 * t
@@ -64,6 +65,14 @@ class TestLaplaceGrid:
             assert ls.values[k] == np.trapezoid(f, dx=grid.tau)
             assert ls.truncation[k] == \
                 abs(psi[-1]) * np.exp(-lam * grid.horizon) / lam
+        matrix = np.column_stack([psi, np.cos(3.0 * t), 1.0 - np.exp(-t)])
+        joint = laplace.laplace_grid(matrix, grid, lams)
+        for j in range(matrix.shape[1]):
+            single = laplace.laplace_grid(matrix[:, j], grid, lams)
+            for name in ("values", "truncation", "discretization"):
+                assert getattr(joint, name).shape == (lams.size, 3)
+                assert np.all(getattr(joint, name)[:, j] ==
+                              getattr(single, name))
 
     def test_empty_grid_rejected(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)

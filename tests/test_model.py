@@ -34,7 +34,6 @@ class TestCoefficientField:
     def test_constant_field(self):
         c = model.CoefficientField1D.constant(4.0, 0.0, 0.0, interval=(0, 2))
         assert c.ellipticity_bounds == (4.0, 4.0)
-        assert c.is_constant_diffusion
         np.testing.assert_allclose(c.slowness(1.3), 0.5)
         np.testing.assert_allclose(c.amplitude_density(0.7), 0.0, atol=1e-14)
 
