@@ -10,7 +10,15 @@ sensor's relative misfit as a consistency check.
 
 import numpy as np
 
-from pointsource import PointSource, TimeGrid, forward, identifynd
+from pointsource import (
+    FreeSpace,
+    PointSource,
+    Scenario,
+    TimeGrid,
+    forward,
+    identifynd,
+    laplace,
+)
 
 x_true = np.array([0.2, 0.1, -0.3])
 sensors = np.array([[1.1, 0.2, 0.1], [-0.7, 0.9, -0.2],
@@ -38,8 +46,9 @@ print(f"position error:     "
 print(f"weighted residual {recovery.residual_norm:.2e}, location std "
       f"{np.sqrt(np.diag(recovery.x1_cov))}")
 
-intensity = identifynd.recover_intensity_nd(psi, grid, recovery.alpha_hat,
-                                            n=3)
+scenario = Scenario(domain=FreeSpace(n=3), sources=(source,),
+                    sensors=tuple(sensors), grid=grid)
+intensity = laplace.recover_intensity(psi, scenario, recovery.x1_hat)
 t = grid.times()
 win = t >= 2.0
 print(f"\nintensity mean over [2, 20]: {intensity.q[win].mean():.4f} "

@@ -24,18 +24,17 @@ from .identify1d import (
     alternation_findings,
     invert_travel_distance,
     locate_source_1d,
-    recover_intensity_1d,
 )
 from .identifynd import (
     in_general_position,
     locate_source_nd,
     nearest_source_matrix,
     nonuniqueness_discrepancy,
-    recover_intensity_nd,
     sensor_count_sufficient,
 )
 from .laplace import (
     laplace_grid,
+    recover_intensity,
     suggest_lambda_grid,
     volterra_deconvolve,
 )

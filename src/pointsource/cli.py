@@ -41,7 +41,10 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 7
+REPORT_SCHEMA_VERSION = 8
+# ground_truth.json has its own version: a report-only schema change
+# leaves the ground-truth files byte for byte as they were
+GROUND_TRUTH_SCHEMA_VERSION = 7
 # finite-difference cells of the interval solves when --cells is not given
 DEFAULT_CELLS = 400
 # relative residual of one sensor in the joint intensity fit above which its
@@ -172,7 +175,7 @@ def cmd_simulate(args) -> int:
         traces = traces + sigma * rng.standard_normal(traces.shape)
     model.write_sensor_csv(out / "sensors.csv", scenario.grid.times(), traces)
     truth = {
-        "schema_version": REPORT_SCHEMA_VERSION,
+        "schema_version": GROUND_TRUTH_SCHEMA_VERSION,
         "sources": [{"location": s.location.tolist(),
                      "intensity": s.intensity_samples(scenario.grid).tolist()}
                     for s in scenario.sources],
@@ -210,34 +213,57 @@ def _lambda_window(args, scenario: model.Scenario, delta_hint: float
     return np.geomspace(*window, args.lambda_points), window
 
 
-def _evaluation_block(scenario: model.Scenario, x_hat: np.ndarray,
-                      q_hat, truth_path: Path) -> dict:
+def _evaluation_block(x_hat, q_hat, grid: model.TimeGrid,
+                      truth_path: Path) -> dict:
+    """Errors against the true source nearest to ``x_hat``, when the
+    ground truth is at hand."""
     if not truth_path.exists():
         return {}
     with open(truth_path) as fh:
-        truth = json.load(fh)
-    x_true = np.asarray(truth["sources"][0]["location"], dtype=float)
-    out = {"x_error": float(np.linalg.norm(np.atleast_1d(x_hat) - x_true))}
-    if q_hat is not None:
-        q_true = np.asarray(truth["sources"][0]["intensity"], dtype=float)
-        t = scenario.grid.times()
-        win = t >= 0.1 * scenario.grid.horizon
-        denom = float(np.linalg.norm(q_true[win]))
-        if denom > 0.0:
-            out["q_rel_l2"] = float(
-                np.linalg.norm(np.asarray(q_hat)[win] - q_true[win]) / denom)
+        sources = json.load(fh)["sources"]
+    errors = [float(np.linalg.norm(np.atleast_1d(x_hat)
+                                   - np.asarray(s["location"], dtype=float)))
+              for s in sources]
+    k = int(np.argmin(errors))
+    out = {"x_error": errors[k], "scored_source": k,
+           "num_sources": len(sources)}
+    q_true = np.asarray(sources[k]["intensity"], dtype=float)
+    win = grid.times() >= 0.1 * grid.horizon
+    denom = float(np.linalg.norm(q_true[win]))
+    if denom > 0.0:
+        out["q_rel_l2"] = float(
+            np.linalg.norm(np.asarray(q_hat)[win] - q_true[win]) / denom)
     return out
 
 
-def _intensity_record(dec: laplace.DeconvolutionResult) -> dict:
-    """What the deconvolution did, as the 1D and ND reports echo it."""
-    return {"eps": dec.eps, "factorizations": dec.factorizations,
-            "ridge_escalations": dec.ridge_escalations,
-            "n_tail_extended": dec.n_tail_extended,
-            "residual_norm": dec.residual_norm, "stride": dec.stride}
+def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
+                     x_hat) -> tuple[dict, list[dict]]:
+    """The report's intensity block, with the same keys in every
+    dimension, and a sensor_misfit_high diagnostic for every sensor the
+    joint fit explains poorly."""
+    eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
+    fit = laplace.recover_intensity(
+        psi_tilde, scenario, x_hat, eps=eps,
+        num_cells=DEFAULT_CELLS if args.cells is None else args.cells)
+    dec = fit.deconvolution
+    block = {"eps": dec.eps, "factorizations": dec.factorizations,
+             "ridge_escalations": dec.ridge_escalations,
+             "n_tail_extended": dec.n_tail_extended,
+             "residual_norm": dec.residual_norm, "stride": dec.stride,
+             "misfit": dec.misfit.tolist(),
+             "kernel": fit.kernel,
+             "background": "zero" if _zero_background(scenario)
+             else "solved",
+             "q_hat": fit.q.tolist()}
+    flags = [{"code": "sensor_misfit_high", "sensor": j,
+              "misfit": float(misfit)}
+             for j, misfit in enumerate(dec.misfit) if misfit > MISFIT_LIMIT]
+    return block, flags
 
 
-def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
+def _locate_1d(args, scenario, psi_tilde) -> tuple[dict, float]:
+    """The 1D location fields of the report and the recovered
+    coordinate."""
     dom = scenario.domain
     sensors = np.array([float(p[0]) for p in scenario.sensors])
     order = np.argsort(sensors)
@@ -273,15 +299,7 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
     phi = laplace.laplace_grid(psi_tilde[:, [i1, i2]], scenario.grid,
                                lambdas)
     fit = identify1d.locate_source_1d(phi, coeffs, b1, b2, branch=branch)
-    # deconvolve the sensor closer to the recovered source
-    idx = i1 if abs(fit.x1_hat - b1) <= abs(fit.x1_hat - b2) else i2
-    eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
-    intensity = identify1d.recover_intensity_1d(
-        psi_tilde[:, idx], scenario, fit.x1_hat, float(sensors[idx]),
-        eps=eps, num_cells=DEFAULT_CELLS if args.cells is None else args.cells)
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "dimension": 1,
+    fields = {
         "x1_hat": fit.x1_hat,
         "branch": fit.branch,
         "offset_hat": fit.offset,
@@ -297,24 +315,14 @@ def _identify_1d(args, scenario, psi_tilde, out: Path) -> dict:
              "used": bool(fit.used[k])}
             for k in range(fit.lambdas.size)],
         "lambda_window": list(window),
-        "intensity": {
-            "sensor_index": int(idx),
-            **_intensity_record(intensity.deconvolution),
-            "kernel": intensity.kernel,
-            "background": "zero" if _zero_background(scenario) else "solved",
-            "q_hat": intensity.q.tolist(),
-        },
         "diagnostics": list(fit.diagnostics) + notes,
     }
-    report["evaluation"] = _evaluation_block(
-        scenario, np.array([fit.x1_hat]), intensity.q,
-        out / "ground_truth.json")
-    return report
+    return fields, fit.x1_hat
 
 
-def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
-    dom = scenario.domain
-    n = dom.n
+def _locate_nd(args, scenario, psi_tilde) -> tuple[dict, np.ndarray]:
+    """The 2D/3D location fields of the report and the recovered
+    location."""
     # the fit uses the exact resolvent, so no source-sensor gap bounds the
     # window from below
     lambdas, window = _lambda_window(args, scenario, delta_hint=np.inf)
@@ -323,22 +331,11 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
     else:
         noise = {"value": args.noise, "source": "flag"}
     rec = identifynd.locate_source_nd(psi_tilde, scenario.sensor_points(),
-                                      scenario.grid, n=n, lambdas=lambdas,
-                                      lambda0=getattr(dom, "lambda0", 0.0),
+                                      scenario.grid, n=scenario.dimension,
+                                      lambdas=lambdas,
+                                      lambda0=scenario.domain.lambda0,
                                       noise_sigma=noise["value"])
-    eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
-    intensity = identifynd.recover_intensity_nd(
-        psi_tilde, scenario.grid, rec.alpha_hat, n=n, eps=eps,
-        lambda0=getattr(dom, "lambda0", 0.0))
-    misfits = intensity.deconvolution.misfit
-    diagnostics = list(rec.diagnostics)
-    diagnostics += [{"code": "sensor_misfit_high", "sensor": j,
-                     "misfit": float(misfit)}
-                    for j, misfit in enumerate(misfits)
-                    if misfit > MISFIT_LIMIT]
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "dimension": n,
+    fields = {
         "x1_hat": rec.x1_hat.tolist(),
         "x1_cov": rec.x1_cov.tolist(),
         "x1_std": np.sqrt(np.diag(rec.x1_cov)).tolist(),
@@ -347,15 +344,24 @@ def _identify_nd(args, scenario, psi_tilde, out: Path) -> dict:
         "lambdas": rec.lambdas.tolist(),
         "residual_norm": rec.residual_norm,
         "noise_sigma": noise,
-        "intensity": {
-            **_intensity_record(intensity.deconvolution),
-            "misfit": misfits.tolist(),
-            "q_hat": intensity.q.tolist(),
-        },
-        "diagnostics": diagnostics,
+        "diagnostics": list(rec.diagnostics),
     }
+    return fields, rec.x1_hat
+
+
+def _identify(args, scenario, psi_tilde, out: Path) -> dict:
+    """Locate the source, recover its intensity from every sensor and
+    score both against the ground truth when there is one."""
+    locate = _locate_1d if scenario.dimension == 1 else _locate_nd
+    fields, x_hat = locate(args, scenario, psi_tilde)
+    intensity, misfit_flags = _intensity_block(args, scenario, psi_tilde,
+                                               x_hat)
+    report = {"schema_version": REPORT_SCHEMA_VERSION,
+              "dimension": scenario.dimension, **fields,
+              "intensity": intensity}
+    report["diagnostics"] += misfit_flags
     report["evaluation"] = _evaluation_block(
-        scenario, rec.x1_hat, intensity.q, out / "ground_truth.json")
+        x_hat, intensity["q_hat"], scenario.grid, out / "ground_truth.json")
     return report
 
 
@@ -395,10 +401,7 @@ def cmd_identify(args) -> int:
         return EXIT_SOLVER
     psi_tilde = series - background
     try:
-        if scenario.dimension == 1:
-            report = _identify_1d(args, scenario, psi_tilde, out)
-        else:
-            report = _identify_nd(args, scenario, psi_tilde, out)
+        report = _identify(args, scenario, psi_tilde, out)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"identification: {exc}", file=sys.stderr)
         return EXIT_IDENTIFY

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-10
+#: largest lambda0 * horizon of the damped-intensity formulation: the
+#: factor exp(lambda0 * t) must stay finite across the grid
+MAX_DAMPING = 600.0
 
 
 def _as_positive_times(t) -> np.ndarray:
@@ -278,7 +281,7 @@ def convolve_intensity(q: np.ndarray, n: int, r: float, grid: TimeGrid,
     q = np.asarray(q, dtype=float)
     if q.size != grid.num_samples:
         raise ValueError("intensity series must match the time grid")
-    if lambda0 * grid.horizon > 600.0:
+    if lambda0 * grid.horizon > MAX_DAMPING:
         raise ValueError("lambda0 * horizon too large for the damped-intensity "
                          "formulation")
     times = grid.times()

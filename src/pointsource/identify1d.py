@@ -14,32 +14,26 @@ and inverting the (strictly monotone) travel integral yields the source
 coordinate; sensors sitting on a reflecting boundary see the image charge
 and acquire a factor 2 handled by the boundary branches.  Scaled by
 1/(2 sqrt(lam)), the same log-ratio tends to the midpoint offset at
-large lambda, which the admissibility check reads.  Intensity
-recovery deconvolves the sensor series by the exact kernel of the
-forward model at the recovered location: on an interval, the
-Crank-Nicolson response to a unit source there; in free space, the
-closed-form heat-kernel masses.
+large lambda, which the admissibility check reads.  The intensity at
+the recovered location comes from ``laplace.recover_intensity``, the
+path every dimension shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .forward import (_travel, crank_nicolson_1d, duhamel_masses,
-                      travel_integrals)
-from .laplace import DeconvolutionResult, LaplaceSamples, volterra_deconvolve
-from .model import CoefficientField1D, FreeSpace, PointSource, Scenario
+from .forward import _travel, travel_integrals
+from .laplace import LaplaceSamples
+from .model import CoefficientField1D
 
 __all__ = [
     "LocationFit1D",
     "locate_source_1d",
     "invert_travel_distance",
-    "IntensityFit1D",
-    "recover_intensity_1d",
     "alternation_findings",
 ]
 
@@ -205,53 +199,6 @@ def locate_source_1d(phi: LaplaceSamples, coeffs: CoefficientField1D,
         diagnostics=tuple(diagnostics))
 
 
-@dataclass(frozen=True, eq=False)
-class IntensityFit1D:
-    """Recovered intensity, the kernel it was deconvolved against
-    (``{"source": "crank_nicolson", "cells": N}`` or
-    ``{"source": "analytic"}``) and the deconvolution diagnostics."""
-
-    q: np.ndarray
-    kernel: dict
-    deconvolution: DeconvolutionResult
-
-
-def recover_intensity_1d(psi_tilde: np.ndarray, scenario: Scenario,
-                         x1_hat: float, b: float,
-                         eps: Union[float, str] = 0.0,
-                         sigma: Union[float, None] = None,
-                         num_cells: int = 400) -> IntensityFit1D:
-    """Deconvolve a background-subtracted sensor series into an intensity.
-
-    The kernel is the scenario's own response at b to a unit constant
-    source at x1_hat, so q needs no amplitude.  On an interval it is one
-    Crank-Nicolson run on ``num_cells`` cells with homogeneous boundary
-    data and no f0 (the background is subtracted from the series, so by
-    linearity it plays no part), and its first differences are the cell
-    masses of the discrete model.  In free space the heat-kernel masses
-    at |x1_hat - b| are exact in closed form.
-    """
-    if x1_hat == b:
-        raise ValueError("source estimate coincides with the sensor")
-    grid = scenario.grid
-    dom = scenario.domain
-    if isinstance(dom, FreeSpace):
-        masses = duhamel_masses(1, abs(x1_hat - b), grid)
-        kernel = {"source": "analytic"}
-    else:
-        unit = Scenario(
-            domain=replace(dom, bc_left=replace(dom.bc_left, g=0.0),
-                           bc_right=replace(dom.bc_right, g=0.0)),
-            coefficients=scenario.coefficients,
-            sources=(PointSource(location=[x1_hat], intensity=1.0),),
-            sensors=([b],), grid=grid)
-        trace = crank_nicolson_1d(unit, num_cells=num_cells)[:, 0]
-        masses = np.diff(trace)
-        kernel = {"source": "crank_nicolson", "cells": num_cells}
-    dec = volterra_deconvolve(psi_tilde, masses, grid, eps=eps, sigma=sigma)
-    return IntensityFit1D(q=dec.q, kernel=kernel, deconvolution=dec)
-
-
 def alternation_findings(sources, sensors) -> list[dict]:
     """Check the interleaving of sources and sensors on the line.
 
@@ -259,7 +206,9 @@ def alternation_findings(sources, sensors) -> list[dict]:
     of intensity recovery: all sensors to the right of the two leftmost
     sources, all sensors to the left of the two rightmost sources, or
     three consecutive sources spanning an interval containing no sensor.
-    An empty list clears these specific obstructions only.
+    Each finding names its ``code`` and the positions of the ``sources``
+    involved; an uncovered triple adds the sensor-free ``interval`` they
+    span.  An empty list clears these specific obstructions only.
     """
     xs = np.sort(np.asarray(sources, dtype=float).reshape(-1))
     bs = np.sort(np.asarray(sensors, dtype=float).reshape(-1))
@@ -267,22 +216,17 @@ def alternation_findings(sources, sensors) -> list[dict]:
         raise ValueError("at least one sensor is required")
     findings: list[dict] = []
     if xs.size >= 2 and np.all(bs > xs[1]):
-        findings.append({
-            "code": "sensors_all_right_of_leading_pair",
-            "detail": f"every sensor exceeds the second source x={xs[1]:.6g}; "
-                      f"intensities of the two leftmost sources are not "
-                      f"identifiable"})
+        findings.append({"code": "sensors_all_right_of_leading_pair",
+                         "sources": xs[:2].tolist()})
     if xs.size >= 2 and np.all(bs < xs[-2]):
-        findings.append({
-            "code": "sensors_all_left_of_trailing_pair",
-            "detail": f"every sensor is below the second-to-last source "
-                      f"x={xs[-2]:.6g}"})
+        findings.append({"code": "sensors_all_left_of_trailing_pair",
+                         "sources": xs[-2:].tolist()})
     for r1 in range(xs.size - 2):
-        lo, hi = xs[r1], xs[r1 + 2]
-        if not np.any((bs >= lo) & (bs <= hi)):
-            findings.append({
-                "code": "uncovered_source_triple",
-                "detail": f"no sensor in [{lo:.6g}, {hi:.6g}] spanned by "
-                          f"sources {r1}..{r1 + 2}"})
+        triple = xs[r1:r1 + 3]
+        if not np.any((bs >= triple[0]) & (bs <= triple[-1])):
+            findings.append({"code": "uncovered_source_triple",
+                             "sources": triple.tolist(),
+                             "interval": [float(triple[0]),
+                                          float(triple[-1])]})
             break
     return findings

@@ -1,16 +1,16 @@
 """Multidimensional (n = 2, 3) single-source localization and diagnostics.
 
-Both identify steps take the sensor data as one (N+1, s) matrix, column
-j measured at sensor point j.  For one source the sensor transforms
+The location fit takes the sensor data as one (N+1, s) matrix, column j
+measured at sensor point j.  For one source the sensor transforms
 factorize exactly into the intensity transform times the free-space
 resolvent Green function of the source-sensor distance.
 ``locate_source_nd`` transforms all columns in one call, removes the
 intensity factor by taking the per-lambda sensor mean out of the
 log-transforms and fits the location to all sensors and all trustworthy
 lambdas in one weighted least-squares problem; the Jacobian at the
-solution gives the location covariance.  ``recover_intensity_nd`` then
-fits one intensity to all columns jointly, each through its own arrival
-kernel.
+solution gives the location covariance.  The intensity at the fitted
+location comes from ``laplace.recover_intensity``, which fits one q to
+all columns jointly, each through its own arrival kernel.
 
 Also here: the geometric general-position check (no collinear triples /
 coplanar quadruples of sensors), the nearest-source visibility matrix
@@ -32,16 +32,14 @@ from typing import Union
 import numpy as np
 from scipy import optimize, special
 
-from .forward import duhamel_masses, resolvent_green
-from .laplace import DeconvolutionResult, laplace_grid, volterra_deconvolve
+from .forward import resolvent_green
+from .laplace import laplace_grid
 from .model import DriftFieldND, TimeGrid, sensor_source_distances
 
 __all__ = [
     "in_general_position",
     "RecoveryND",
     "locate_source_nd",
-    "IntensityFitND",
-    "recover_intensity_nd",
     "NearestSourceMatrix",
     "nearest_source_matrix",
     "sensor_count_sufficient",
@@ -233,49 +231,6 @@ def locate_source_nd(psi: np.ndarray, sensors, grid: TimeGrid, n: int,
         x1_cov=np.linalg.inv(fit.jac.T @ fit.jac), lambdas=lambdas,
         residual_norm=float(np.linalg.norm(fit.fun)),
         diagnostics=tuple(diagnostics))
-
-
-@dataclass(frozen=True, eq=False)
-class IntensityFitND:
-    """The intensity fitted jointly to all sensors; the per-sensor misfits
-    are on the deconvolution result."""
-
-    q: np.ndarray
-    deconvolution: DeconvolutionResult
-
-
-def recover_intensity_nd(psi: np.ndarray, grid: TimeGrid, alphas, n: int,
-                         eps: Union[float, str] = 0.0,
-                         lambda0: float = 0.0,
-                         sigma: Union[float, None] = None) -> IntensityFitND:
-    """Deconvolve all sensor series jointly by their arrival kernels.
-
-    ``psi`` holds the background-subtracted series, shape (N+1, s) on
-    ``grid``, and ``alphas`` the s source-sensor distances.  Every sensor
-    sees the same intensity through its own free-space kernel, so one q
-    is fitted to the s stacked convolution systems
-    (``volterra_deconvolve`` with one column per sensor): one Gram
-    sum_j A_j^T A_j, one eps search whose eps="auto" target is
-    sigma*sqrt(s*N), and one factorization per trial eps.  Cross-sensor
-    consistency is reported as each sensor's relative residual, the
-    deconvolution's ``misfit``.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0.0):
-        raise ValueError("distances must be positive")
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (grid.num_samples, alphas.size):
-        raise ValueError("need one series column per distance on the time "
-                         "grid")
-    if lambda0 != 0.0:
-        psi = psi * np.exp(lambda0 * grid.times())[:, None]
-    masses = np.column_stack([duhamel_masses(n, float(a), grid)
-                              for a in alphas])
-    dec = volterra_deconvolve(psi, masses, grid, eps=eps, sigma=sigma)
-    q = dec.q
-    if lambda0 != 0.0:
-        q = q * np.exp(-lambda0 * grid.times())
-    return IntensityFitND(q=q, deconvolution=dec)
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,24 @@ ridge-floored normal equations, and extrapolates the trailing dead-time
 samples that the data cannot see.  The dense normal equations limit the
 solve to MAX_CELLS cells: longer series are decimated inside the
 deconvolution, and q comes back on the caller's grid.
+
+``recover_intensity`` is the one intensity-recovery path of every domain:
+it builds the kernel masses of all sensors for a unit source at the
+recovered location (closed-form heat-kernel masses in free space, one
+Crank-Nicolson run on an interval) and deconvolves every sensor series
+jointly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 import numpy as np
 from scipy import linalg, signal
 
-from .model import TimeGrid
+from .forward import MAX_DAMPING, crank_nicolson_1d, duhamel_masses
+from .model import FreeSpace, PointSource, Scenario, TimeGrid
 
 __all__ = [
     "LaplaceSamples",
@@ -38,6 +45,8 @@ __all__ = [
     "DeconvolutionResult",
     "volterra_deconvolve",
     "estimate_noise_sigma",
+    "IntensityFit",
+    "recover_intensity",
 ]
 
 
@@ -255,15 +264,21 @@ def _discrepancy_search(solve, target: float, lo: float, hi: float
     The residual grows monotonically with eps, so the bracket ends go
     first: the top is returned when even its residual stays below the
     target, which is typical when D barely sees the intensity (a constant
-    lies in the null space of D), and eps = 0 when its residual already
-    reaches the target.  Otherwise a safeguarded Newton iteration on
-    f = log(residual/target) narrows the bracket: each solve supplies the
-    exact slope of f, and the step is taken in eps where that lands
-    inside the bracket (f is close to linear in eps near its root), else
-    in log eps, else the log-midpoint; the midpoint is also used after a
-    step that failed to halve |f|.  The search stops once |f| < 1e-3 or
-    the bracket ratio falls below 1.2, and the evaluated eps whose
-    residual is closest to the target is returned without a further solve.
+    lies in the null space of D).  Then eps = 0 is solved.  When its
+    residual already reaches the target, no eps meets it: the series
+    disagree beyond the noise (with s > 1 sensors, kernels set off by a
+    location error), and eps = 0 would fit that disagreement with the
+    least damped q.  That residual is a misfit floor no eps removes, so it
+    is added to the target in quadrature, and the top is returned if it
+    stays below the raised target.  Otherwise a safeguarded Newton
+    iteration on f = log(residual/target) narrows the bracket: each solve
+    supplies the exact slope of f, and the step is taken in eps where that
+    lands inside the bracket (f is close to linear in eps near its root),
+    else in log eps, else the log-midpoint; the midpoint is also used
+    after a step that failed to halve |f|.  The search stops once
+    |f| < 1e-3 or the bracket ratio falls below 1.2, and the evaluated eps
+    whose residual is closest to the target is returned without a further
+    solve.
     """
     if not target > 0.0:
         return 0.0, solve(0.0)
@@ -272,7 +287,9 @@ def _discrepancy_search(solve, target: float, lo: float, hi: float
         return hi, top
     bottom = solve(0.0)
     if bottom.residual >= target:
-        return 0.0, bottom
+        target = float(np.hypot(target, bottom.residual))
+        if top.residual < target:
+            return hi, top
 
     def mismatch(trial: _Trial) -> float:
         return float(np.log(max(trial.residual, 1e-300) / target))
@@ -328,15 +345,17 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     eps >= 0 adds the Tikhonov term eps*|Dq|^2 with D the first-difference
     matrix.  eps="auto" applies the discrepancy principle: the smallest
     eps in [1e-18, 1e6]*max(diag(sum_j K_j^T K_j)), or 0, whose stacked
-    residual reaches sigma*sqrt(s*N), with sigma the per-sample noise
+    residual reaches the target sigma*sqrt(s*N) (raised as below when the
+    sensors disagree beyond the noise), with sigma the per-sample noise
     scale (when not given, the root mean square of the per-sensor
     estimates) and N the decimated cell count.  The search solves at the
     top of that bracket first and stops there when the residual is still
     below the target, which is the usual outcome for a constant intensity:
     a constant lies in the null space of D, so even the largest eps leaves
     the fit, and the residual, close to the unregularized one.  It then
-    solves at eps = 0 and returns 0 when that residual already reaches the
-    target; otherwise a safeguarded Newton iteration on
+    solves at eps = 0; should that residual already reach the target, the
+    sensors disagree beyond the noise, and that misfit floor is added to
+    the target in quadrature.  A safeguarded Newton iteration on
     log(residual/target) finishes in a few solves (see
     ``_discrepancy_search``).  A zero target returns eps = 0 after one
     solve.
@@ -473,3 +492,71 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
                                ridge_escalations=ridge_escalations,
                                stride=stride,
                                noise_sigma=result_sigma)
+
+
+@dataclass(frozen=True, eq=False)
+class IntensityFit:
+    """Recovered intensity, the kernel it was deconvolved against
+    (``{"source": "crank_nicolson", "cells": N}`` or
+    ``{"source": "analytic"}``) and the deconvolution diagnostics, whose
+    ``misfit`` has one entry per sensor."""
+
+    q: np.ndarray
+    kernel: dict
+    deconvolution: DeconvolutionResult
+
+
+def recover_intensity(psi: np.ndarray, scenario: Scenario, x_hat,
+                      eps: Union[float, str] = 0.0,
+                      sigma: Union[float, None] = None,
+                      num_cells: int = 400) -> IntensityFit:
+    """Deconvolve the background-subtracted series of every sensor of
+    ``scenario`` into one intensity of a source at ``x_hat``.
+
+    ``psi`` holds one column per sensor, shape (N+1, s), or the one series
+    of a single sensor, shape (N+1,).  The kernel of sensor j is the
+    scenario's own response at b_j to a unit constant source at x_hat, so
+    q needs no amplitude; only the kernel depends on the domain.  In free
+    space of any dimension it is the closed-form heat-kernel masses at
+    |x_hat - b_j|, and the reaction lambda0 enters by damping: the series
+    are scaled by exp(lambda0 t) before the solve and q by exp(-lambda0 t)
+    after it.  On an interval it is one Crank-Nicolson run on
+    ``num_cells`` cells that records every sensor, with homogeneous
+    boundary data and no f0 (the background is subtracted from the
+    series, so by linearity it plays no part); its first differences are
+    the cell masses of the discrete model.  All columns are fitted jointly
+    by ``volterra_deconvolve``, whose per-sensor ``misfit`` flags a sensor
+    the common intensity cannot explain.
+    """
+    grid = scenario.grid
+    dom = scenario.domain
+    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
+    distances = np.linalg.norm(scenario.sensor_points() - x_hat, axis=1)
+    if np.any(distances == 0.0):
+        raise ValueError("source estimate coincides with a sensor")
+    psi = np.asarray(psi, dtype=float)
+    lambda0 = getattr(dom, "lambda0", 0.0)
+    if isinstance(dom, FreeSpace):
+        if lambda0 * grid.horizon > MAX_DAMPING:
+            raise ValueError("lambda0 * horizon too large for the "
+                             "damped-intensity formulation")
+        masses = np.column_stack([duhamel_masses(dom.n, float(r), grid)
+                                  for r in distances])
+        kernel = {"source": "analytic"}
+    else:
+        unit = Scenario(
+            domain=replace(dom, bc_left=replace(dom.bc_left, g=0.0),
+                           bc_right=replace(dom.bc_right, g=0.0)),
+            coefficients=scenario.coefficients,
+            sources=(PointSource(location=x_hat, intensity=1.0),),
+            sensors=scenario.sensors, grid=grid)
+        masses = np.diff(crank_nicolson_1d(unit, num_cells=num_cells),
+                         axis=0)
+        kernel = {"source": "crank_nicolson", "cells": num_cells}
+    if lambda0 != 0.0:
+        psi = (psi.T * np.exp(lambda0 * grid.times())).T
+    dec = volterra_deconvolve(psi, masses, grid, eps=eps, sigma=sigma)
+    q = dec.q
+    if lambda0 != 0.0:
+        q = q * np.exp(-lambda0 * grid.times())
+    return IntensityFit(q=q, kernel=kernel, deconvolution=dec)

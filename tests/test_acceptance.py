@@ -124,16 +124,17 @@ def test_c6_intensity_round_trip():
     sensor = np.array([alpha, 0.0, 0.0])
     src = model.PointSource(location=x1, intensity=q)
     psi = forward.free_space_response([src], sensor, grid, n=3)
-    clean = identifynd.recover_intensity_nd(psi[:, None], grid, [alpha], n=3,
-                                            eps=0.0)
+    scenario = model.Scenario(domain=model.FreeSpace(n=3), sources=(),
+                              sensors=(sensor,), grid=grid)
+    clean = laplace.recover_intensity(psi[:, None], scenario, x1, eps=0.0)
     rel_clean = np.linalg.norm(clean.q[win] - q[win]) \
         / np.linalg.norm(q[win])
 
     rng = np.random.default_rng(17)
     sigma = 0.01 * np.abs(psi).max()
     noisy_psi = psi + sigma * rng.standard_normal(psi.shape)
-    noisy = identifynd.recover_intensity_nd(noisy_psi[:, None], grid, [alpha],
-                                            n=3, eps="auto", sigma=sigma)
+    noisy = laplace.recover_intensity(noisy_psi[:, None], scenario, x1,
+                                      eps="auto", sigma=sigma)
     rel_noisy = np.linalg.norm(noisy.q[win] - q[win]) \
         / np.linalg.norm(q[win])
     check("C6", "intensity 1+sin(t): noiseless <= 5%, 1% noise with "

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pointsource import cli, forward, identify1d, model
+from pointsource import cli, forward, laplace, model
 
 
 def write_free_space_scenario(path, n=3, x1=(0.2, 0.1, -0.3), tau=1e-3,
@@ -137,8 +137,10 @@ class TestIdentify:
         assert report["admissible"] is True
         assert report["evaluation"]["x_error"] <= 1e-2
         assert report["evaluation"]["q_rel_l2"] <= 0.05
-        # one sensor deconvolved: the solve record is scalar
+        # both sensors deconvolved jointly: the solve record is scalar,
+        # with one misfit per sensor
         rec = report["intensity"]
+        assert len(rec["misfit"]) == 2
         assert rec["eps"] >= 0.0
         assert rec["factorizations"] >= 1
         assert rec["ridge_escalations"] == 0
@@ -165,7 +167,11 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
+        truth = json.loads((out / "ground_truth.json").read_text())
+        assert truth["schema_version"] == 7
+        assert report["evaluation"]["scored_source"] == 0
+        assert report["evaluation"]["num_sources"] == 1
         # one joint solve for all sensors; eps=0 factors it once
         rec = report["intensity"]
         assert rec["eps"] == 0.0
@@ -395,6 +401,88 @@ class TestIdentify:
             [j for j, v in enumerate(misfit) if v > cli.MISFIT_LIMIT]
         assert all(d["misfit"] == misfit[d["sensor"]] for d in flagged)
 
+    def test_1d_fit_uses_every_sensor(self, tmp_path):
+        # a third sensor between the two the locator reads joins the
+        # intensity fit: one misfit per sensor, and q no worse than the
+        # same data give without the middle column
+        grid = model.TimeGrid(tau=1e-3, num_steps=10000)
+        common = dict(domain=model.FreeSpace(n=1),
+                      sources=(model.PointSource(location=[0.3]),),
+                      grid=grid, noise_sigma=1e-5)
+        three = model.Scenario(sensors=([0.0], [0.5], [1.0]), **common)
+        spath = tmp_path / "three.json"
+        model.save_scenario(spath, three)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["intensity"]["misfit"]) == 3
+        times, series = model.read_sensor_csv(out / "sensors.csv")
+        model.write_sensor_csv(out / "outer.csv", times, series[:, [0, 2]])
+        spath2 = tmp_path / "outer.json"
+        model.save_scenario(spath2,
+                            model.Scenario(sensors=([0.0], [1.0]), **common))
+        out2 = tmp_path / "outer"
+        out2.mkdir()
+        (out2 / "ground_truth.json").write_bytes(
+            (out / "ground_truth.json").read_bytes())
+        assert cli.main(["identify", "--scenario", str(spath2),
+                         "--out", str(out2),
+                         "--data", str(out / "outer.csv")]) == 0
+        outer = json.loads((out2 / "report.json").read_text())
+        assert len(outer["intensity"]["misfit"]) == 2
+        assert outer["x1_hat"] == report["x1_hat"]
+        assert report["evaluation"]["q_rel_l2"] <= \
+            outer["evaluation"]["q_rel_l2"]
+
+    def test_nearest_true_source_scored(self, tmp_path):
+        # two true sources: the estimate is scored against the one it
+        # found, source 1, not against the first in the list
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=3),
+            sources=(model.PointSource(location=[3.0, 3.0, 3.0],
+                                       intensity=0.05),
+                     model.PointSource(location=[0.2, 0.1, -0.3])),
+            sensors=([1.1, 0.2, 0.1], [-0.7, 0.9, -0.2], [0.3, -1.0, 0.5],
+                     [-0.2, -0.3, -1.2]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=8000))
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--epsilon", "0"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        ev = report["evaluation"]
+        assert ev["scored_source"] == 1
+        assert ev["num_sources"] == 2
+        assert ev["x_error"] == pytest.approx(np.linalg.norm(
+            np.array(report["x1_hat"]) - [0.2, 0.1, -0.3]), rel=1e-12)
+        assert ev["x_error"] <= 1e-3
+
+    def test_reaction_beyond_damping_range_rejected(self, tmp_path, capsys):
+        # lambda0 * horizon = 800 overflows the damping factor exp(lambda0 t)
+        # of the intensity fit: a diagnosis with exit 4, not NaN in the
+        # report
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, tau=1e-2, num_steps=1000,
+                                  lambda0=50.0)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        fast = tmp_path / "fast.json"
+        write_free_space_scenario(fast, n=3, tau=1e-2, num_steps=1000,
+                                  lambda0=80.0)
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(fast), "--out", str(out),
+                       "--data", str(out / "sensors.csv")])
+        assert rc == cli.EXIT_IDENTIFY
+        assert "lambda0 * horizon" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_interval_identify_with_background(self, tmp_path):
         # boundary drive plus a volumetric background: identify must
         # subtract the source-free solve before locating the source
@@ -427,8 +515,8 @@ class TestIdentify:
                                                  "cells": 2000}
 
     def test_reflecting_boundary_sensor_intensity(self, tmp_path):
-        # the deconvolved sensor sits on a reflecting end and sees the
-        # image source too; the discrete kernel carries that factor
+        # sensor 0 sits on a reflecting end and sees the image source too;
+        # the discrete kernel carries that factor
         scen = model.Scenario(
             domain=model.Interval1D(a=0.0, b=4.0,
                                     bc_left=model.Robin(sigma=0.0, g=0.0),
@@ -440,7 +528,7 @@ class TestIdentify:
             grid=model.TimeGrid(tau=1e-3, num_steps=10000))
         report = run_interval_identify(tmp_path, scen, cells=800)
         assert report["branch"] == "left_boundary"
-        assert report["intensity"]["sensor_index"] == 0
+        assert len(report["intensity"]["misfit"]) == 2
         assert report["intensity"]["kernel"] == {"source": "crank_nicolson",
                                                  "cells": 800}
         assert report["intensity"]["background"] == "zero"
@@ -484,7 +572,7 @@ class TestIdentify:
             runs.append(scenario)
             return solve(scenario, *args, **kwargs)
 
-        for module in (forward, identify1d):
+        for module in (forward, laplace):
             monkeypatch.setattr(module, "crank_nicolson_1d", counted)
         assert cli.main(["identify", "--scenario", str(spath),
                          "--out", str(out), "--cells", "400"]) == 0
@@ -493,7 +581,7 @@ class TestIdentify:
         (kernel_run,) = runs
         assert [float(s.location[0]) for s in kernel_run.sources] == \
             [report["x1_hat"]]
-        assert [float(p[0]) for p in kernel_run.sensors] == [0.0]
+        assert [float(p[0]) for p in kernel_run.sensors] == [0.0, 1.0]
         assert report["intensity"]["background"] == "zero"
 
     def test_absorbing_boundary_sensor_rejected(self, tmp_path):

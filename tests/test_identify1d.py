@@ -32,11 +32,11 @@ VARIABLE_COEFFS = model.CoefficientField1D(
     np.full(41, 0.02))
 
 
-def free_line(grid):
-    """A 1D free-space scenario: all recover_intensity_1d reads of it is
-    the domain and the grid."""
+def free_line(grid, sensor):
+    """A 1D free-space scenario with one sensor: all recover_intensity
+    reads of it is the domain, the sensor and the grid."""
     return model.Scenario(domain=model.FreeSpace(n=1), sources=(),
-                          sensors=(), grid=grid)
+                          sensors=([sensor],), grid=grid)
 
 
 class TestEstimateOffset:
@@ -314,20 +314,20 @@ class TestBoundaryBranches:
 class TestRecoverIntensity1D:
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
-        fit = identify1d.recover_intensity_1d(
-            np.zeros(grid.num_samples), free_line(grid), 0.3, 1.0)
+        fit = laplace.recover_intensity(
+            np.zeros(grid.num_samples), free_line(grid, 1.0), 0.3)
         np.testing.assert_allclose(fit.q, 0.0, atol=1e-10)
 
     def test_kernel_source_recorded(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=500)
-        fit = identify1d.recover_intensity_1d(
-            np.zeros(grid.num_samples), free_line(grid), 0.3, 1.0)
+        fit = laplace.recover_intensity(
+            np.zeros(grid.num_samples), free_line(grid, 1.0), 0.3)
         assert fit.kernel == {"source": "analytic"}
         interval = model.Scenario(
             domain=model.Interval1D(a=0.0, b=1.0), coefficients=UNIT_COEFFS,
-            sources=(), sensors=(), grid=grid)
-        fit = identify1d.recover_intensity_1d(
-            np.zeros(grid.num_samples), interval, 0.3, 0.7, num_cells=50)
+            sources=(), sensors=([0.7],), grid=grid)
+        fit = laplace.recover_intensity(
+            np.zeros(grid.num_samples), interval, 0.3, num_cells=50)
         assert fit.kernel == {"source": "crank_nicolson", "cells": 50}
 
     def test_interval_kernel_matches_free_space(self):
@@ -340,11 +340,9 @@ class TestRecoverIntensity1D:
             domain=model.Interval1D(a=-10.0, b=10.0),
             coefficients=model.CoefficientField1D.constant(
                 1.0, 0.0, 0.0, interval=(-10.0, 10.0)),
-            sources=(), sensors=(), grid=grid)
-        exact = identify1d.recover_intensity_1d(psi, free_line(grid), 0.3,
-                                                1.0)
-        fd = identify1d.recover_intensity_1d(psi, interval, 0.3, 1.0,
-                                             num_cells=2000)
+            sources=(), sensors=([1.0],), grid=grid)
+        exact = laplace.recover_intensity(psi, free_line(grid, 1.0), 0.3)
+        fd = laplace.recover_intensity(psi, interval, 0.3, num_cells=2000)
         win = grid.times() >= 0.1 * grid.horizon
         assert np.abs(exact.q[win] - 1.0).max() <= 1e-3
         assert np.abs(fd.q[win] - exact.q[win]).max() <= 1e-2
@@ -353,7 +351,7 @@ class TestRecoverIntensity1D:
         grid = model.TimeGrid(tau=1e-3, num_steps=10000)
         src = model.PointSource(location=[0.3], intensity=1.0)
         psi = forward.free_space_response([src], [1.0], grid, n=1)
-        fit = identify1d.recover_intensity_1d(psi, free_line(grid), 0.3, 1.0)
+        fit = laplace.recover_intensity(psi, free_line(grid, 1.0), 0.3)
         t = grid.times()
         win = t >= 0.1 * grid.horizon
         rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
@@ -365,17 +363,16 @@ class TestRecoverIntensity1D:
         grid = model.TimeGrid(tau=1e-3, num_steps=2000)
         src = model.PointSource(location=[0.3], intensity=1.0)
         psi = forward.free_space_response([src], [1.0], grid, n=1)
-        f1 = identify1d.recover_intensity_1d(psi, free_line(grid), 0.3, 1.0)
-        f2 = identify1d.recover_intensity_1d(3.0 * psi, free_line(grid), 0.3,
-                                             1.0)
+        f1 = laplace.recover_intensity(psi, free_line(grid, 1.0), 0.3)
+        f2 = laplace.recover_intensity(3.0 * psi, free_line(grid, 1.0), 0.3)
         scale = np.abs(3.0 * f1.q).max()
         assert np.abs(f2.q - 3.0 * f1.q).max() <= 1e-3 * scale
 
     def test_sensor_on_source_rejected(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=100)
         with pytest.raises(ValueError):
-            identify1d.recover_intensity_1d(np.zeros(grid.num_samples),
-                                            free_line(grid), 0.3, 0.3)
+            laplace.recover_intensity(np.zeros(grid.num_samples),
+                                      free_line(grid, 0.3), 0.3)
 
 
 class TestAlternationFindings:
@@ -383,6 +380,8 @@ class TestAlternationFindings:
         out = identify1d.alternation_findings([0.2, 0.4], [0.5, 0.7, 0.9])
         assert [f["code"] for f in out] == \
             ["sensors_all_right_of_leading_pair"]
+        assert out == [{"code": "sensors_all_right_of_leading_pair",
+                        "sources": [0.2, 0.4]}]
 
     def test_alternating_layout_clean(self):
         out = identify1d.alternation_findings([0.2, 0.5, 0.8],
@@ -392,11 +391,15 @@ class TestAlternationFindings:
     def test_uncovered_triple(self):
         out = identify1d.alternation_findings([0.2, 0.4, 0.6], [0.1, 0.7])
         assert any(f["code"] == "uncovered_source_triple" for f in out)
+        assert {"code": "uncovered_source_triple",
+                "sources": [0.2, 0.4, 0.6], "interval": [0.2, 0.6]} in out
 
     def test_sensors_before_trailing_pair(self):
         out = identify1d.alternation_findings([0.5, 0.7, 0.9], [0.1, 0.2])
         codes = [f["code"] for f in out]
         assert "sensors_all_left_of_trailing_pair" in codes
+        assert {"code": "sensors_all_left_of_trailing_pair",
+                "sources": [0.7, 0.9]} in out
 
     def test_single_source_clean(self):
         assert identify1d.alternation_findings([0.5], [0.2, 0.8]) == []

@@ -14,6 +14,13 @@ def make_series(x1, sensors, n, grid, lambda0=0.0, intensity=1.0):
         for b in sensors])
 
 
+def free_space(sensors, grid, n=3):
+    """A free-space scenario: all recover_intensity reads of it is the
+    domain, the sensors and the grid."""
+    return model.Scenario(domain=model.FreeSpace(n=n), sources=(),
+                          sensors=tuple(sensors), grid=grid)
+
+
 SENSORS_3D = [np.array([1.1, 0.2, 0.1]), np.array([-0.7, 0.9, -0.2]),
               np.array([0.3, -1.0, 0.5]), np.array([-0.2, -0.3, -1.2])]
 X1_3D = np.array([0.2, 0.1, -0.3])
@@ -311,8 +318,8 @@ class TestLocateSourceND:
 
 class TestRecoverIntensityND:
     def test_constant_round_trip(self, psi_3d):
-        alpha = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
-        fit = identifynd.recover_intensity_nd(psi_3d, GRID_3D, alpha, n=3)
+        fit = laplace.recover_intensity(
+            psi_3d, free_space(SENSORS_3D, GRID_3D), X1_3D)
         win = GRID_3D.times() >= 0.1 * GRID_3D.horizon
         rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
         assert rel <= 0.02
@@ -322,9 +329,8 @@ class TestRecoverIntensityND:
     def test_one_factorization_for_all_sensors(self, psi_3d):
         # eps="auto" searches once for the joint system; the constant
         # intensity stops at the bracket top after one factorization
-        alpha = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
-        fit = identifynd.recover_intensity_nd(psi_3d, GRID_3D, alpha, n=3,
-                                              eps="auto")
+        fit = laplace.recover_intensity(
+            psi_3d, free_space(SENSORS_3D, GRID_3D), X1_3D, eps="auto")
         assert fit.deconvolution.factorizations == 1
         assert fit.deconvolution.misfit.shape == (4,)
 
@@ -333,26 +339,27 @@ class TestRecoverIntensityND:
         t = grid.times()
         q = 1.0 + np.sin(t)
         psi = make_series(X1_3D, SENSORS_3D[:2], 3, grid, intensity=q)
-        alpha = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D[:2]]
-        fit = identifynd.recover_intensity_nd(psi, grid, alpha, n=3)
+        fit = laplace.recover_intensity(
+            psi, free_space(SENSORS_3D[:2], grid), X1_3D)
         win = t >= 0.1 * grid.horizon
         rel = np.linalg.norm(fit.q[win] - q[win]) / np.linalg.norm(q[win])
         assert rel <= 0.05
 
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
-        fit = identifynd.recover_intensity_nd(
-            np.zeros((grid.num_samples, 1)), grid, [1.0], n=3)
+        fit = laplace.recover_intensity(
+            np.zeros((grid.num_samples, 1)),
+            free_space([[1.0, 0.0, 0.0]], grid), [0.0, 0.0, 0.0])
         np.testing.assert_allclose(fit.q, 0.0, atol=1e-12)
 
     def test_bad_distance_flagged_by_misfit(self, psi_3d):
         # the joint fit compromises between the sensors, so the good ones
         # carry part of the misfit (about 0.09 each here), but the sensor
-        # with the wrong distance stands out (about 0.24)
-        alpha = np.array([np.linalg.norm(X1_3D - b) for b in SENSORS_3D])
-        alpha_bad = alpha * np.array([1.3, 1.0, 1.0, 1.0])
-        fit = identifynd.recover_intensity_nd(psi_3d, GRID_3D, alpha_bad,
-                                              n=3)
+        # with the wrong distance stands out (about 0.24); sensor 0 is
+        # moved 1.3 times as far from the source as where it measured
+        moved = [X1_3D + 1.3 * (SENSORS_3D[0] - X1_3D)] + SENSORS_3D[1:]
+        fit = laplace.recover_intensity(psi_3d, free_space(moved, GRID_3D),
+                                        X1_3D)
         misfit = fit.deconvolution.misfit
         assert misfit[0] > 0.05
         assert misfit[0] > 2.0 * misfit[1:].max()

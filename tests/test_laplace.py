@@ -323,6 +323,32 @@ class TestJointDeconvolution:
         np.testing.assert_allclose(np.linalg.norm(per_sensor),
                                    res.residual_norm, rtol=1e-12)
 
+    def test_disagreeing_sensors_raise_the_target(self):
+        # kernels built at a source estimate 0.003 off: the sensors
+        # disagree beyond the noise at every eps, so no eps meets the noise
+        # target and eps = 0 would fit the disagreement; the raised target
+        # keeps the regularization instead
+        grid = model.TimeGrid(tau=1e-3, num_steps=10000)
+        src = model.PointSource(location=[0.3], intensity=1.0)
+        sensors = (0.0, 0.5, 1.0)
+        rng = np.random.default_rng(4)
+        psi = np.column_stack([forward.free_space_response([src], [b], grid,
+                                                           n=1)
+                               for b in sensors])
+        noisy = psi + 1e-5 * rng.standard_normal(psi.shape)
+        masses = np.column_stack([forward.duhamel_masses(1, abs(0.297 - b),
+                                                         grid)
+                                  for b in sensors])
+        auto = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto")
+        bare = laplace.volterra_deconvolve(noisy, masses, grid, eps=0.0)
+        target = auto.noise_sigma * np.sqrt(3 * grid.num_steps / auto.stride)
+        assert bare.residual_norm >= target
+        assert auto.eps > 0.0
+        win = grid.times() >= 0.1 * grid.horizon
+        err = [np.linalg.norm(r.q[win] - 1.0) / np.sqrt(win.sum())
+               for r in (auto, bare)]
+        assert err[0] <= 1e-3 < err[1]
+
     def test_mismatched_kernels_rejected(self):
         grid, _, noisy, masses, _ = noisy_sine_case()
         with pytest.raises(ValueError):
