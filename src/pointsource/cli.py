@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -45,8 +46,6 @@ REPORT_SCHEMA_VERSION = 8
 # ground_truth.json has its own version: a report-only schema change
 # leaves the ground-truth files byte for byte as they were
 GROUND_TRUTH_SCHEMA_VERSION = 7
-# finite-difference cells of the interval solves when --cells is not given
-DEFAULT_CELLS = 400
 # relative residual of one sensor in the joint intensity fit above which its
 # distance estimate is suspect
 MISFIT_LIMIT = 0.05
@@ -56,22 +55,12 @@ MISFIT_LIMIT = 0.05
 TIME_RTOL = 1e-3
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # numpy arrays and scalars serialize through tolist(); np.float64 is a
+    # float and needs no conversion
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda o: o.tolist())
+    path.write_text(text + "\n")
 
 
 def _report_violations(violations: list[str]) -> bool:
@@ -91,38 +80,9 @@ def _load_scenario(path):
         return None
 
 
-def _zero_background(scenario: model.Scenario) -> bool:
-    """Whether the source-free solve is zero without running it.
-
-    The initial field is zero, so by linearity the solve is zero when the
-    scenario has no f0 (or an all-zero one) and zero boundary data.  Free
-    space has neither.
-    """
-    dom = scenario.domain
-    if isinstance(dom, model.FreeSpace):
-        return True
-    no_f0 = scenario.f0 is None or not np.any(scenario.f0)
-    return no_f0 and not np.any(dom.bc_left.g) and not np.any(dom.bc_right.g)
-
-
-def _simulate_traces(scenario: model.Scenario, include_sources: bool,
-                     num_cells) -> np.ndarray:
-    """Clean sensor series, shape (num_samples, s); ``num_cells`` None
-    means DEFAULT_CELLS."""
-    dom = scenario.domain
-    if not include_sources and _zero_background(scenario):
-        return np.zeros((scenario.grid.num_samples, len(scenario.sensors)))
-    if isinstance(dom, model.FreeSpace):
-        cols = [forward.free_space_response(scenario.sources, b, scenario.grid,
-                                            n=dom.n, lambda0=dom.lambda0)
-                for b in scenario.sensors]
-        return np.column_stack(cols)
-    run = scenario if include_sources else \
-        model.Scenario(domain=dom, coefficients=scenario.coefficients,
-                       sources=(), sensors=scenario.sensors,
-                       grid=scenario.grid, f0=scenario.f0)
-    return forward.crank_nicolson_1d(
-        run, num_cells=DEFAULT_CELLS if num_cells is None else num_cells)
+def _num_cells(args) -> int:
+    """--cells, or forward.DEFAULT_CELLS when it is not given."""
+    return forward.DEFAULT_CELLS if args.cells is None else args.cells
 
 
 def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
@@ -145,8 +105,8 @@ def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
             out.append("--noise: 1D identification does not use a noise "
                        "level")
         if getattr(dom, "lambda0", 0.0) > 0.0:
-            out.append("domain.lambda0: 1D identification models no "
-                       "reaction term")
+            out.append("domain.lambda0: the 1D locator models no reaction "
+                       "term")
     elif args.format == "csv":
         out.append("--format csv: only a 1D report has a per-lambda table")
     return out
@@ -163,8 +123,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        traces = _simulate_traces(scenario, include_sources=True,
-                                  num_cells=args.cells)
+        traces = forward.sensor_traces(scenario, _num_cells(args))
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"solver: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -239,12 +198,11 @@ def _evaluation_block(x_hat, q_hat, grid: model.TimeGrid,
 def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
                      x_hat) -> tuple[dict, list[dict]]:
     """The report's intensity block, with the same keys in every
-    dimension, and a sensor_misfit_high diagnostic for every sensor the
-    joint fit explains poorly."""
+    dimension (the caller adds ``background``), and a sensor_misfit_high
+    diagnostic for every sensor the joint fit explains poorly."""
     eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
-    fit = laplace.recover_intensity(
-        psi_tilde, scenario, x_hat, eps=eps,
-        num_cells=DEFAULT_CELLS if args.cells is None else args.cells)
+    fit = laplace.recover_intensity(psi_tilde, scenario, x_hat, eps=eps,
+                                    num_cells=_num_cells(args))
     dec = fit.deconvolution
     block = {"eps": dec.eps, "factorizations": dec.factorizations,
              "ridge_escalations": dec.ridge_escalations,
@@ -252,8 +210,6 @@ def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
              "residual_norm": dec.residual_norm, "stride": dec.stride,
              "misfit": dec.misfit.tolist(),
              "kernel": fit.kernel,
-             "background": "zero" if _zero_background(scenario)
-             else "solved",
              "q_hat": fit.q.tolist()}
     flags = [{"code": "sensor_misfit_high", "sensor": j,
               "misfit": float(misfit)}
@@ -394,8 +350,8 @@ def cmd_identify(args) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        background = _simulate_traces(scenario, include_sources=False,
-                                      num_cells=args.cells)
+        background = forward.sensor_traces(
+            dataclasses.replace(scenario, sources=()), _num_cells(args))
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"solver (background): {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -405,6 +361,8 @@ def cmd_identify(args) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"identification: {exc}", file=sys.stderr)
         return EXIT_IDENTIFY
+    report["intensity"]["background"] = "solved" if np.any(background) \
+        else "zero"
     _write_json(out / "report.json", report)
     if args.format == "csv":
         with open(out / "report_per_lambda.csv", "w", newline="") as fh:
@@ -535,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="noise sigma (default: the scenario's)")
         p.add_argument("--cells", type=int, default=None,
                        help=f"finite-difference cells for interval domains "
-                            f"(default {DEFAULT_CELLS})")
+                            f"(default {forward.DEFAULT_CELLS})")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override scenario noise seed")
     p_id.add_argument("--data", default=None,

@@ -4,7 +4,10 @@ Contains the analytic free-space response oracle (time-domain Duhamel
 convolution with exactly integrated kernel masses), resolvent Green
 functions (exact constant-coefficient forms and the large-parameter
 asymptotic evaluator for variable 1D coefficients), and a Crank-Nicolson
-finite-difference solver for bounded 1D intervals.
+finite-difference solver for bounded 1D intervals.  ``sensor_traces`` is
+the one entry point that turns a scenario into its clean sensor series:
+simulated data, the source-free background and the unit-source kernel of
+the intensity fit all come from it.
 
 Sign convention: all Green/resolvent values are returned positive (the
 resolvent of the positive-definite operator).  Every recovery formula in
@@ -47,12 +50,15 @@ __all__ = [
     "convolve_intensity",
     "free_space_response",
     "crank_nicolson_1d",
+    "sensor_traces",
 ]
 
 _QUAD_TOL = 1e-10
 #: largest lambda0 * horizon of the damped-intensity formulation: the
 #: factor exp(lambda0 * t) must stay finite across the grid
 MAX_DAMPING = 600.0
+#: finite-difference cells of an interval solve when none are given
+DEFAULT_CELLS = 400
 
 
 def _as_positive_times(t) -> np.ndarray:
@@ -331,7 +337,7 @@ def _bc_series(bc, grid: TimeGrid) -> np.ndarray:
     return np.full(grid.num_samples, float(g))
 
 
-def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400
+def crank_nicolson_1d(scenario: Scenario, num_cells: int = DEFAULT_CELLS
                       ) -> np.ndarray:
     """Second-order FD in space, trapezoidal in time, for
     u_t = a2 u_xx - a1 u_x - a0 u + sum_i q_i(t) delta(x - x_i) + f0(x).
@@ -479,3 +485,27 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = 400
         f_k = f_next
 
     return traces
+
+
+def sensor_traces(scenario: Scenario, num_cells: int = DEFAULT_CELLS
+                  ) -> np.ndarray:
+    """Clean sensor series of ``scenario``, shape (num_samples, s).
+
+    The initial field is zero, so by linearity a scenario with no source,
+    no f0 and zero boundary data reads zero at every sensor, and that is
+    returned without a solve.  Otherwise free space evaluates the analytic
+    oracle at each sensor, and an interval runs one Crank-Nicolson solve
+    on ``num_cells`` cells.
+    """
+    dom = scenario.domain
+    loads = [scenario.f0] if scenario.f0 is not None else []
+    if isinstance(dom, Interval1D):
+        loads += [dom.bc_left.g, dom.bc_right.g]
+    if not scenario.sources and not any(np.any(v) for v in loads):
+        return np.zeros((scenario.grid.num_samples, len(scenario.sensors)))
+    if isinstance(dom, Interval1D):
+        return crank_nicolson_1d(scenario, num_cells=num_cells)
+    return np.column_stack([
+        free_space_response(scenario.sources, b, scenario.grid, n=dom.n,
+                            lambda0=dom.lambda0)
+        for b in scenario.sensors])

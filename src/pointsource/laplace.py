@@ -21,10 +21,10 @@ solve to MAX_CELLS cells: longer series are decimated inside the
 deconvolution, and q comes back on the caller's grid.
 
 ``recover_intensity`` is the one intensity-recovery path of every domain:
-it builds the kernel masses of all sensors for a unit source at the
-recovered location (closed-form heat-kernel masses in free space, one
-Crank-Nicolson run on an interval) and deconvolves every sensor series
-jointly.
+its kernel masses are the first differences of the forward model's own
+sensor series for a unit source at the recovered location
+(``forward.sensor_traces``), and it deconvolves every sensor series
+jointly against them.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy import linalg, signal
 
-from .forward import MAX_DAMPING, crank_nicolson_1d, duhamel_masses
-from .model import FreeSpace, PointSource, Scenario, TimeGrid
+from .forward import DEFAULT_CELLS, sensor_traces
+from .model import Interval1D, PointSource, Scenario, TimeGrid
 
 __all__ = [
     "LaplaceSamples",
@@ -497,9 +497,10 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
 @dataclass(frozen=True, eq=False)
 class IntensityFit:
     """Recovered intensity, the kernel it was deconvolved against
-    (``{"source": "crank_nicolson", "cells": N}`` or
-    ``{"source": "analytic"}``) and the deconvolution diagnostics, whose
-    ``misfit`` has one entry per sensor."""
+    (``{"source": "crank_nicolson", "cells": N}`` on an interval,
+    ``{"source": "analytic"}`` from the free-space oracle) and the
+    deconvolution diagnostics, whose ``misfit`` has one entry per
+    sensor."""
 
     q: np.ndarray
     kernel: dict
@@ -509,54 +510,38 @@ class IntensityFit:
 def recover_intensity(psi: np.ndarray, scenario: Scenario, x_hat,
                       eps: Union[float, str] = 0.0,
                       sigma: Union[float, None] = None,
-                      num_cells: int = 400) -> IntensityFit:
+                      num_cells: int = DEFAULT_CELLS) -> IntensityFit:
     """Deconvolve the background-subtracted series of every sensor of
     ``scenario`` into one intensity of a source at ``x_hat``.
 
     ``psi`` holds one column per sensor, shape (N+1, s), or the one series
     of a single sensor, shape (N+1,).  The kernel of sensor j is the
     scenario's own response at b_j to a unit constant source at x_hat, so
-    q needs no amplitude; only the kernel depends on the domain.  In free
-    space of any dimension it is the closed-form heat-kernel masses at
-    |x_hat - b_j|, and the reaction lambda0 enters by damping: the series
-    are scaled by exp(lambda0 t) before the solve and q by exp(-lambda0 t)
-    after it.  On an interval it is one Crank-Nicolson run on
-    ``num_cells`` cells that records every sensor, with homogeneous
-    boundary data and no f0 (the background is subtracted from the
-    series, so by linearity it plays no part); its first differences are
-    the cell masses of the discrete model.  All columns are fitted jointly
-    by ``volterra_deconvolve``, whose per-sensor ``misfit`` flags a sensor
+    q needs no amplitude.  One code path serves every domain: the
+    scenario with that source alone, no f0 and (on an interval) zero
+    boundary data goes through ``forward.sensor_traces``, with
+    ``num_cells`` cells on an interval, and the first differences of its
+    series are the cell masses of the forward model (the background is
+    subtracted from ``psi``, so by linearity it plays no part).  The
+    reaction lambda0 of free space is part of that response, so the data
+    need no rescaling.  All columns are fitted jointly by
+    ``volterra_deconvolve``, whose per-sensor ``misfit`` flags a sensor
     the common intensity cannot explain.
     """
-    grid = scenario.grid
-    dom = scenario.domain
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
     distances = np.linalg.norm(scenario.sensor_points() - x_hat, axis=1)
     if np.any(distances == 0.0):
         raise ValueError("source estimate coincides with a sensor")
-    psi = np.asarray(psi, dtype=float)
-    lambda0 = getattr(dom, "lambda0", 0.0)
-    if isinstance(dom, FreeSpace):
-        if lambda0 * grid.horizon > MAX_DAMPING:
-            raise ValueError("lambda0 * horizon too large for the "
-                             "damped-intensity formulation")
-        masses = np.column_stack([duhamel_masses(dom.n, float(r), grid)
-                                  for r in distances])
-        kernel = {"source": "analytic"}
-    else:
-        unit = Scenario(
-            domain=replace(dom, bc_left=replace(dom.bc_left, g=0.0),
-                           bc_right=replace(dom.bc_right, g=0.0)),
-            coefficients=scenario.coefficients,
-            sources=(PointSource(location=x_hat, intensity=1.0),),
-            sensors=scenario.sensors, grid=grid)
-        masses = np.diff(crank_nicolson_1d(unit, num_cells=num_cells),
-                         axis=0)
+    dom = scenario.domain
+    if isinstance(dom, Interval1D):
+        dom = replace(dom, bc_left=replace(dom.bc_left, g=0.0),
+                      bc_right=replace(dom.bc_right, g=0.0))
         kernel = {"source": "crank_nicolson", "cells": num_cells}
-    if lambda0 != 0.0:
-        psi = (psi.T * np.exp(lambda0 * grid.times())).T
-    dec = volterra_deconvolve(psi, masses, grid, eps=eps, sigma=sigma)
-    q = dec.q
-    if lambda0 != 0.0:
-        q = q * np.exp(-lambda0 * grid.times())
-    return IntensityFit(q=q, kernel=kernel, deconvolution=dec)
+    else:
+        kernel = {"source": "analytic"}
+    unit = replace(scenario, domain=dom, f0=None,
+                   sources=(PointSource(location=x_hat, intensity=1.0),))
+    masses = np.diff(sensor_traces(unit, num_cells), axis=0)
+    dec = volterra_deconvolve(psi, masses, scenario.grid, eps=eps,
+                              sigma=sigma)
+    return IntensityFit(q=dec.q, kernel=kernel, deconvolution=dec)

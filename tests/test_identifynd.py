@@ -14,11 +14,11 @@ def make_series(x1, sensors, n, grid, lambda0=0.0, intensity=1.0):
         for b in sensors])
 
 
-def free_space(sensors, grid, n=3):
+def free_space(sensors, grid, n=3, lambda0=0.0):
     """A free-space scenario: all recover_intensity reads of it is the
     domain, the sensors and the grid."""
-    return model.Scenario(domain=model.FreeSpace(n=n), sources=(),
-                          sensors=tuple(sensors), grid=grid)
+    return model.Scenario(domain=model.FreeSpace(n=n, lambda0=lambda0),
+                          sources=(), sensors=tuple(sensors), grid=grid)
 
 
 SENSORS_3D = [np.array([1.1, 0.2, 0.1]), np.array([-0.7, 0.9, -0.2]),
@@ -344,6 +344,21 @@ class TestRecoverIntensityND:
         win = t >= 0.1 * grid.horizon
         rel = np.linalg.norm(fit.q[win] - q[win]) / np.linalg.norm(q[win])
         assert rel <= 0.05
+
+    def test_reaction_in_the_kernel(self):
+        # lambda0 * T = 20: the kernel is the oracle's damped unit-source
+        # response, so the noise is not amplified by exp(lambda0 t) as a
+        # rescaling of the series would (q_rel_l2 0.07 that way)
+        grid = model.TimeGrid(tau=2.5e-3, num_steps=4000)
+        psi = make_series(X1_3D, SENSORS_3D, 3, grid, lambda0=2.0)
+        psi = psi + 1e-6 * np.random.default_rng(0).standard_normal(
+            psi.shape)
+        fit = laplace.recover_intensity(
+            psi, free_space(SENSORS_3D, grid, lambda0=2.0), X1_3D,
+            eps="auto")
+        win = grid.times() >= 0.1 * grid.horizon
+        rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
+        assert rel <= 1e-3
 
     def test_zero_series(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
