@@ -112,12 +112,24 @@ def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
     return out
 
 
+def _run_violations(args, scenario: model.Scenario) -> list[str]:
+    """Every violation that stops simulate or identify before a solve.  The
+    interval mesh (``forward.mesh_violation``: too few cells, or a cell
+    Peclet number of 1 or more) is checked only on an otherwise
+    well-formed scenario, whose coefficients it evaluates."""
+    violations = model.validate_scenario(scenario)
+    violations += _ineffective_flags(args, scenario)
+    if violations or not isinstance(scenario.domain, model.Interval1D):
+        return violations
+    problem = forward.mesh_violation(scenario, _num_cells(args))
+    return [] if problem is None else [f"--cells: {problem}"]
+
+
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return EXIT_VALIDATION
-    violations = model.validate_scenario(scenario)
-    violations += _ineffective_flags(args, scenario)
+    violations = _run_violations(args, scenario)
     if _report_violations(violations):
         return EXIT_VALIDATION
     out = Path(args.out)
@@ -325,8 +337,7 @@ def cmd_identify(args) -> int:
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return EXIT_VALIDATION
-    violations = model.validate_scenario(scenario)
-    violations += _ineffective_flags(args, scenario)
+    violations = _run_violations(args, scenario)
     violations += _window_violations(args, identifynd.MIN_LAMBDAS)
     if _report_violations(violations):
         return EXIT_VALIDATION

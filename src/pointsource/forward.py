@@ -49,6 +49,7 @@ __all__ = [
     "duhamel_weights",
     "convolve_intensity",
     "free_space_response",
+    "mesh_violation",
     "crank_nicolson_1d",
     "sensor_traces",
 ]
@@ -59,6 +60,8 @@ _QUAD_TOL = 1e-10
 MAX_DAMPING = 600.0
 #: finite-difference cells of an interval solve when none are given
 DEFAULT_CELLS = 400
+#: fewest finite-difference cells: one node between the two ends
+MIN_CELLS = 2
 
 
 def _as_positive_times(t) -> np.ndarray:
@@ -337,6 +340,44 @@ def _bc_series(bc, grid: TimeGrid) -> np.ndarray:
     return np.full(grid.num_samples, float(g))
 
 
+def _max_cell_peclet(coeffs: CoefficientField1D, a: float, b: float,
+                     num_cells: int) -> float:
+    """Largest cell Peclet number |a1| h / (2 a2) over the nodes of the
+    uniform ``num_cells`` mesh on [a, b]."""
+    x = np.linspace(a, b, num_cells + 1)
+    ratio = np.abs(coeffs.drift(x)) / coeffs.diffusion(x)
+    return float(ratio.max()) * (b - a) / (2.0 * num_cells)
+
+
+def mesh_violation(scenario: Scenario, num_cells: int) -> Union[str, None]:
+    """Why ``num_cells`` cells cannot carry the Crank-Nicolson solve of the
+    interval ``scenario``, or None when they can.
+
+    A mesh needs at least ``MIN_CELLS`` cells, and its cell Peclet number
+    must stay below 1 at every node: beyond that, central differences
+    oscillate (a positive source gives negative traces) and the step
+    matrix has no symmetric form.  The message names the fewest cells
+    that pass, found by rescaling the mesh until the nodes' maximum drops
+    below 1 (the search stops past ``10**6`` cells and reports the
+    estimate it has).
+    """
+    if num_cells < MIN_CELLS:
+        return f"at least {MIN_CELLS} cells are required, got {num_cells}"
+    dom, coeffs = scenario.domain, scenario.coefficients
+    peclet = _max_cell_peclet(coeffs, dom.a, dom.b, num_cells)
+    if peclet < 1.0:
+        return None
+    need = int(peclet * num_cells) + 1
+    while need <= 10 ** 6:
+        pe = _max_cell_peclet(coeffs, dom.a, dom.b, need)
+        if pe < 1.0:
+            break
+        need = int(pe * need) + 1
+    return (f"the cell Peclet number |a1|h/(2 a2) reaches {peclet:.6g} at "
+            f"{num_cells} cells; central differences need it below 1, "
+            f"which takes {need} cells or more")
+
+
 def crank_nicolson_1d(scenario: Scenario, num_cells: int = DEFAULT_CELLS
                       ) -> np.ndarray:
     """Second-order FD in space, trapezoidal in time, for
@@ -347,8 +388,24 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = DEFAULT_CELLS
     Dirichlet and Robin (u_x + sigma u = g) boundaries are discretized to
     second order with ghost nodes.  The first two steps are split into
     backward-Euler half-steps to damp the non-smooth startup transient;
-    this leaves the scheme second order in time.  All steps share the
-    matrix I - (tau/2) L, factored once.
+    this leaves the scheme second order in time.
+
+    The mesh must pass ``mesh_violation``: at least ``MIN_CELLS`` cells
+    and a cell Peclet number |a1| h / (2 a2) below 1 at every node
+    (``ValueError`` otherwise).  The steps run on the unknown nodes only:
+    a Dirichlet node is known, its coupling to its neighbour moves into
+    the forcing (at the first startup half-step with g at the midpoint
+    of the step), and a sensor on it reads g(t).  Below Peclet 1 the
+    step matrix M = I - (tau/2) L has sub- and superdiagonals of one
+    sign, so the scaling d[i+1]/d[i] = sqrt(M[i+1, i] / M[i, i+1]) makes
+    D^-1 M D symmetric; it is LDL^T-factored once (``LinAlgError`` when
+    it is not positive definite, i.e. when L has an eigenvalue of at
+    least 2/tau) and every step runs in the scaled unknowns w = D^-1 u
+    with one tridiagonal solve.  As M u_k is the previous right-hand
+    side r, the explicit half (I + (tau/2) L) u_k is 2 u_k - r, so no
+    operator is applied.  The scaling spans exp(+-300) at most
+    (``ValueError`` beyond, at a drift integral int |a1|/a2 dx of about
+    1200), which keeps the scaled unknowns out of the subnormal range.
 
     Returns the sensor traces, shape (num_samples, s): column j is the
     solution interpolated linearly between the mesh nodes bracketing
@@ -363,9 +420,13 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = DEFAULT_CELLS
     m1, _ = coeffs.ellipticity_bounds
     if m1 <= 0.0:
         raise ValueError("a2 must be strictly positive (elliptic)")
+    problem = mesh_violation(scenario, num_cells)
+    if problem is not None:
+        raise ValueError(problem)
 
     grid = scenario.grid
     tau = grid.tau
+    half = 0.5 * tau
     nmesh = num_cells + 1
     x = np.linspace(dom.a, dom.b, nmesh)
     h = x[1] - x[0]
@@ -382,26 +443,58 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = DEFAULT_CELLS
     di[1:-1] = -2.0 * a2[1:-1] / h ** 2 - a0[1:-1]
     up[1:-1] = a2[1:-1] / h ** 2 - a1[1:-1] / (2.0 * h)
 
-    # boundary rows; load_coef multiplies g(t) in the source vector
+    # boundary rows: a Robin end is an unknown whose ghost node loads g(t)
+    # onto it; a Dirichlet end is known and loads g(t) onto its neighbour
     left_dirichlet = isinstance(dom.bc_left, Dirichlet)
     right_dirichlet = isinstance(dom.bc_right, Dirichlet)
     g_left = _bc_series(dom.bc_left, grid)
     g_right = _bc_series(dom.bc_right, grid)
-    load_left = 0.0
-    load_right = 0.0
-    if not left_dirichlet:
+    if left_dirichlet:
+        first, load_left = 1, (1, lo[1])
+    else:
         s = dom.bc_left.sigma
         di[0] = -2.0 * a2[0] / h ** 2 + 2.0 * a2[0] * s / h + a1[0] * s - a0[0]
         up[0] = 2.0 * a2[0] / h ** 2
-        load_left = -(2.0 * a2[0] / h + a1[0])
-    if not right_dirichlet:
+        first, load_left = 0, (0, -(2.0 * a2[0] / h + a1[0]))
+    if right_dirichlet:
+        stop, load_right = nmesh - 1, (nmesh - 2, up[-2])
+    else:
         s = dom.bc_right.sigma
         di[-1] = -2.0 * a2[-1] / h ** 2 - 2.0 * a2[-1] * s / h + a1[-1] * s - a0[-1]
         lo[-1] = 2.0 * a2[-1] / h ** 2
-        load_right = 2.0 * a2[-1] / h - a1[-1]
+        stop, load_right = nmesh, (nmesh - 1, 2.0 * a2[-1] / h - a1[-1])
 
-    # static source template: hat-loaded deltas and background f0
-    src_nodes: list[tuple[int, float, np.ndarray]] = []
+    # M = I - (tau/2) L on the unknowns, symmetrized by D and factored once
+    sub = -half * lo[first + 1:stop]
+    sup = -half * up[first:stop - 1]
+    log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(sub / sup))))
+    log_d -= 0.5 * (log_d.max() + log_d.min())
+    if log_d.max() > 300.0:
+        raise ValueError(
+            f"the drift is too strong for the symmetrized Crank-Nicolson "
+            f"step: its scaling spans exp(+-{log_d.max():.4g}), more than "
+            f"exp(+-300)")
+    d = np.exp(log_d)
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=float)
+    fd, fe, info = pttrf(1.0 - half * di[first:stop], -np.sqrt(sub * sup))
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Crank-Nicolson step matrix is not positive definite (pttrf "
+            f"info {info}): the operator has an eigenvalue of at least "
+            f"2/tau")
+
+    # scaled forcing D^-1 f: the constant f0 and point loads on a few nodes
+    n = stop - first
+    f0 = np.zeros(n)
+    if scenario.f0 is not None:
+        f0 = CubicSpline(coeffs.grid, scenario.f0)(x[first:stop]) / d
+    loads: dict[int, np.ndarray] = {}
+
+    def load(node: int, series: np.ndarray) -> None:
+        i = node - first
+        if 0 <= i < n and np.any(series):
+            loads[i] = loads.get(i, 0.0) + series / d[i]
+
     for src in scenario.sources:
         xi = float(src.location[0])
         if not (dom.a < xi < dom.b):
@@ -409,81 +502,65 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = DEFAULT_CELLS
         m = min(int((xi - dom.a) / h), nmesh - 2)
         wl = (x[m + 1] - xi) / h
         q = src.intensity_samples(grid)
-        src_nodes.append((m, wl, q))
-    f0_mesh = np.zeros(nmesh)
-    if scenario.f0 is not None:
-        f0_mesh = CubicSpline(coeffs.grid, scenario.f0)(x)
+        load(m, q * (wl / h))
+        load(m + 1, q * ((1.0 - wl) / h))
+    load(load_left[0], load_left[1] * g_left)
+    load(load_right[0], load_right[1] * g_right)
+    nodes = np.array(sorted(loads), dtype=int)
+    table = np.zeros((grid.num_samples, nodes.size))
+    for col, i in enumerate(nodes):
+        table[:, col] = loads[i]
+    # the first half-step of each startup step takes Dirichlet data at the
+    # midpoint of the step (the grid has at least two steps)
+    mid_shift = np.zeros((2, n))
+    for dirichlet, (node, coef), g in ((left_dirichlet, load_left, g_left),
+                                       (right_dirichlet, load_right, g_right)):
+        if dirichlet:
+            i = node - first
+            mid_shift[:, i] += half * coef * 0.5 * np.diff(g[:3]) / d[i]
 
+    # sensors interpolate between nodes; only the nodes they read are kept
     sensors = np.array([float(np.atleast_1d(p)[0]) for p in scenario.sensors])
     if not np.all((sensors >= dom.a) & (sensors <= dom.b)):
         raise ValueError("sensor locations must lie in [a, b]")
     s_m = np.minimum(((sensors - dom.a) / h).astype(int), nmesh - 2)
     s_wl = (x[s_m + 1] - sensors) / h
+    weights = np.zeros((nmesh, sensors.size))
+    cols = np.arange(sensors.size)
+    np.add.at(weights, (s_m, cols), s_wl)
+    np.add.at(weights, (s_m + 1, cols), 1.0 - s_wl)
+    read = np.flatnonzero(np.any(weights[first:stop], axis=1))
+    kept = np.zeros((grid.num_samples, read.size))
 
-    def source_vec(k: int) -> np.ndarray:
-        f = f0_mesh.copy()
-        for m, wl, q in src_nodes:
-            f[m] += q[k] * wl / h
-            f[m + 1] += q[k] * (1.0 - wl) / h
-        if not left_dirichlet:
-            f[0] += load_left * g_left[k]
-        if not right_dirichlet:
-            f[-1] += load_right * g_right[k]
+    def forcing(k: int) -> np.ndarray:
+        f = half * f0
+        f[nodes] += half * table[k]
         return f
 
-    def apply_l(u: np.ndarray) -> np.ndarray:
-        out = di * u
-        out[:-1] += up[:-1] * u[1:]
-        out[1:] += lo[1:] * u[:-1]
-        return out
+    w = np.zeros(n)
+    for k in range(2):
+        # two backward-Euler half-steps (startup damping)
+        w = pttrs(fd, fe, w + forcing(k) + mid_shift[k])[0]
+        r = w + forcing(k + 1)
+        w = pttrs(fd, fe, r)[0]
+        kept[k + 1] = w[read]
+    step_loads = half * (table[2:-1] + table[3:])
+    tau_f0 = None if scenario.f0 is None else tau * f0
+    for k in range(2, grid.num_steps):
+        # r <- (I + (tau/2) L) u_k + forcing; (I + (tau/2) L) u_k = 2 w - r
+        np.subtract(w, r, out=r)
+        r += w
+        if tau_f0 is not None:
+            r += tau_f0
+        r[nodes] += step_loads[k - 2]
+        w = pttrs(fd, fe, r)[0]
+        kept[k + 1] = w[read]
 
-    # I - (tau/2) L with identity Dirichlet rows, LU-factored once
-    half = 0.5 * tau
-    sub, diag, sup = -half * lo[1:], 1.0 - half * di, -half * up[:-1]
+    traces = kept @ (d[read, None] * weights[first:stop][read])
     if left_dirichlet:
-        diag[0], sup[0] = 1.0, 0.0
+        traces += np.outer(g_left, weights[0])
     if right_dirichlet:
-        diag[-1], sub[-1] = 1.0, 0.0
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=float)
-    *lu, info = gttrf(sub, diag, sup)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"Crank-Nicolson step matrix is singular (gttrf info {info})")
-
-    def solve(rhs: np.ndarray, gl: float, gr: float) -> np.ndarray:
-        if left_dirichlet:
-            rhs[0] = gl
-        if right_dirichlet:
-            rhs[-1] = gr
-        return gttrs(*lu, rhs, overwrite_b=1)[0]
-
-    u = np.zeros(nmesh)
-    if left_dirichlet:
-        u[0] = g_left[0]
-    if right_dirichlet:
-        u[-1] = g_right[0]
-
-    traces = np.zeros((grid.num_samples, sensors.size))
-
-    def record(k: int, u: np.ndarray) -> None:
-        traces[k] = s_wl * u[s_m] + (1.0 - s_wl) * u[s_m + 1]
-
-    record(0, u)
-    n_damped = 2
-    f_k = source_vec(0)
-    for k in range(grid.num_steps):
-        f_next = source_vec(k + 1)
-        gl, gr = g_left[k + 1], g_right[k + 1]
-        if k < n_damped:
-            # two backward-Euler half-steps (startup damping)
-            u = solve(u + half * f_k, 0.5 * (g_left[k] + gl),
-                      0.5 * (g_right[k] + gr))
-            u = solve(u + half * f_next, gl, gr)
-        else:
-            u = solve(u + half * apply_l(u) + half * (f_k + f_next), gl, gr)
-        record(k + 1, u)
-        f_k = f_next
-
+        traces += np.outer(g_right, weights[-1])
     return traces
 
 

@@ -682,6 +682,62 @@ class TestIdentify:
                                    atol=1e-10)
 
 
+def interval_scenario(coeffs=INTERVAL1D_COEFFS):
+    """The interval1d benchmark geometry, 200 steps."""
+    return model.Scenario(
+        domain=model.Interval1D(a=-10.0, b=10.0,
+                                bc_left=model.Dirichlet(g=0.0),
+                                bc_right=model.Robin(sigma=0.5, g=0.0)),
+        coefficients=coeffs,
+        sources=(model.PointSource(location=[0.3], intensity=1.0),),
+        sensors=([0.0], [1.0]),
+        grid=model.TimeGrid(tau=1e-3, num_steps=200),
+    )
+
+
+class TestMeshRejected:
+    def run(self, tmp_path, capsys, command, scen, flags):
+        """``command`` on ``scen`` with ``flags``, a sensor CSV in place so
+        that identify reaches its solves; the stderr text."""
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        out = tmp_path / "out"
+        out.mkdir()
+        grid = scen.grid
+        model.write_sensor_csv(out / "sensors.csv", grid.times(),
+                               np.zeros((grid.num_samples, 2)))
+        capsys.readouterr()
+        rc = cli.main([command, "--scenario", str(spath), "--out", str(out),
+                       *flags])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err.startswith("validation: --cells: ")
+        assert not (out / "report.json").exists()
+        return err
+
+    @pytest.mark.parametrize("cells", ["0", "1", "-5"])
+    @pytest.mark.parametrize("command", ["simulate", "identify"])
+    def test_too_few_cells(self, tmp_path, capsys, command, cells):
+        # these used to end in a traceback, a solver or an identification
+        # failure: a mesh needs an interior node
+        err = self.run(tmp_path, capsys, command, interval_scenario(),
+                       ("--cells", cells))
+        assert f"at least 2 cells are required, got {cells}" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "identify"])
+    def test_cell_peclet_at_least_one(self, tmp_path, capsys, command):
+        # a1 = 200 at 200 cells: cell Peclet 200 * 0.1 / (2 * 0.7) = 14.3
+        # where a2 is smallest; the traces of a positive source used to dip
+        # to -3e-3 against a peak of 5.6e-3
+        steep = model.CoefficientField1D(
+            -10.0, 10.0, INTERVAL1D_COEFFS.a2, np.full(41, 200.0),
+            INTERVAL1D_COEFFS.a0)
+        err = self.run(tmp_path, capsys, command, interval_scenario(steep),
+                       ("--cells", "200"))
+        assert "reaches 14.285" in err
+        assert "2858 cells or more" in err
+
+
 class TestUnloadableScenario:
     @pytest.mark.parametrize("command, defect", [
         ("simulate", "missing"), ("identify", "truncated"),

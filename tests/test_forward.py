@@ -420,3 +420,154 @@ class TestCrankNicolson:
                                    rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(traces, np.column_stack([t, t]),
                                    rtol=0.0, atol=1e-12)
+
+
+def dense_crank_nicolson(scen, num_cells, a2, a1, a0, f0):
+    """Reference stepper on every mesh node: dense matrices, one
+    ``np.linalg.solve`` per step, the two backward-Euler startup
+    half-steps, and sensors read by ``np.interp``.  a2, a1, a0 and f0 are
+    callables of x; Dirichlet rows of the step matrix are identity rows
+    whose right-hand side is g (at the first startup half-step, g at the
+    midpoint of the step)."""
+    dom, grid = scen.domain, scen.grid
+    half = 0.5 * grid.tau
+    x = np.linspace(dom.a, dom.b, num_cells + 1)
+    h = x[1] - x[0]
+    n = x.size
+    lap = np.zeros((n, n))
+    for i in range(1, n - 1):
+        lap[i, i - 1] = a2(x[i]) / h ** 2 + a1(x[i]) / (2 * h)
+        lap[i, i] = -2 * a2(x[i]) / h ** 2 - a0(x[i])
+        lap[i, i + 1] = a2(x[i]) / h ** 2 - a1(x[i]) / (2 * h)
+    ghost = np.zeros((n, 2))   # Robin data load per unit g, left and right
+    for end, bc, sign in ((0, dom.bc_left, 1.0), (n - 1, dom.bc_right, -1.0)):
+        if isinstance(bc, model.Robin):
+            # ghost node u[end - sign] = u[end + sign] - 2 h sign (g - s u)
+            c2, c1, c0 = a2(x[end]), a1(x[end]), a0(x[end])
+            lap[end, end] = -2 * c2 / h ** 2 + sign * 2 * c2 * bc.sigma / h \
+                + c1 * bc.sigma - c0
+            lap[end, end + int(sign)] = 2 * c2 / h ** 2
+            ghost[end, int(end > 0)] = -sign * 2 * c2 / h - c1
+    hats = [np.maximum(0.0, 1.0 - np.abs(x - s.location[0]) / h) / h
+            for s in scen.sources]
+    qs = [s.intensity_samples(grid) for s in scen.sources]
+    g = [np.broadcast_to(bc.g, (grid.num_samples,)).astype(float)
+         for bc in (dom.bc_left, dom.bc_right)]
+    fixed = [(0, dom.bc_left, 0), (n - 1, dom.bc_right, 1)]
+
+    def forcing(k):
+        f = f0(x) + ghost @ [g[0][k], g[1][k]]
+        for hat, q in zip(hats, qs):
+            f = f + q[k] * hat
+        return f
+
+    step = np.eye(n) - half * lap
+    for end, bc, _ in fixed:
+        if isinstance(bc, model.Dirichlet):
+            step[end] = 0.0
+            step[end, end] = 1.0
+
+    def solve(rhs, k, midpoint=False):
+        for end, bc, side in fixed:
+            if isinstance(bc, model.Dirichlet):
+                rhs[end] = 0.5 * (g[side][k] + g[side][k + 1]) if midpoint \
+                    else g[side][k]
+        return np.linalg.solve(step, rhs)
+
+    u = np.zeros(n)
+    for end, bc, side in fixed:
+        if isinstance(bc, model.Dirichlet):
+            u[end] = g[side][0]
+    field = [u]
+    for k in range(grid.num_steps):
+        if k < 2:
+            u = solve(u + half * forcing(k), k, midpoint=True)
+            u = solve(u + half * forcing(k + 1), k + 1)
+        else:
+            u = solve(u + half * (lap @ u) + half * (forcing(k)
+                                                     + forcing(k + 1)), k + 1)
+        field.append(u)
+    sensors = [p[0] for p in scen.sensors]
+    return np.array([np.interp(sensors, x, u) for u in field])
+
+
+class TestCrankNicolsonReference:
+    @pytest.mark.parametrize("pairing", ["dirichlet-robin", "robin-dirichlet"])
+    def test_matches_dense_stepper(self, pairing):
+        # every load of the scheme at once: time-varying q and g, a nonzero
+        # f0, variable a2 with drift up to cell Peclet 0.9, two sources in
+        # one cell, a sensor between nodes and one on the Dirichlet end.
+        # Linear and cubic profiles, which the coefficient and f0 splines
+        # reproduce, let the reference evaluate them in closed form
+        grid = model.TimeGrid(tau=2e-3, num_steps=60)
+        t = grid.times()
+        cells = 30
+        sign = 1.0 if pairing == "dirichlet-robin" else -1.0
+
+        def a2(x):
+            return 1.0 + 0.5 * x
+
+        def a1(x):
+            return sign * 54.0 + 0.0 * x   # 54 h / (2 a2(0)) = 0.9
+
+        def a0(x):
+            return 0.3 + 0.0 * x
+
+        def f0(x):
+            return 0.2 + x - 2.0 * x ** 3
+
+        nodes = np.linspace(0.0, 1.0, 7)
+        coeffs = model.CoefficientField1D(0.0, 1.0, a2(nodes), a1(nodes),
+                                          a0(nodes))
+        dirichlet = model.Dirichlet(g=0.3 + np.sin(20.0 * t))
+        robin = model.Robin(sigma=0.7, g=np.cos(15.0 * t))
+        left, right, wall = (dirichlet, robin, [0.0]) if sign > 0 \
+            else (robin, dirichlet, [1.0])
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0, bc_left=left,
+                                    bc_right=right),
+            coefficients=coeffs,
+            sources=(model.PointSource(location=[0.41],
+                                       intensity=1.0 + np.sin(30.0 * t)),
+                     model.PointSource(location=[0.42], intensity=-0.5)),
+            sensors=([0.55], wall),
+            grid=grid,
+            f0=f0(nodes),
+        )
+        assert forward.mesh_violation(scen, cells) is None
+        want = dense_crank_nicolson(scen, cells, a2, a1, a0, f0)
+        got = forward.crank_nicolson_1d(scen, num_cells=cells)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+class TestCrankNicolsonPreconditions:
+    @staticmethod
+    def scenario(a1=0.0, a0=0.0, tau=1e-2):
+        return model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0),
+            coefficients=model.CoefficientField1D.constant(1.0, a1, a0),
+            sources=(model.PointSource(location=[0.5], intensity=1.0),),
+            sensors=([0.25],),
+            grid=model.TimeGrid(tau=tau, num_steps=10),
+        )
+
+    @pytest.mark.parametrize("cells, a1", [(1, 0.0), (0, 0.0), (-5, 0.0),
+                                           (50, 120.0)])
+    def test_mesh_rejected(self, cells, a1):
+        # a1 = 120 at 50 cells: cell Peclet 120 * 0.02 / 2 = 1.2
+        with pytest.raises(ValueError):
+            forward.crank_nicolson_1d(self.scenario(a1=a1), num_cells=cells)
+
+    def test_unstable_step_rejected(self):
+        # a0 = -300 puts an eigenvalue of L above 2/tau = 200: the step
+        # matrix is indefinite
+        with pytest.raises(np.linalg.LinAlgError):
+            forward.crank_nicolson_1d(self.scenario(a0=-300.0), num_cells=20)
+
+    def test_drift_beyond_scaling_range_rejected(self):
+        # int |a1|/a2 dx = 1500 at cell Peclet 0.94: the symmetrizing
+        # scale would span about exp(+-700)
+        with pytest.raises(ValueError, match="too strong"):
+            forward.crank_nicolson_1d(self.scenario(a1=1500.0),
+                                      num_cells=800)
