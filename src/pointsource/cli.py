@@ -42,7 +42,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 8
+REPORT_SCHEMA_VERSION = 9
 # ground_truth.json has its own version: a report-only schema change
 # leaves the ground-truth files byte for byte as they were
 GROUND_TRUTH_SCHEMA_VERSION = 7
@@ -216,8 +216,8 @@ def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
     fit = laplace.recover_intensity(psi_tilde, scenario, x_hat, eps=eps,
                                     num_cells=_num_cells(args))
     dec = fit.deconvolution
-    block = {"eps": dec.eps, "factorizations": dec.factorizations,
-             "ridge_escalations": dec.ridge_escalations,
+    block = {"eps": dec.eps, "solves": dec.solves,
+             "cg_iterations": dec.cg_iterations,
              "n_tail_extended": dec.n_tail_extended,
              "residual_norm": dec.residual_norm, "stride": dec.stride,
              "misfit": dec.misfit.tolist(),

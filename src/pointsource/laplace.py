@@ -15,10 +15,11 @@ lower-triangular system is therefore numerically singular in double
 precision: plain forward substitution amplifies roundoff without bound.
 ``volterra_deconvolve`` instead minimizes sum_j |K_j*q - psi_j|^2 +
 eps*|Dq|^2 over the series psi_j of one or more sensors that share q, via
-ridge-floored normal equations, and extrapolates the trailing dead-time
-samples that the data cannot see.  The dense normal equations limit the
-solve to MAX_CELLS cells: longer series are decimated inside the
-deconvolution, and q comes back on the caller's grid.
+ridge-floored normal equations applied matrix-free with FFTs and solved by
+circulant-preconditioned conjugate gradients, and extrapolates the
+trailing dead-time samples that the data cannot see.  Series longer than
+MAX_CELLS cells are decimated inside the deconvolution, and q comes back
+on the caller's grid.
 
 ``recover_intensity`` is the one intensity-recovery path of every domain:
 its kernel masses are the first differences of the forward model's own
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import linalg, signal
+from scipy import fft, linalg
 
 from .forward import DEFAULT_CELLS, sensor_traces
 from .model import Interval1D, PointSource, Scenario, TimeGrid
@@ -52,14 +53,13 @@ __all__ = [
 
 #: reject transform values whose truncation bound exceeds this fraction
 TRUNCATION_GUARD = 1e-3
-#: most cells the dense deconvolution solves for; longer series are
-#: decimated by an integer stride
+#: most cells the deconvolution solves for; longer series are decimated by
+#: an integer stride
 MAX_CELLS = 2500
 #: trailing cells whose kernel column norm falls below this fraction of
 #: the first column's are dead time
 TAIL_RTOL = 1e-7
-#: relative difference-seminorm ridge that keeps the normal equations
-#: factorizable
+#: relative difference-seminorm ridge of the normal equations
 RIDGE_FLOOR = 1e-7
 
 
@@ -179,10 +179,9 @@ class DeconvolutionResult:
     ``residual_norm`` is the norm of the stacked residual of all sensors
     on that grid and ``misfit[j]`` is |A_j q - y_j| / |y_j| for sensor j:
     a sensor whose kernel is off cannot be fitted by the intensity the
-    others agree on.  ``factorizations`` counts the Cholesky
-    factorizations of the normal equations, retries included;
-    ``ridge_escalations`` counts the retries, each of which raised the
-    identity ridge 100-fold.
+    others agree on.  ``solves`` counts the regularized solves of the eps
+    search and ``cg_iterations`` their conjugate-gradient iterations,
+    eps-slope solves included.
     """
 
     q: np.ndarray
@@ -192,8 +191,8 @@ class DeconvolutionResult:
     eps: float
     seminorm: float
     n_tail_extended: int
-    factorizations: int
-    ridge_escalations: int
+    solves: int
+    cg_iterations: int
     stride: int
     noise_sigma: Union[float, None] = None
 
@@ -205,46 +204,46 @@ def estimate_noise_sigma(samples: np.ndarray) -> float:
     return float(1.4826 * mad / np.sqrt(2.0))
 
 
-def _toeplitz_gram(w: np.ndarray, m: int) -> np.ndarray:
-    """Summed Gram matrix of N x m lower-trapezoidal Toeplitz maps.
-
-    ``w`` holds the kernel masses of one map, shape (N,), or of s maps,
-    shape (N, s); the result is sum_j A_j^T A_j.  Entry (i, i+d) is
-    sum_{k <= N-1-(i+d)} w[k] . w[k+d], where "." sums over the maps.  The
-    last row is accumulated over k first; every row above follows from the
-    one below by G[i-1, j-1] = G[i, j] + w[N-i] . w[N-j].  This adds the
-    products along each diagonal in the order of a prefix sum, with one
-    vectorized add per row and one matrix product per block of rows.
-    """
-    block = 128
-    w = w.reshape(w.shape[0], -1)
-    n = w.shape[0]
-    g = np.empty((m, m))
-    last = np.zeros(m)                    # last[d] = G[m-1, m-1-d]
-    for k in range(n - m + 1):
-        last += np.dot(w[k:k + m], w[k])
-    g[m - 1] = last[::-1]
-    rev = w[n - m + 1:][::-1].copy()      # rev[a] = w[N-1-a]
-    for top in range(m - 2, -1, -block):
-        bottom = max(top - block, -1)
-        prods = np.dot(rev[bottom + 1:top + 1], rev.T)
-        for a in range(top, bottom, -1):
-            np.add(g[a + 1, 1:], prods[a - bottom - 1], out=g[a, :m - 1])
-            g[a, m - 1] = last[m - 1 - a]
-    return g
+def _circulant_eigenvalues(w: np.ndarray, m: int, c: float, r: float
+                           ) -> np.ndarray:
+    """Eigenvalues, in ``rfft`` order, of T. Chan's optimal circulant
+    preconditioner for sum_j A_j^T A_j + c D^T D + r I on m cells: that of
+    the leading m x m block of A_j has first column (1 - k/m) w_j[k], and
+    the periodic D^T D has eigenvalues 2 - 2 cos(2 pi k/m)."""
+    k = np.arange(m)
+    spec = fft.rfft((1.0 - k / m)[:, None] * w[:m], axis=0)
+    lam = np.sum(spec.real ** 2 + spec.imag ** 2, axis=1)
+    return lam + c * (2.0 - 2.0 * np.cos(2.0 * np.pi * k[:lam.size] / m)) + r
 
 
-def _forward_apply(w: np.ndarray, q_cells: np.ndarray, n: int) -> np.ndarray:
-    """Convolutions (A_j q)_k for k = 1..n, one column per kernel of w."""
-    return np.column_stack([signal.convolve(q_cells, wj)[:n] for wj in w.T])
-
-
-def _adjoint_apply(w: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """sum_j (A_j^T y_j)_m over the columns of w and y."""
-    n = w.shape[0]
-    terms = [signal.correlate(yj, wj, mode="full")[n - 1:n - 1 + m]
-             for yj, wj in zip(y.T, w.T)]
-    return sum(terms[1:], terms[0])
+def _pcg(apply, precond, b: np.ndarray, maxiter: int
+         ) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients for apply(x) = b from x = 0: x
+    and the iterations taken once the recursive residual falls to 1e-13|b|.
+    Raises LinAlgError when the preconditioner is not positive definite on
+    a residual or after ``maxiter`` iterations."""
+    x, p = np.zeros_like(b), np.zeros_like(b)
+    res = b.copy()
+    stop = 1e-13 * np.linalg.norm(b)
+    if stop == 0.0:
+        return x, 0
+    rho_prev = 1.0
+    for it in range(1, maxiter + 1):
+        z = precond(res)
+        rho = res @ z
+        if not (np.isfinite(rho) and rho > 0.0):
+            raise linalg.LinAlgError(
+                "deconvolution preconditioner is not positive definite")
+        p = z + (rho / rho_prev) * p
+        hp = apply(p)
+        alpha = rho / (p @ hp)
+        x += alpha * p
+        res -= alpha * hp
+        if np.linalg.norm(res) <= stop:
+            return x, it
+        rho_prev = rho
+    raise linalg.LinAlgError(f"deconvolution normal equations: CG did not "
+                             f"converge in {maxiter} iterations")
 
 
 class _Trial(NamedTuple):
@@ -339,8 +338,9 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     A grid of more than MAX_CELLS cells is decimated by the smallest
     stride that fits: the series keep every stride-th sample, and a coarse
     cell's mass is the sum of its sub-cells' masses, which is exact.  The
-    noise estimate, the dead-time cut, the Gram and the eps search all run
-    on the decimated system; q is interpolated back to the input grid.
+    noise estimate, the dead-time cut, the normal equations and the eps
+    search all run on the decimated system; q is interpolated back to the
+    input grid.
 
     eps >= 0 adds the Tikhonov term eps*|Dq|^2 with D the first-difference
     matrix.  eps="auto" applies the discrepancy principle: the smallest
@@ -360,10 +360,11 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     ``_discrepancy_search``).  A zero target returns eps = 0 after one
     solve.
 
-    A relative ridge of RIDGE_FLOOR keeps the normal equations
-    factorizable; at eps=0 this acts as a machine-precision spectral
-    cutoff.  Should a factorization still fail, the identity ridge is
-    raised 100-fold and the factorization retried, up to five times.
+    A relative ridge of RIDGE_FLOOR on |Dq|^2 acts at eps=0 as a
+    machine-precision spectral cutoff.  The normal matrix is never formed:
+    one FFT of the masses at length n + m (m solved cells) applies every
+    A_j and A_j^T, and CG preconditioned with T. Chan's optimal circulant
+    solves it (``_pcg``); no convergence in m iterations is a LinAlgError.
     """
     psi = np.asarray(psi, dtype=float)
     w = np.asarray(masses, dtype=float)
@@ -394,66 +395,66 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     if m < 1:
         raise ValueError("kernel dead time exceeds the observation window")
 
-    gram = _toeplitz_gram(w, m)
-    rhs = _adjoint_apply(w, y, m)
+    # A_j is the n x m lower-trapezoidal Toeplitz map of kernel j: at the
+    # FFT length n + m its products are linear convolutions/correlations
+    size = fft.next_fast_len(n + m, real=True)
+    spec = fft.rfft(w, size, axis=0)
+    spec_conj = spec.conj()
+    # response of every sensor to the constant tail that extends cell m-1
+    tail = np.zeros_like(w)
+    tail[m:] = np.cumsum(w, axis=0)[:n - m]
 
-    gmax = float(np.max(np.diag(gram)))
+    def forward_apply(v: np.ndarray) -> np.ndarray:
+        """(A_j v)_k for k = 1..n, one column per sensor."""
+        return fft.irfft(spec * fft.rfft(v, size)[:, None], size,
+                         axis=0)[:n]
+
+    def adjoint_apply(u: np.ndarray) -> np.ndarray:
+        """sum_j (A_j^T u_j) on the m cells."""
+        prod = spec_conj * fft.rfft(u, size, axis=0)
+        return fft.irfft(prod.sum(axis=1), size)[:m]
+
+    def dtd(v: np.ndarray) -> np.ndarray:
+        """D^T D v for the first-difference matrix D."""
+        return -np.diff(np.diff(v), prepend=0.0, append=0.0)
+
+    rhs = adjoint_apply(y)
+    # the largest diagonal entry of sum_j A_j^T A_j, that of the first cell
+    gmax = float(np.sum(w ** 2))
     # numerical floor: a difference-seminorm ridge pins the shift modes the
     # dead-time kernel cannot resolve (bias-free on constants), plus a tiny
-    # identity ridge so the factorization stays positive definite
+    # identity ridge so the normal matrix stays positive definite
     floor_d = RIDGE_FLOOR * gmax
     floor_i = 1e-14 * gmax
-
-    # the first-difference penalty D^T D is tridiagonal: this diagonal and
-    # -1 on both off-diagonals
-    dtd_diag = np.full(m, 2.0)
-    dtd_diag[0] = dtd_diag[-1] = 1.0
-    # factorization buffer, refilled from gram before every attempt
-    mat = np.empty_like(gram)
-    flat = mat.reshape(-1)
-    factorizations = 0
-    ridge_escalations = 0
-
-    def extend(cells: np.ndarray) -> np.ndarray:
-        return np.concatenate([cells, np.full(n - m, cells[-1])])
+    solves = cg_iterations = 0
 
     def solve(eps_val: float) -> _Trial:
-        nonlocal factorizations, ridge_escalations
+        nonlocal solves, cg_iterations
         c = eps_val + floor_d
-        r = floor_i
-        for _ in range(6):
-            np.copyto(mat, gram)
-            flat[::m + 1] += c * dtd_diag
-            flat[::m + 1] += r
-            flat[1::m + 1] -= c
-            flat[m::m + 1] -= c
-            factorizations += 1
-            try:
-                # mat is symmetric, so its Fortran-ordered transpose is the
-                # same matrix and LAPACK factors it in place
-                cf = linalg.cho_factor(mat.T, overwrite_a=True,
-                                       check_finite=False)
-                break
-            except linalg.LinAlgError:
-                r *= 100.0
-                ridge_escalations += 1
-        else:
-            raise linalg.LinAlgError("normal equations could not be factorized")
-        q_cells = linalg.cho_solve(cf, rhs, check_finite=False)
-        full = extend(q_cells)
-        r_vec = _forward_apply(w, full, n) - y
+        lam = _circulant_eigenvalues(w, m, c, floor_i)
+
+        def normal(v: np.ndarray) -> np.ndarray:
+            return adjoint_apply(forward_apply(v)) + c * dtd(v) + floor_i * v
+
+        def precond(v: np.ndarray) -> np.ndarray:
+            return fft.irfft(fft.rfft(v) / lam, m)
+
+        q_cells, its = _pcg(normal, precond, rhs, m)
+        solves += 1
+        cg_iterations += its
+        r_vec = forward_apply(q_cells) + q_cells[-1] * tail - y
         resid = float(np.linalg.norm(r_vec))
-        dq = np.diff(q_cells)
         slope = 0.0
         if eps_val > 0.0 and resid > 0.0:
-            # dq_cells/deps = -(normal matrix)^-1 D^T D q_cells, from the
-            # factor at hand; d|r|^2/deps = 2 sum_j r_j . A_j dq/deps
-            dtd_q = np.concatenate(([0.0], dq)) - np.concatenate((dq, [0.0]))
-            dcells = -linalg.cho_solve(cf, dtd_q, check_finite=False)
-            dr = _forward_apply(w, extend(dcells), n)
+            # dq_cells/deps = -(normal matrix)^-1 D^T D q_cells;
+            # d|r|^2/deps = 2 sum_j r_j . A_j dq/deps
+            dcells, its = _pcg(normal, precond, -dtd(q_cells), m)
+            cg_iterations += its
+            dr = forward_apply(dcells) + dcells[-1] * tail
             slope = eps_val * float(r_vec.ravel() @ dr.ravel()) / resid ** 2
-        return _Trial(full, resid, np.linalg.norm(r_vec, axis=0),
-                      float(np.linalg.norm(dq)), slope)
+        return _Trial(np.concatenate([q_cells, np.full(n - m, q_cells[-1])]),
+                      resid, np.linalg.norm(r_vec, axis=0),
+                      float(np.linalg.norm(np.diff(q_cells))), slope)
 
     if eps == "auto":
         if sigma is None:
@@ -473,10 +474,8 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
 
     # cell midpoints -> node series on the decimated grid, then the input
     q_full = trial.cells
-    q_nodes = np.empty(n + 1)
-    q_nodes[1:-1] = 0.5 * (q_full[:-1] + q_full[1:])
-    q_nodes[0] = q_full[0]
-    q_nodes[-1] = q_full[-1]
+    q_nodes = np.concatenate(([q_full[0]], 0.5 * (q_full[:-1] + q_full[1:]),
+                              [q_full[-1]]))
     if stride > 1:
         coarse = TimeGrid(tau=grid.tau * stride, num_steps=n)
         q_nodes = np.interp(grid.times(), coarse.times(), q_nodes)
@@ -488,8 +487,8 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
                                eps=eps_used,
                                seminorm=trial.seminorm,
                                n_tail_extended=n - m,
-                               factorizations=factorizations,
-                               ridge_escalations=ridge_escalations,
+                               solves=solves,
+                               cg_iterations=cg_iterations,
                                stride=stride,
                                noise_sigma=result_sigma)
 
