@@ -1,17 +1,18 @@
 """Locate a 1D point source from two sensor time series.
 
-A unit-intensity source sits at x = 0.3 between sensors at 0 and 1.
-The sensors record the concentration as one (samples, 2) matrix; one
-transform call gives both columns' truncated Laplace transforms, whose
-log-ratio recovers the source position, and one joint deconvolution of
-both columns, each by its own arrival kernel, recovers the intensity
-history.
+A unit-intensity source sits at x = 0.3 between sensors at 0 and 1 on
+the free line.  The scenario names the domain, the sensors and the time
+grid; its sensor series form one (samples, 2) matrix.  One transform
+call gives both columns' truncated Laplace transforms, whose log-ratio
+recovers the source position (the locator reads the sensor pair, the
+coefficients and the boundary branch from the scenario), and one joint
+deconvolution of both columns, each by its own arrival kernel, recovers
+the intensity history.
 """
 
 import numpy as np
 
 from pointsource import (
-    CoefficientField1D,
     FreeSpace,
     PointSource,
     Scenario,
@@ -24,19 +25,17 @@ from pointsource import (
 # ---- synthetic measurements ------------------------------------------------
 grid = TimeGrid(tau=1e-3, num_steps=10000)          # 10 time units
 x_true = 0.3
-source = PointSource(location=[x_true], intensity=1.0)
-sensors = (0.0, 1.0)
+scenario = Scenario(domain=FreeSpace(n=1),
+                    sources=(PointSource(location=[x_true], intensity=1.0),),
+                    sensors=([0.0], [1.0]), grid=grid)
 
-psi = np.column_stack([forward.free_space_response([source], [b], grid, n=1)
-                       for b in sensors])
+psi = forward.sensor_traces(scenario)               # column j is sensor j
 print(f"sensor peaks: {psi.max(axis=0).tolist()}")
 
 # ---- transforms on a window compatible with the sampling rate ---------------
 lams = np.geomspace(100.0, 400.0, 13)
-phi = laplace.laplace_grid(psi, grid, lams)         # column 0 is sensor 0
-
-coeffs = CoefficientField1D.constant(1.0, 0.0, 0.0, interval=(0.0, 1.0))
-fit = identify1d.locate_source_1d(phi, coeffs, *sensors)
+phi = laplace.laplace_grid(psi, grid, lams)
+fit = identify1d.locate_source_1d(phi, scenario)
 
 print(f"\nrecovered location: {fit.x1_hat:.6f}   (true {x_true})")
 print(f"midpoint offset:    {fit.offset:.6f}   (expected "
@@ -48,8 +47,6 @@ for lam, x1, used in zip(fit.lambdas, fit.x1_per_lambda, fit.used):
     print(f"  {mark} lam = {lam:7.1f}   x1 = {x1:.8f}")
 
 # ---- intensity from both sensors --------------------------------------------
-scenario = Scenario(domain=FreeSpace(n=1), sources=(source,),
-                    sensors=tuple([b] for b in sensors), grid=grid)
 intensity = laplace.recover_intensity(psi, scenario, fit.x1_hat)
 t = grid.times()
 win = t >= 1.0

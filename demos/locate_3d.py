@@ -1,8 +1,9 @@
 """Localize a 3D point source seen by four sensors.
 
-The pipeline takes the sensor data as one (samples, sensors) matrix:
-Laplace transforms of all its columns on a geometric lambda window, one
-weighted least-squares fit of the source location to the mean-removed
+The scenario names the domain, the sensors and the time grid, and the
+pipeline takes its sensor data as one (samples, sensors) matrix: Laplace
+transforms of all its columns on a geometric lambda window, one weighted
+least-squares fit of the source location to the mean-removed
 log-transforms of all sensors (the unknown intensity transform cancels),
 then one joint deconvolution of all columns for the intensity, with each
 sensor's relative misfit as a consistency check.
@@ -25,12 +26,13 @@ sensors = np.array([[1.1, 0.2, 0.1], [-0.7, 0.9, -0.2],
                     [0.3, -1.0, 0.5], [-0.2, -0.3, -1.2]])
 
 grid = TimeGrid(tau=1e-3, num_steps=20000)          # 20 time units
-source = PointSource(location=x_true, intensity=1.0)
-psi = np.column_stack([forward.free_space_response([source], b, grid, n=3)
-                       for b in sensors])
+scenario = Scenario(domain=FreeSpace(n=3),
+                    sources=(PointSource(location=x_true, intensity=1.0),),
+                    sensors=tuple(sensors), grid=grid)
+psi = forward.sensor_traces(scenario)
 
-recovery = identifynd.locate_source_nd(psi, sensors, grid, n=3,
-                                       lambdas=np.geomspace(6.0, 50.0, 13))
+phi = laplace.laplace_grid(psi, grid, np.geomspace(6.0, 50.0, 13))
+recovery = identifynd.locate_source_nd(phi, scenario)
 
 print("transform parameters used:", np.round(recovery.lambdas, 3))
 print("guard diagnostics:", list(recovery.diagnostics) or "none")
@@ -46,8 +48,6 @@ print(f"position error:     "
 print(f"weighted residual {recovery.residual_norm:.2e}, location std "
       f"{np.sqrt(np.diag(recovery.x1_cov))}")
 
-scenario = Scenario(domain=FreeSpace(n=3), sources=(source,),
-                    sensors=tuple(sensors), grid=grid)
 intensity = laplace.recover_intensity(psi, scenario, recovery.x1_hat)
 t = grid.times()
 win = t >= 2.0

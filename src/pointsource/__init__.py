@@ -11,33 +11,6 @@ routines flag configurations where recovery is provably non-unique.
 """
 
 from . import cli, forward, identify1d, identifynd, laplace, model
-from .forward import (
-    bessel_k0,
-    crank_nicolson_1d,
-    distance_kernel,
-    free_space_response,
-    green_1d_asymptotic,
-    heat_kernel,
-    resolvent_green,
-)
-from .identify1d import (
-    alternation_findings,
-    invert_travel_distance,
-    locate_source_1d,
-)
-from .identifynd import (
-    in_general_position,
-    locate_source_nd,
-    nearest_source_matrix,
-    nonuniqueness_discrepancy,
-    sensor_count_sufficient,
-)
-from .laplace import (
-    laplace_grid,
-    recover_intensity,
-    suggest_lambda_grid,
-    volterra_deconvolve,
-)
 from .model import (
     CoefficientField1D,
     Dirichlet,
@@ -48,10 +21,6 @@ from .model import (
     Robin,
     Scenario,
     TimeGrid,
-    load_scenario,
-    save_scenario,
-    sensor_source_distances,
-    validate_scenario,
 )
 
 __version__ = "0.1.0"

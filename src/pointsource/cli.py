@@ -229,44 +229,10 @@ def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
     return block, flags
 
 
-def _locate_1d(args, scenario, psi_tilde) -> tuple[dict, float]:
+def _locate_1d(scenario, phi) -> tuple[dict, float]:
     """The 1D location fields of the report and the recovered
     coordinate."""
-    dom = scenario.domain
-    sensors = np.array([float(p[0]) for p in scenario.sensors])
-    order = np.argsort(sensors)
-    if sensors.size < 2:
-        raise ValueError("1D identification needs two sensors")
-    i1, i2 = order[0], order[-1]
-    b1, b2 = sensors[i1], sensors[i2]
-    coeffs = scenario.coefficients
-    if coeffs is None:
-        coeffs = model.CoefficientField1D.constant(1.0, 0.0, 0.0,
-                                                   interval=(b1, b2))
-    branch = "interior"
-    notes: list[dict] = []
-    if isinstance(dom, model.Interval1D):
-        left_refl = b1 == dom.a and isinstance(dom.bc_left, model.Robin)
-        right_refl = b2 == dom.b and isinstance(dom.bc_right, model.Robin)
-        if left_refl and right_refl:
-            # both image factors cancel in the transform ratio, so the
-            # interior formula applies
-            notes.append({"code": "both_sensors_reflecting",
-                          "sensors": [float(b1), float(b2)]})
-        elif left_refl:
-            branch = "left_boundary"
-        elif right_refl:
-            branch = "right_boundary"
-        elif b1 == dom.a or b2 == dom.b:
-            raise ValueError(
-                "a sensor sits on an absorbing (Dirichlet) boundary and "
-                "measures zero; move it inside or use a derivative boundary")
-    # the bracket width is the natural gap scale; sensor-source gaps sit
-    # within a factor 2 of it for any bracketed source
-    lambdas, window = _lambda_window(args, scenario, delta_hint=b2 - b1)
-    phi = laplace.laplace_grid(psi_tilde[:, [i1, i2]], scenario.grid,
-                               lambdas)
-    fit = identify1d.locate_source_1d(phi, coeffs, b1, b2, branch=branch)
+    fit = identify1d.locate_source_1d(phi, scenario)
     fields = {
         "x1_hat": fit.x1_hat,
         "branch": fit.branch,
@@ -282,33 +248,25 @@ def _locate_1d(args, scenario, psi_tilde) -> tuple[dict, float]:
              "weight": float(fit.weights[k]),
              "used": bool(fit.used[k])}
             for k in range(fit.lambdas.size)],
-        "lambda_window": list(window),
-        "diagnostics": list(fit.diagnostics) + notes,
+        "diagnostics": list(fit.diagnostics),
     }
     return fields, fit.x1_hat
 
 
-def _locate_nd(args, scenario, psi_tilde) -> tuple[dict, np.ndarray]:
+def _locate_nd(args, scenario, phi) -> tuple[dict, np.ndarray]:
     """The 2D/3D location fields of the report and the recovered
     location."""
-    # the fit uses the exact resolvent, so no source-sensor gap bounds the
-    # window from below
-    lambdas, window = _lambda_window(args, scenario, delta_hint=np.inf)
     if args.noise is None:
         noise = {"value": scenario.noise_sigma, "source": "scenario"}
     else:
         noise = {"value": args.noise, "source": "flag"}
-    rec = identifynd.locate_source_nd(psi_tilde, scenario.sensor_points(),
-                                      scenario.grid, n=scenario.dimension,
-                                      lambdas=lambdas,
-                                      lambda0=scenario.domain.lambda0,
+    rec = identifynd.locate_source_nd(phi, scenario,
                                       noise_sigma=noise["value"])
     fields = {
         "x1_hat": rec.x1_hat.tolist(),
         "x1_cov": rec.x1_cov.tolist(),
         "x1_std": np.sqrt(np.diag(rec.x1_cov)).tolist(),
         "alpha_hat": rec.alpha_hat.tolist(),
-        "lambda_window": list(window),
         "lambdas": rec.lambdas.tolist(),
         "residual_norm": rec.residual_norm,
         "noise_sigma": noise,
@@ -318,14 +276,23 @@ def _locate_nd(args, scenario, psi_tilde) -> tuple[dict, np.ndarray]:
 
 
 def _identify(args, scenario, psi_tilde, out: Path) -> dict:
-    """Locate the source, recover its intensity from every sensor and
-    score both against the ground truth when there is one."""
-    locate = _locate_1d if scenario.dimension == 1 else _locate_nd
-    fields, x_hat = locate(args, scenario, psi_tilde)
+    """Transform every sensor series once, locate the source, recover its
+    intensity from every sensor and score both against the ground truth
+    when there is one."""
+    one_d = scenario.dimension == 1
+    # 1D: the sensors' span is the natural gap scale, since sensor-source
+    # gaps sit within a factor 2 of it for any bracketed source; 2D/3D:
+    # the fit uses the exact resolvent, so no gap bounds the window below
+    gap = float(np.ptp(scenario.sensor_points())) if one_d else np.inf
+    lambdas, window = _lambda_window(args, scenario, delta_hint=gap)
+    phi = laplace.laplace_grid(psi_tilde, scenario.grid, lambdas)
+    fields, x_hat = _locate_1d(scenario, phi) if one_d \
+        else _locate_nd(args, scenario, phi)
     intensity, misfit_flags = _intensity_block(args, scenario, psi_tilde,
                                                x_hat)
     report = {"schema_version": REPORT_SCHEMA_VERSION,
               "dimension": scenario.dimension, **fields,
+              "lambda_window": list(window),
               "intensity": intensity}
     report["diagnostics"] += misfit_flags
     report["evaluation"] = _evaluation_block(

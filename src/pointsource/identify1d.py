@@ -1,22 +1,24 @@
-"""1D source identification from two sensor transforms.
+"""1D source identification from the transforms of a scenario's sensors.
 
-The two sensor series are transformed in one ``laplace_grid`` call on
-their (N+1, 2) matrix, so both columns share the lambda grid by
-construction.  Location recovery uses the large-parameter behaviour of
-the transform ratio: for a single source between two sensors,
+The locator takes the transforms of every sensor series from one
+``laplace_grid`` call and the scenario they were measured in, and reads
+the two outermost sensors b1 < b2.  Location recovery uses the
+large-parameter behaviour of their transform ratio: for a single source
+between them,
 
     log(Phi_1/Phi_2)(lam) = -sqrt(lam) * (travel(b1, x1) - travel(x1, b2))
                             - amp(b1, b2) + O(1/sqrt(lam)),
 
 where travel integrates the slowness 1/sqrt(a2) and amp integrates the
-first-order amplitude density.  Solving for the travel distance from b1
-and inverting the (strictly monotone) travel integral yields the source
-coordinate; sensors sitting on a reflecting boundary see the image charge
-and acquire a factor 2 handled by the boundary branches.  Scaled by
-1/(2 sqrt(lam)), the same log-ratio tends to the midpoint offset at
-large lambda, which the admissibility check reads.  The intensity at
-the recovered location comes from ``laplace.recover_intensity``, the
-path every dimension shares.
+first-order amplitude density of the scenario's coefficients (unit
+constants in free space).  Solving for the travel distance from b1 and
+inverting the (strictly monotone) travel integral yields the source
+coordinate.  A sensor on a reflecting end of an interval sees the image
+source, which doubles its transform; the locator works out that branch
+from the domain's boundary conditions.  Scaled by 1/(2 sqrt(lam)), the
+same log-ratio tends to the midpoint offset at large lambda, which the
+admissibility check reads.  The intensity at the recovered location comes
+from ``laplace.recover_intensity``, the path every dimension shares.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.integrate import solve_ivp
 
 from .forward import _travel, travel_integrals
 from .laplace import LaplaceSamples
-from .model import CoefficientField1D
+from .model import CoefficientField1D, Dirichlet, Interval1D, Scenario
 
 __all__ = [
     "LocationFit1D",
@@ -62,20 +64,18 @@ def _log_ratio(phi: LaplaceSamples) -> tuple[np.ndarray, np.ndarray]:
     return ok, logr
 
 
-def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m,
-                           direction: int = 1):
-    """Find x with |int_{b1}^{x} slowness| = m on the given side of b1.
+def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m):
+    """Find x >= b1 with int_{b1}^{x} slowness = m.
 
     ``m`` is a scalar or an array of travel distances.  x(m) solves
-    dx/dm = +-sqrt(a2(x)) with x(0) = b1, so one DOP853 integration
-    through the sorted targets (rtol = atol = 1e-13) inverts them all; the
+    dx/dm = sqrt(a2(x)) with x(0) = b1, so one DOP853 integration through
+    the sorted targets (rtol = atol = 1e-13) inverts them all; the
     slowness is strictly positive, so each root is unique.
     """
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0.0):
         raise ValueError("travel distance must be nonnegative")
-    end = coeffs.b if direction > 0 else coeffs.a
-    total = abs(_travel(coeffs, b1, end))
+    total = _travel(coeffs, b1, coeffs.b)
     if np.any(m_arr > total * (1.0 + 1e-12)):
         raise ValueError("travel distance exceeds the domain extent")
     targets, inverse = np.unique(np.minimum(m_arr.ravel(), total),
@@ -83,13 +83,12 @@ def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m,
     x = np.full(targets.shape, float(b1))
     inside = (targets > 0.0) & (targets < total)
     if np.any(inside):
-        sign = 1.0 if direction > 0 else -1.0
-        sol = solve_ivp(lambda _, y: sign * np.sqrt(coeffs.diffusion(y)),
+        sol = solve_ivp(lambda _, y: np.sqrt(coeffs.diffusion(y)),
                         (0.0, targets[inside][-1]), [float(b1)],
                         method="DOP853", t_eval=targets[inside],
                         rtol=1e-13, atol=1e-13)
         x[inside] = sol.y[0]
-    x[targets >= total] = end
+    x[targets >= total] = coeffs.b
     out = x[inverse].reshape(m_arr.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -129,29 +128,73 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[np.searchsorted(c, 0.5 * c[-1])])
 
 
-def locate_source_1d(phi: LaplaceSamples, coeffs: CoefficientField1D,
-                     b1: float, b2: float,
-                     branch: str = "interior") -> LocationFit1D:
-    """Recover the source coordinate between sensors b1 < b2.
+def _boundary_branch(scenario: Scenario, b1: float, b2: float
+                     ) -> tuple[str, list[dict]]:
+    """The boundary branch of the outermost sensors b1 < b2, and a note
+    when both sit on reflecting ends.
 
-    ``phi`` holds the transforms of both sensor series from one
-    ``laplace_grid`` call, shape (K, 2): column 0 is the sensor at b1,
-    column 1 the sensor at b2.  branch selects the sensor placement:
-    "interior" for two interior sensors, "left_boundary" when b1 sits on
-    a reflecting (derivative) boundary, "right_boundary" when b2 does.
-    Each lambda yields one travel-distance estimate; the aggregate is the
-    bound-weighted median over the window (the largest lambdas are the
-    most asymptotic but the most error-amplified, so no single point is
-    trusted).  The midpoint offset is fitted to the same log-ratio over
-    all trustworthy lambdas; a source bracketed by the sensors has
-    |offset| < travel(b1, b2)/2 (the admissibility check).
+    A sensor on a reflecting (Robin) end of an interval sees the image
+    source, which doubles its transform: "left_boundary" for b1 there,
+    "right_boundary" for b2.  When both do, the two factors cancel in the
+    ratio and the interior formula applies.  A sensor on an absorbing
+    (Dirichlet) end measures zero and is rejected.
     """
+    dom = scenario.domain
+    if not isinstance(dom, Interval1D):
+        return "interior", []
+    on_left, on_right = b1 == dom.a, b2 == dom.b
+    if (on_left and isinstance(dom.bc_left, Dirichlet)) or \
+            (on_right and isinstance(dom.bc_right, Dirichlet)):
+        raise ValueError(
+            "a sensor sits on an absorbing (Dirichlet) boundary and "
+            "measures zero; move it inside or use a derivative boundary")
+    if on_left and on_right:
+        return "interior", [{"code": "both_sensors_reflecting",
+                             "sensors": [float(b1), float(b2)]}]
+    if on_left:
+        return "left_boundary", []
+    if on_right:
+        return "right_boundary", []
+    return "interior", []
+
+
+def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
+                     ) -> LocationFit1D:
+    """Recover the source coordinate between the outermost sensors of
+    ``scenario``.
+
+    ``phi`` holds the transforms of every sensor series from one
+    ``laplace_grid`` call, shape (K, s), column j from sensor j; the fit
+    reads the columns of the leftmost sensor b1 and the rightmost b2.  The
+    slowness and amplitude integrals use the scenario's coefficients, or
+    unit constants on [b1, b2] when it has none (free space), and the
+    boundary branch follows from where the two sensors sit
+    (``_boundary_branch``).  Each lambda yields one travel-distance
+    estimate; the aggregate is the bound-weighted median over the window
+    (the largest lambdas are the most asymptotic but the most
+    error-amplified, so no single point is trusted).  The midpoint offset
+    is fitted to the same log-ratio over all trustworthy lambdas; a
+    source bracketed by the sensors has |offset| < travel(b1, b2)/2 (the
+    admissibility check).
+    """
+    sensors = scenario.sensor_points()[:, 0]
+    if sensors.size < 2:
+        raise ValueError("1D identification needs two sensors")
+    if phi.values.shape != phi.lambdas.shape + sensors.shape:
+        raise ValueError("need one transform column per sensor")
+    order = np.argsort(sensors)
+    pair = [order[0], order[-1]]
+    b1, b2 = sensors[pair]
     if not b1 < b2:
         raise ValueError("sensors must satisfy b1 < b2")
-    if branch not in ("interior", "left_boundary", "right_boundary"):
-        raise ValueError(f"unknown branch {branch!r}")
-    if phi.values.shape != phi.lambdas.shape + (2,):
-        raise ValueError("need the transforms of two sensor series")
+    branch, notes = _boundary_branch(scenario, b1, b2)
+    coeffs = scenario.coefficients
+    if coeffs is None:
+        coeffs = CoefficientField1D.constant(1.0, 0.0, 0.0,
+                                             interval=(b1, b2))
+    phi = LaplaceSamples(lambdas=phi.lambdas, values=phi.values[:, pair],
+                         truncation=phi.truncation[:, pair],
+                         discretization=phi.discretization[:, pair])
     lam = phi.lambdas
     ok, logr = _log_ratio(phi)
     # the offset: a_k = offset + slope/sqrt(lam_k) fitted to the scaled
@@ -196,7 +239,7 @@ def locate_source_1d(phi: LaplaceSamples, coeffs: CoefficientField1D,
         travel_per_lambda=travel, weights=weights, used=used, branch=branch,
         travel_total=travel_total, amp_total=amp_total, offset=offset,
         offset_residual=offset_residual, admissible=admissible,
-        diagnostics=tuple(diagnostics))
+        diagnostics=tuple(diagnostics + notes))
 
 
 def alternation_findings(sources, sensors) -> list[dict]:

@@ -1,16 +1,17 @@
 """Multidimensional (n = 2, 3) single-source localization and diagnostics.
 
-The location fit takes the sensor data as one (N+1, s) matrix, column j
-measured at sensor point j.  For one source the sensor transforms
-factorize exactly into the intensity transform times the free-space
-resolvent Green function of the source-sensor distance.
-``locate_source_nd`` transforms all columns in one call, removes the
-intensity factor by taking the per-lambda sensor mean out of the
-log-transforms and fits the location to all sensors and all trustworthy
-lambdas in one weighted least-squares problem; the Jacobian at the
-solution gives the location covariance.  The intensity at the fitted
-location comes from ``laplace.recover_intensity``, which fits one q to
-all columns jointly, each through its own arrival kernel.
+The location fit takes the transforms of every sensor series from one
+``laplace_grid`` call, column j measured at sensor j of the scenario,
+and reads the sensors, the dimension, the grid and the reaction lambda0
+from that scenario.  For one source the sensor transforms factorize
+exactly into the intensity transform times the free-space resolvent
+Green function of the source-sensor distance.  ``locate_source_nd``
+removes the intensity factor by taking the per-lambda sensor mean out of
+the log-transforms and fits the location to all sensors and all
+trustworthy lambdas in one weighted least-squares problem; the Jacobian
+at the solution gives the location covariance.  The intensity at the
+fitted location comes from ``laplace.recover_intensity``, which fits one
+q to all columns jointly, each through its own arrival kernel.
 
 Also here: the geometric general-position check (no collinear triples /
 coplanar quadruples of sensors), the nearest-source visibility matrix
@@ -33,8 +34,8 @@ import numpy as np
 from scipy import optimize, special
 
 from .forward import resolvent_green
-from .laplace import laplace_grid
-from .model import DriftFieldND, TimeGrid, sensor_source_distances
+from .laplace import LaplaceSamples
+from .model import DriftFieldND, Scenario, sensor_source_distances
 
 __all__ = [
     "in_general_position",
@@ -137,25 +138,23 @@ def _asymptotic_start(sensors: np.ndarray, mu: np.ndarray,
                            b2[1:] - b2[0] - (r2[1:] - r2[0]), rcond=None)[0]
 
 
-def locate_source_nd(psi: np.ndarray, sensors, grid: TimeGrid, n: int,
-                     lambdas, lambda0: float = 0.0,
+def locate_source_nd(phi: LaplaceSamples, scenario: Scenario,
                      noise_sigma: float = 0.0) -> RecoveryND:
     """Weighted least-squares fit of the source location to all transforms.
 
-    ``psi`` holds the background-subtracted series of the s sensors, shape
-    (N+1, s) on ``grid``; row j of ``sensors`` (shape (s, n)) is where
-    column j was measured.  ``lambdas`` is the increasing grid of
-    transform parameters; all s series are transformed in one
-    ``laplace_grid`` call.
+    ``phi`` holds the transforms of the background-subtracted series of
+    the s sensors of ``scenario`` from one ``laplace_grid`` call on its
+    grid, shape (K, s): column j was measured at sensor j.
 
     For one source the transform factorizes exactly,
     Phi_j(lam) = Q(lam) * G_n(|x - b_j|, sqrt(lam + lambda0)) with
-    G_3 = exp(-mu r)/(4 pi r) and G_2 = K0(mu r)/(2 pi).  Taking the
-    per-lambda sensor mean out of log Phi_j removes the unknown intensity
-    transform Q; x is then fitted over all sensors and lambdas, once from
-    the sensor centroid and once from the closed-form large-mu solution,
-    keeping the smaller misfit.  Each log-value is weighted by |Phi| over
-    its error: truncation plus discretization bound plus the noise floor
+    G_3 = exp(-mu r)/(4 pi r), G_2 = K0(mu r)/(2 pi) and lambda0 the
+    reaction of the scenario's free space.  Taking the per-lambda sensor
+    mean out of log Phi_j removes the unknown intensity transform Q; x is
+    then fitted over all sensors and lambdas, once from the sensor
+    centroid and once from the closed-form large-mu solution, keeping the
+    smaller misfit.  Each log-value is weighted by |Phi| over its error:
+    truncation plus discretization bound plus the noise floor
     sigma*sqrt(tau/(2 lam)) of iid per-sample noise of scale
     ``noise_sigma``.
 
@@ -163,24 +162,23 @@ def locate_source_nd(psi: np.ndarray, sensors, grid: TimeGrid, n: int,
     clear the noise floor by NOISE_HEADROOM, are dropped and reported; if
     fewer than MIN_LAMBDAS remain, the call fails with that diagnosis.
     """
+    n = scenario.dimension
     if n not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    sensors = np.atleast_2d(np.asarray(sensors, dtype=float))
+    sensors = scenario.sensor_points()
     s = sensors.shape[0]
     if s < n + 1:
         raise ValueError(f"need at least {n + 1} sensors, got {s}")
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (grid.num_samples, s):
-        raise ValueError("need one series column per sensor on the time grid")
+    if phi.values.shape != phi.lambdas.shape + (s,):
+        raise ValueError("need one transform column per sensor")
     ok, witness = in_general_position(sensors, n)
     if not ok:
         raise ValueError(f"sensors fail general position; witness indices "
                          f"{witness}")
-    lambdas = np.asarray(lambdas, dtype=float)
-    phi = laplace_grid(psi, grid, lambdas)
+    lambdas = phi.lambdas
     # one row per sensor from here on
     values = np.ascontiguousarray(phi.values.T)
-    noise = noise_sigma * np.sqrt(grid.tau / (2.0 * lambdas))
+    noise = noise_sigma * np.sqrt(scenario.grid.tau / (2.0 * lambdas))
     err = phi.bounds.T + noise
     guards = {
         "truncation": np.all(phi.truncation_ok(), axis=1),
@@ -200,7 +198,7 @@ def locate_source_nd(psi: np.ndarray, sensors, grid: TimeGrid, n: int,
             f"guards); extend the horizon or reduce the noise")
     lambdas, values, err = lambdas[keep], values[:, keep], err[:, keep]
 
-    mu = np.sqrt(lambdas + lambda0)
+    mu = np.sqrt(lambdas + scenario.domain.lambda0)
     wts = values / err
     log_phi = np.log(values)
     target = log_phi - log_phi.mean(axis=0)

@@ -31,7 +31,7 @@ jointly against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy import fft, linalg
@@ -253,7 +253,8 @@ class _Trial(NamedTuple):
     residual: float
     per_sensor: np.ndarray
     seminorm: float
-    slope: float          # d log(residual) / d log(eps)
+    # d log(residual) / d log(eps); each call runs one more CG solve
+    slope: Callable[[], float]
 
 
 def _discrepancy_search(solve, target: float, lo: float, hi: float
@@ -270,14 +271,14 @@ def _discrepancy_search(solve, target: float, lo: float, hi: float
     least damped q.  That residual is a misfit floor no eps removes, so it
     is added to the target in quadrature, and the top is returned if it
     stays below the raised target.  Otherwise a safeguarded Newton
-    iteration on f = log(residual/target) narrows the bracket: each solve
-    supplies the exact slope of f, and the step is taken in eps where that
-    lands inside the bracket (f is close to linear in eps near its root),
-    else in log eps, else the log-midpoint; the midpoint is also used
-    after a step that failed to halve |f|.  The search stops once
-    |f| < 1e-3 or the bracket ratio falls below 1.2, and the evaluated eps
-    whose residual is closest to the target is returned without a further
-    solve.
+    iteration on f = log(residual/target) narrows the bracket: a step
+    solves for the exact slope of f at the last trial, and is taken in
+    eps where that lands inside the bracket (f is close to linear in eps
+    near its root), else in log eps, else the log-midpoint; the midpoint
+    is also used, without a slope solve, after a step that failed to
+    halve |f|.  The search stops once |f| < 1e-3 or the bracket ratio
+    falls below 1.2, and the evaluated eps whose residual is closest to
+    the target is returned without a further solve.
     """
     if not target > 0.0:
         return 0.0, solve(0.0)
@@ -296,11 +297,11 @@ def _discrepancy_search(solve, target: float, lo: float, hi: float
     # eps = lo stands in for eps = 0: both sit far below the ridge floor
     a, b = np.log(lo), np.log(hi)
     tried = [(0.0, bottom), (hi, top)]
-    x, f, slope = b, mismatch(top), top.slope
+    x, f, trial = b, mismatch(top), top
     stalled = False
     while b - a >= np.log(1.2):
         steps = []
-        if slope > 0.0 and not stalled:
+        if not stalled and (slope := trial.slope()) > 0.0:
             if f < slope:
                 steps.append(x + np.log1p(-f / slope))   # Newton in eps
             steps.append(x - f / slope)                   # Newton in log eps
@@ -309,7 +310,7 @@ def _discrepancy_search(solve, target: float, lo: float, hi: float
         eps_x = float(np.exp(x))
         trial = solve(eps_x)
         tried.append((eps_x, trial))
-        f_prev, f, slope = f, mismatch(trial), trial.slope
+        f_prev, f = f, mismatch(trial)
         if abs(f) < 1e-3:
             break
         stalled = abs(f) > 0.5 * abs(f_prev)
@@ -444,14 +445,18 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
         cg_iterations += its
         r_vec = forward_apply(q_cells) + q_cells[-1] * tail - y
         resid = float(np.linalg.norm(r_vec))
-        slope = 0.0
-        if eps_val > 0.0 and resid > 0.0:
+
+        def slope() -> float:
+            nonlocal cg_iterations
+            if not (eps_val > 0.0 and resid > 0.0):
+                return 0.0
             # dq_cells/deps = -(normal matrix)^-1 D^T D q_cells;
             # d|r|^2/deps = 2 sum_j r_j . A_j dq/deps
             dcells, its = _pcg(normal, precond, -dtd(q_cells), m)
             cg_iterations += its
             dr = forward_apply(dcells) + dcells[-1] * tail
-            slope = eps_val * float(r_vec.ravel() @ dr.ravel()) / resid ** 2
+            return eps_val * float(r_vec.ravel() @ dr.ravel()) / resid ** 2
+
         return _Trial(np.concatenate([q_cells, np.full(n - m, q_cells[-1])]),
                       resid, np.linalg.norm(r_vec, axis=0),
                       float(np.linalg.norm(np.diff(q_cells))), slope)

@@ -51,14 +51,17 @@ def oracle_1d():
     phi = laplace.laplace_grid(np.column_stack([
         forward.free_space_response([src], [b], grid, n=1)
         for b in (0.0, 1.0)]), grid, lams)
+    scenario = model.Scenario(domain=model.FreeSpace(n=1), sources=(src,),
+                              sensors=([0.0], [1.0]), grid=grid)
+    # the unit coefficients the locator uses on the free line
     coeffs = model.CoefficientField1D.constant(1.0, 0.0, 0.0,
                                                interval=(0.0, 1.0))
-    return grid, coeffs, phi
+    return scenario, coeffs, phi
 
 
 def test_c2_1d_location(oracle_1d):
-    _, coeffs, phi = oracle_1d
-    fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
+    scenario, _, phi = oracle_1d
+    fit = identify1d.locate_source_1d(phi, scenario)
     err = abs(fit.x1_hat - 0.3)
     ok_agg = err <= 1e-2
     per = np.abs(fit.x1_per_lambda[fit.used] - 0.3)
@@ -73,8 +76,8 @@ def test_c2_1d_location(oracle_1d):
 
 
 def test_c3_offset_consistency(oracle_1d):
-    _, coeffs, phi = oracle_1d
-    fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
+    scenario, coeffs, phi = oracle_1d
+    fit = identify1d.locate_source_1d(phi, scenario)
     travel, _ = forward.travel_integrals(coeffs, 0.0, 1.0)
     ok = abs(fit.offset - 0.2) <= 5e-3 and abs(fit.offset) < 0.5 * travel
     check("C3", "offset limit 0.2 within 5e-3 and admissible",
@@ -89,8 +92,11 @@ def test_c4_3d_localization():
     src = model.PointSource(location=x1, intensity=1.0)
     psi = np.column_stack([forward.free_space_response([src], b, grid, n=3)
                            for b in sensors])
-    rec = identifynd.locate_source_nd(psi, sensors, grid, n=3,
-                                      lambdas=np.geomspace(6.0, 50.0, 13))
+    scenario = model.Scenario(domain=model.FreeSpace(n=3), sources=(src,),
+                              sensors=sensors, grid=grid)
+    rec = identifynd.locate_source_nd(
+        laplace.laplace_grid(psi, grid, np.geomspace(6.0, 50.0, 13)),
+        scenario)
     pos_err = float(np.linalg.norm(rec.x1_hat - x1))
     alpha_true = np.array([np.linalg.norm(x1 - b) for b in sensors])
     dist_err = float(np.abs(rec.alpha_hat - alpha_true).max())
@@ -107,8 +113,11 @@ def test_c5_2d_localization():
     src = model.PointSource(location=x1, intensity=1.0)
     psi = np.column_stack([forward.free_space_response([src], b, grid, n=2)
                            for b in sensors])
-    rec = identifynd.locate_source_nd(psi, sensors, grid, n=2,
-                                      lambdas=np.geomspace(6.0, 50.0, 13))
+    scenario = model.Scenario(domain=model.FreeSpace(n=2), sources=(src,),
+                              sensors=sensors, grid=grid)
+    rec = identifynd.locate_source_nd(
+        laplace.laplace_grid(psi, grid, np.geomspace(6.0, 50.0, 13)),
+        scenario)
     pos_err = float(np.linalg.norm(rec.x1_hat - x1))
     check("C5", "2D localization <= 5e-2", pos_err <= 5e-2,
           f" (pos {pos_err:.2e})")

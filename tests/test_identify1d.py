@@ -5,15 +5,22 @@ from scipy.optimize import brentq
 from pointsource import forward, identify1d, laplace, model
 
 
+def free_line(grid, *sensors):
+    """A 1D free-space scenario: all the locator and recover_intensity
+    read of it is the domain, the sensors and the grid."""
+    return model.Scenario(domain=model.FreeSpace(n=1), sources=(),
+                          sensors=tuple([b] for b in sensors), grid=grid)
+
+
 def oracle_transforms(x1, sensors, lams, tau=1e-3, num_steps=10000,
                       intensity=1.0):
-    """The grid and the transform of the sensor matrix, one column per
-    sensor."""
+    """The free-line scenario of the sensors and the transform of its
+    sensor matrix, one column per sensor."""
     grid = model.TimeGrid(tau=tau, num_steps=num_steps)
     src = model.PointSource(location=[x1], intensity=intensity)
     psi = np.column_stack([forward.free_space_response([src], [b], grid, n=1)
                            for b in sensors])
-    return grid, laplace.laplace_grid(psi, grid, lams)
+    return free_line(grid, *sensors), laplace.laplace_grid(psi, grid, lams)
 
 
 def with_values(phi, values, scale=1.0):
@@ -23,6 +30,7 @@ def with_values(phi, values, scale=1.0):
         discretization=scale * phi.discretization)
 
 
+# the coefficients the locator uses on the free line between 0 and 1
 UNIT_COEFFS = model.CoefficientField1D.constant(1.0, 0.0, 0.0,
                                                 interval=(0.0, 1.0))
 # the interval1d benchmark coefficients on [-10, 10]
@@ -32,50 +40,42 @@ VARIABLE_COEFFS = model.CoefficientField1D(
     np.full(41, 0.02))
 
 
-def free_line(grid, sensor):
-    """A 1D free-space scenario with one sensor: all recover_intensity
-    reads of it is the domain, the sensor and the grid."""
-    return model.Scenario(domain=model.FreeSpace(n=1), sources=(),
-                          sensors=([sensor],), grid=grid)
-
-
 class TestEstimateOffset:
     """The midpoint offset ``locate_source_1d`` fits to its log-ratio."""
 
     def test_symmetric_layout_gives_zero(self):
         lams = np.geomspace(100, 400, 10)
-        _, phi = oracle_transforms(0.5, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        scen, phi = oracle_transforms(0.5, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         assert abs(fit.offset) < 1e-9
 
     def test_offset_value(self):
         lams = np.geomspace(100, 400, 13)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         # travel midpoint minus travel to the source: 0.5 - 0.3
         np.testing.assert_allclose(fit.offset, 0.2, atol=5e-3)
 
     def test_admissibility_bound(self):
         lams = np.geomspace(100, 400, 13)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         travel, _ = forward.travel_integrals(UNIT_COEFFS, 0.0, 1.0)
         assert abs(fit.offset) < 0.5 * travel
 
     def test_too_few_points(self):
         lams = np.array([100.0, 200.0])
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
         with pytest.raises(ValueError):
-            identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+            identify1d.locate_source_1d(phi, scen)
 
     def test_sign_change_rejected(self):
         lams = np.geomspace(100, 400, 6)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
         values = phi.values.copy()
         values[-1, 0] = -values[-1, 0]
         with pytest.raises(ValueError):
-            identify1d.locate_source_1d(with_values(phi, values),
-                                        UNIT_COEFFS, 0.0, 1.0)
+            identify1d.locate_source_1d(with_values(phi, values), scen)
 
 
 class TestInvertTravelDistance:
@@ -98,23 +98,20 @@ class TestInvertTravelDistance:
         with pytest.raises(ValueError):
             identify1d.invert_travel_distance(UNIT_COEFFS, 0.0, 5.0)
 
-    @pytest.mark.parametrize("direction", [1, -1])
-    def test_array_matches_root_search(self, direction):
+    def test_array_matches_root_search(self):
         # one integration through unsorted, repeated and end-point targets
         # agrees with a root search per target
-        b1 = 0.0
-        end = 10.0 if direction > 0 else -10.0
-        total = abs(forward.travel_integrals(VARIABLE_COEFFS, b1, end)[0])
+        b1, end = 0.0, VARIABLE_COEFFS.b
+        total = forward.travel_integrals(VARIABLE_COEFFS, b1, end)[0]
         m = total * np.array([0.07, 0.005, 0.32, 0.0, 0.07, 0.91, 1.0])
-        x = identify1d.invert_travel_distance(VARIABLE_COEFFS, b1, m,
-                                              direction=direction)
+        x = identify1d.invert_travel_distance(VARIABLE_COEFFS, b1, m)
         assert x.shape == m.shape
         assert x[3] == b1 and x[-1] == end
         for mk, xk in zip(m[:-1], x[:-1]):
             if mk == 0.0:
                 continue
-            ref = brentq(lambda y: abs(forward.travel_integrals(
-                VARIABLE_COEFFS, b1, y)[0]) - mk, b1, end, xtol=1e-14)
+            ref = brentq(lambda y: forward.travel_integrals(
+                VARIABLE_COEFFS, b1, y)[0] - mk, b1, end, xtol=1e-14)
             assert abs(xk - ref) <= 1e-10 * (VARIABLE_COEFFS.b -
                                              VARIABLE_COEFFS.a)
 
@@ -122,45 +119,55 @@ class TestInvertTravelDistance:
 class TestLocate1D:
     def test_midpoint_source(self):
         lams = np.geomspace(100, 400, 10)
-        _, phi = oracle_transforms(0.5, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        scen, phi = oracle_transforms(0.5, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         np.testing.assert_allclose(fit.x1_per_lambda[fit.used], 0.5,
                                    atol=1e-9)
         np.testing.assert_allclose(fit.x1_hat, 0.5, atol=1e-9)
 
     def test_oracle_location(self):
         lams = np.geomspace(100, 400, 13)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         assert abs(fit.x1_hat - 0.3) <= 1e-2
         assert fit.admissible
+
+    def test_outermost_pair_read(self):
+        # a middle sensor and the column order play no part: the fit reads
+        # the columns of the leftmost and the rightmost sensor
+        lams = np.geomspace(100, 400, 13)
+        pair, phi_pair = oracle_transforms(0.3, [0.0, 1.0], lams)
+        three, phi_three = oracle_transforms(0.3, [1.0, 0.6, 0.0], lams)
+        a = identify1d.locate_source_1d(phi_pair, pair)
+        b = identify1d.locate_source_1d(phi_three, three)
+        assert a.x1_hat == b.x1_hat
+        np.testing.assert_array_equal(a.x1_per_lambda, b.x1_per_lambda)
 
     def test_not_bracketed(self):
         # a source beyond the far sensor pins the travel estimate onto the
         # bracket edge; with a sampling-compatible window this is detected
         lams = np.geomspace(100, 400, 10)
-        _, phi = oracle_transforms(1.5, [0.0, 1.0], lams, tau=1e-4,
+        scen, phi = oracle_transforms(1.5, [0.0, 1.0], lams, tau=1e-4,
                                    num_steps=200000)
         with pytest.raises(ValueError):
-            identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+            identify1d.locate_source_1d(phi, scen)
 
     def test_one_sign_flip_rejected(self):
         # a single lambda whose ratio turns negative makes the data
         # inconsistent with one source; it is not skipped
         lams = np.geomspace(100, 400, 10)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
         values = phi.values.copy()
         values[4, 0] = -values[4, 0]
         with pytest.raises(ValueError, match="changes sign"):
-            identify1d.locate_source_1d(with_values(phi, values),
-                                        UNIT_COEFFS, 0.0, 1.0)
+            identify1d.locate_source_1d(with_values(phi, values), scen)
 
     def test_scale_invariance(self):
         lams = np.geomspace(100, 400, 10)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
         scaled = with_values(phi, 7.5 * phi.values, scale=7.5)
-        a = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
-        b = identify1d.locate_source_1d(scaled, UNIT_COEFFS, 0.0, 1.0)
+        a = identify1d.locate_source_1d(phi, scen)
+        b = identify1d.locate_source_1d(scaled, scen)
         np.testing.assert_allclose(a.x1_hat, b.x1_hat, rtol=1e-12)
         np.testing.assert_allclose(a.offset, b.offset, atol=1e-12)
 
@@ -181,14 +188,14 @@ class TestLocate1D:
                 forward.free_space_response([src], [b], grid, n=1)
                 for b in (0.0, 1.0)])
             fits.append(identify1d.locate_source_1d(
-                laplace.laplace_grid(psi, grid, lams), UNIT_COEFFS, 0.0,
-                1.0))
+                laplace.laplace_grid(psi, grid, lams),
+                free_line(grid, 0.0, 1.0)))
         assert abs(fits[0].x1_hat - fits[1].x1_hat) <= 1e-6
 
     def test_bracketing_invariant(self):
         lams = np.geomspace(100, 400, 13)
-        _, phi = oracle_transforms(0.25, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        scen, phi = oracle_transforms(0.25, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         used = fit.used
         assert np.all(fit.travel_per_lambda[used] > 0)
         assert np.all(fit.travel_per_lambda[used] < fit.travel_total)
@@ -196,8 +203,8 @@ class TestLocate1D:
     def test_offset_consistency_identity(self):
         # offset + travel(b1, x1) = travel(b1, b2)/2 within the fit residual
         lams = np.geomspace(100, 400, 13)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
-        fit = identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         travel_to_src, _ = forward.travel_integrals(UNIT_COEFFS, 0.0,
                                                     fit.x1_hat)
         lhs = fit.offset + travel_to_src
@@ -219,7 +226,7 @@ def drift_sensor_data(lams, x1=0.5, a1=1.0, tau=5e-4, horizon=5.0):
         grid=grid,
     )
     traces = forward.crank_nicolson_1d(scen, num_cells=1800)
-    return coeffs, laplace.laplace_grid(traces, grid, lams)
+    return scen, laplace.laplace_grid(traces, grid, lams)
 
 
 class TestDriftCorrection:
@@ -232,8 +239,8 @@ class TestDriftCorrection:
         # with drift, the uncorrected midpoint estimate carries a bias
         # proportional to 1/sqrt(lam); the amplitude correction removes it
         lams = np.geomspace(16.0, 100.0, 10)
-        coeffs, phi = drift_sensor_data(lams)
-        fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
+        scen, phi = drift_sensor_data(lams)
+        fit = identify1d.locate_source_1d(phi, scen)
         corrected_err = np.abs(fit.x1_per_lambda[fit.used] - 0.5)
         # uncorrected: drop the amplitude integral from the estimate
         sq = np.sqrt(fit.lambdas[fit.used])
@@ -252,8 +259,8 @@ class TestDriftCorrection:
         # 1/sqrt(lam); check the fitted envelope has nonnegative scale and
         # the errors decrease across the window
         lams = np.geomspace(16.0, 100.0, 10)
-        coeffs, phi = drift_sensor_data(lams, a1=0.5)
-        fit = identify1d.locate_source_1d(phi, coeffs, 0.0, 1.0)
+        scen, phi = drift_sensor_data(lams, a1=0.5)
+        fit = identify1d.locate_source_1d(phi, scen)
         err = np.abs(fit.x1_per_lambda[fit.used] - 0.5)
         x = 1.0 / np.sqrt(fit.lambdas[fit.used])
         c = np.polyfit(x, err, 1)[0]
@@ -292,23 +299,34 @@ class TestBoundaryBranches:
         traces = forward.crank_nicolson_1d(scen, num_cells=1600)
         lams = np.geomspace(25.0, 100.0, 10)
         phi = laplace.laplace_grid(traces, grid, lams)
-        fit = identify1d.locate_source_1d(phi, coeffs, b1, b2,
-                                          branch=branch)
+        fit = identify1d.locate_source_1d(phi, scen)
+        assert fit.branch == branch
         assert abs(fit.x1_hat - x1) < 1.5e-2
 
     def test_single_series_rejected(self):
         lams = np.geomspace(100, 400, 6)
-        grid, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
-        one = laplace.laplace_grid(np.ones(grid.num_samples), grid, lams)
-        with pytest.raises(ValueError, match="two sensor series"):
-            identify1d.locate_source_1d(one, UNIT_COEFFS, 0.0, 1.0)
+        scen, _ = oracle_transforms(0.3, [0.0, 1.0], lams)
+        one = laplace.laplace_grid(np.ones(scen.grid.num_samples), scen.grid,
+                                   lams)
+        with pytest.raises(ValueError, match="one transform column per "
+                                             "sensor"):
+            identify1d.locate_source_1d(one, scen)
 
-    def test_unknown_branch_rejected(self):
+    @pytest.mark.parametrize("bc_left", [model.Dirichlet(g=0.0),
+                                         model.Robin(sigma=0.0, g=0.0)],
+                             ids=["dirichlet", "robin"])
+    def test_absorbing_end_sensor_rejected(self, bc_left):
+        # a sensor on a Dirichlet end measures zero, whatever the other
+        # end of the pair sits on
         lams = np.geomspace(100, 400, 6)
-        _, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
-        with pytest.raises(ValueError):
-            identify1d.locate_source_1d(phi, UNIT_COEFFS, 0.0, 1.0,
-                                        branch="top")
+        free, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0, bc_left=bc_left,
+                                    bc_right=model.Dirichlet(g=0.0)),
+            coefficients=UNIT_COEFFS, sources=(), sensors=free.sensors,
+            grid=free.grid)
+        with pytest.raises(ValueError, match="absorbing"):
+            identify1d.locate_source_1d(phi, scen)
 
 
 class TestRecoverIntensity1D:

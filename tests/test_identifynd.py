@@ -15,8 +15,8 @@ def make_series(x1, sensors, n, grid, lambda0=0.0, intensity=1.0):
 
 
 def free_space(sensors, grid, n=3, lambda0=0.0):
-    """A free-space scenario: all recover_intensity reads of it is the
-    domain, the sensors and the grid."""
+    """A free-space scenario: all the locator and recover_intensity read
+    of it is the domain, the sensors and the grid."""
     return model.Scenario(domain=model.FreeSpace(n=n, lambda0=lambda0),
                           sources=(), sensors=tuple(sensors), grid=grid)
 
@@ -147,14 +147,16 @@ def free3d_fit(traces, sigma, seed):
     noisy = traces + sigma * rng.standard_normal(traces.shape)
     lambdas = np.geomspace(*laplace.suggest_lambda_grid(FREE3D_GRID, np.inf),
                            13)
-    return identifynd.locate_source_nd(noisy, SENSORS_3D, FREE3D_GRID, n=3,
-                                       lambdas=lambdas, noise_sigma=sigma)
+    return identifynd.locate_source_nd(
+        laplace.laplace_grid(noisy, FREE3D_GRID, lambdas),
+        free_space(SENSORS_3D, FREE3D_GRID), noise_sigma=sigma)
 
 
 class TestLocateSourceND:
     def test_space_pipeline(self, psi_3d):
-        rec = identifynd.locate_source_nd(psi_3d, SENSORS_3D, GRID_3D, n=3,
-                                          lambdas=WINDOW)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi_3d, GRID_3D, WINDOW),
+            free_space(SENSORS_3D, GRID_3D))
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
         alpha_true = [np.linalg.norm(X1_3D - b) for b in SENSORS_3D]
         np.testing.assert_allclose(rec.alpha_hat, alpha_true, atol=1e-9)
@@ -163,8 +165,9 @@ class TestLocateSourceND:
 
     def test_explicit_lambda_grid_used_as_given(self, psi_3d):
         lams = np.geomspace(6.0, 50.0, 5)
-        rec = identifynd.locate_source_nd(psi_3d, SENSORS_3D, GRID_3D, n=3,
-                                          lambdas=lams)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi_3d, GRID_3D, lams),
+            free_space(SENSORS_3D, GRID_3D))
         np.testing.assert_array_equal(rec.lambdas, lams)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
@@ -172,8 +175,9 @@ class TestLocateSourceND:
         # short horizon: the truncation bound rejects the smallest lambda
         grid = model.TimeGrid(tau=1e-3, num_steps=2000)   # T = 2
         psi = make_series(X1_3D, SENSORS_3D, 3, grid)
-        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
-                                          lambdas=np.geomspace(4.0, 50.0, 13))
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, np.geomspace(4.0, 50.0, 13)),
+            free_space(SENSORS_3D, grid))
         assert rec.diagnostics == ({"code": "lambdas_dropped",
                                     "guard": "truncation",
                                     "lambdas": [4.0]},)
@@ -184,8 +188,9 @@ class TestLocateSourceND:
     def test_light_noise_still_locates(self, seed):
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
         psi, sigma = noisy_series(X1_3D, SENSORS_3D, 3, grid, 1e-5, seed)
-        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
-                                          lambdas=WINDOW, noise_sigma=sigma)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, WINDOW),
+            free_space(SENSORS_3D, grid), noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 5e-5
 
     def test_noise_at_1e4_of_peak_locates(self):
@@ -193,8 +198,9 @@ class TestLocateSourceND:
         # pin the source (4.1e-5 measured)
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
         psi, sigma = noisy_series(X1_3D, SENSORS_3D, 3, grid, 1e-4, 10)
-        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
-                                          lambdas=WINDOW, noise_sigma=sigma)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, WINDOW),
+            free_space(SENSORS_3D, grid), noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 2e-4
         assert [d["guard"] for d in rec.diagnostics] == ["noise_floor"]
 
@@ -204,8 +210,9 @@ class TestLocateSourceND:
         grid = model.TimeGrid(tau=1e-3, num_steps=20000)
         psi, sigma = noisy_series(X1_3D, SENSORS_3D, 3, grid, 1e-2, 10)
         with pytest.raises(ValueError, match="2 of 13 pass"):
-            identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
-                                        lambdas=WINDOW, noise_sigma=sigma)
+            identifynd.locate_source_nd(
+                laplace.laplace_grid(psi, grid, WINDOW),
+                free_space(SENSORS_3D, grid), noise_sigma=sigma)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_free3d_high_noise_locates(self, free3d_traces, seed):
@@ -224,8 +231,9 @@ class TestLocateSourceND:
     def test_reaction_coefficient_handled(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=12000)
         psi = make_series(X1_3D, SENSORS_3D, 3, grid, lambda0=0.35)
-        rec = identifynd.locate_source_nd(psi, SENSORS_3D, grid, n=3,
-                                          lambdas=WINDOW, lambda0=0.35)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, WINDOW),
+            free_space(SENSORS_3D, grid, lambda0=0.35))
         assert np.linalg.norm(rec.x1_hat - X1_3D) <= 1e-9
 
     def test_plane_pipeline(self):
@@ -234,8 +242,9 @@ class TestLocateSourceND:
         sensors = [np.array([1.2, 0.1]), np.array([-0.8, 0.9]),
                    np.array([-0.2, -1.1])]
         psi = make_series(x1, sensors, 2, grid)
-        rec = identifynd.locate_source_nd(psi, sensors, grid, n=2,
-                                          lambdas=WINDOW)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, WINDOW),
+            free_space(sensors, grid, n=2))
         assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -245,8 +254,9 @@ class TestLocateSourceND:
         sensors = [np.array([1.2, 0.1]), np.array([-0.8, 0.9]),
                    np.array([-0.2, -1.1])]
         psi, sigma = noisy_series(x1, sensors, 2, grid, 1e-4, seed)
-        rec = identifynd.locate_source_nd(psi, sensors, grid, n=2,
-                                          lambdas=WINDOW, noise_sigma=sigma)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, WINDOW),
+            free_space(sensors, grid, n=2), noise_sigma=sigma)
         assert np.linalg.norm(rec.x1_hat - x1) <= 2e-3
 
     def test_degenerate_circumcenter_path(self):
@@ -256,28 +266,31 @@ class TestLocateSourceND:
                    np.array([0, 0, 1.0]), np.array([1.0, 1, 1])]
         center = np.array([0.5, 0.5, 0.5])
         psi = make_series(center, sensors, 3, grid)
-        rec = identifynd.locate_source_nd(psi, sensors, grid, n=3,
-                                          lambdas=WINDOW)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, WINDOW), free_space(sensors, grid))
         np.testing.assert_allclose(rec.x1_hat, center, atol=1e-9)
 
     def test_collinear_sensors_rejected_before_transforms(self):
         grid = model.TimeGrid(tau=1e-2, num_steps=10)
         sensors = [[float(k), 0.0] for k in range(3)]
+        phi = laplace.laplace_grid(np.zeros((grid.num_samples, 3)), grid,
+                                   WINDOW)
         with pytest.raises(ValueError, match="general position"):
-            identifynd.locate_source_nd(np.zeros((grid.num_samples, 3)),
-                                        sensors, grid, n=2, lambdas=WINDOW)
+            identifynd.locate_source_nd(phi, free_space(sensors, grid, n=2))
 
     def test_too_few_sensors(self):
         grid = model.TimeGrid(tau=1e-2, num_steps=10)
+        phi = laplace.laplace_grid(np.zeros((grid.num_samples, 1)), grid,
+                                   WINDOW)
         with pytest.raises(ValueError, match="sensors"):
-            identifynd.locate_source_nd(np.zeros((grid.num_samples, 1)),
-                                        [[0.0, 0.0, 1.0]], grid, n=3,
-                                        lambdas=WINDOW)
+            identifynd.locate_source_nd(
+                phi, free_space([[0.0, 0.0, 1.0]], grid))
 
     def test_one_column_per_sensor_required(self, psi_3d):
-        with pytest.raises(ValueError, match="one series column per sensor"):
-            identifynd.locate_source_nd(psi_3d[:, :3], SENSORS_3D, GRID_3D,
-                                        n=3, lambdas=WINDOW)
+        phi = laplace.laplace_grid(psi_3d[:, :3], GRID_3D, WINDOW)
+        with pytest.raises(ValueError,
+                           match="one transform column per sensor"):
+            identifynd.locate_source_nd(phi, free_space(SENSORS_3D, GRID_3D))
 
     @pytest.mark.parametrize("n,seed", [(3, 0), (3, 5), (3, 12),
                                         (2, 1), (2, 8)])
@@ -295,8 +308,9 @@ class TestLocateSourceND:
             pytest.skip("no usable random layout")
         grid = model.TimeGrid(tau=1e-3, num_steps=15000)
         psi = make_series(x1, list(sensors), n, grid)
-        rec = identifynd.locate_source_nd(psi, sensors, grid, n=n,
-                                          lambdas=WINDOW)
+        rec = identifynd.locate_source_nd(
+            laplace.laplace_grid(psi, grid, WINDOW),
+            free_space(sensors, grid, n=n))
         assert np.linalg.norm(rec.x1_hat - x1) <= 1e-9
 
     def test_rigid_motion_equivariance(self):
@@ -306,12 +320,15 @@ class TestLocateSourceND:
                         [np.sin(theta), np.cos(theta), 0], [0, 0, 1]])
         shift = np.array([1.5, -2.0, 0.7])
         base = identifynd.locate_source_nd(
-            make_series(X1_3D, SENSORS_3D, 3, grid), SENSORS_3D, grid, n=3,
-            lambdas=WINDOW)
+            laplace.laplace_grid(make_series(X1_3D, SENSORS_3D, 3, grid),
+                                 grid, WINDOW),
+            free_space(SENSORS_3D, grid))
         moved_sensors = [rot @ b + shift for b in SENSORS_3D]
         moved = identifynd.locate_source_nd(
-            make_series(rot @ X1_3D + shift, moved_sensors, 3, grid),
-            moved_sensors, grid, n=3, lambdas=WINDOW)
+            laplace.laplace_grid(
+                make_series(rot @ X1_3D + shift, moved_sensors, 3, grid),
+                grid, WINDOW),
+            free_space(moved_sensors, grid))
         np.testing.assert_allclose(moved.x1_hat, rot @ base.x1_hat + shift,
                                    atol=1e-8)
 

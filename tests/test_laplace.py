@@ -195,6 +195,31 @@ class TestVolterraDeconvolve:
         assert res.residual_norm < 1e-5 * np.sqrt(grid.num_steps)
         assert np.linalg.norm(res.q - q) / np.linalg.norm(q) <= 1e-3
 
+    @pytest.mark.parametrize("eps", [1e-3, "auto"])
+    def test_slope_solved_only_for_a_newton_step(self, monkeypatch, eps):
+        # a fixed eps and a search that stops at the bracket top take no
+        # Newton step, so they run the one CG solve of their trial alone
+        iterations = []
+        pcg = laplace._pcg
+
+        def counted(*args):
+            x, its = pcg(*args)
+            iterations.append(its)
+            return x, its
+
+        monkeypatch.setattr(laplace, "_pcg", counted)
+        grid = model.TimeGrid(tau=4e-3, num_steps=2000)
+        psi = forward.convolve_intensity(np.ones(grid.num_samples), 3, 0.9,
+                                         grid)
+        noisy = psi + 1e-5 * np.random.default_rng(3).standard_normal(
+            psi.shape)
+        masses = forward.duhamel_masses(3, 0.9, grid)
+        res = laplace.volterra_deconvolve(noisy, masses, grid, eps=eps,
+                                          sigma=1e-5)
+        assert res.solves == 1
+        assert len(iterations) == 1
+        assert res.cg_iterations == iterations[0]
+
     def test_zero_noise_target_solves_once(self):
         grid, _, noisy, masses, _ = noisy_sine_case()
         res = laplace.volterra_deconvolve(noisy, masses, grid, eps="auto",

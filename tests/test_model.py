@@ -112,6 +112,23 @@ class TestValidation:
         msgs = model.validate_scenario(scen)
         assert any("free-space" in m for m in msgs)
 
+    @pytest.mark.parametrize("interval,covers", [
+        ((-1.0, 1.0 - 1e-13), True), ((0.0, 1.0 - 1e-13), True),
+        ((1e-13, 2.0), True), ((1e-13, 1.0), True),
+        ((1e-11, 2.0), False), ((-1.0, 1.0 - 1e-11), False)])
+    def test_coefficient_coverage_per_end(self, interval, covers):
+        # each end of the coefficient interval may miss the domain's end
+        # by up to 1e-12, whatever the other end does
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0),
+            coefficients=model.CoefficientField1D.constant(
+                1.0, interval=interval),
+            sources=(model.PointSource(location=[0.4]),),
+            sensors=([0.1], [0.9]),
+            grid=model.TimeGrid(tau=1e-2, num_steps=10))
+        msgs = model.validate_scenario(scen)
+        assert any("cover the domain" in m for m in msgs) != covers
+
     def test_source_on_sensor(self):
         scen = model.Scenario(
             domain=model.FreeSpace(n=2),
