@@ -58,5 +58,5 @@ for r, s, n in ((2, 6, 3), (2, 7, 3), (1, 3, 2), (1, 2, 2)):
 # ---- general position -----------------------------------------------------------
 print("\ngeneral-position check with a planted collinear triple")
 pts = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]]
-ok, witness = identifynd.in_general_position(pts, 2)
+ok, witness = identifynd.in_general_position(pts)
 print(f"  ok={ok}, witness indices: {witness}")

@@ -173,14 +173,14 @@ def _window_violations(args, min_points: int) -> list[str]:
     return out
 
 
-def _lambda_window(args, scenario: model.Scenario, delta_hint: float
+def _lambda_window(args, scenario: model.Scenario
                    ) -> tuple[np.ndarray, tuple[float, float]]:
     """--lambda-points geometric lambdas over the flags' window, or over
-    the sampling-rate advisor's when the flags give none."""
+    the scenario advisor's when the flags give none."""
     if args.lambda_min is not None:
         window = (args.lambda_min, args.lambda_max)
     else:
-        window = laplace.suggest_lambda_grid(scenario.grid, delta_hint)
+        window = laplace.suggest_lambda_grid(scenario)
     return np.geomspace(*window, args.lambda_points), window
 
 
@@ -212,8 +212,7 @@ def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
     """The report's intensity block, with the same keys in every
     dimension (the caller adds ``background``), and a sensor_misfit_high
     diagnostic for every sensor the joint fit explains poorly."""
-    eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
-    fit = laplace.recover_intensity(psi_tilde, scenario, x_hat, eps=eps,
+    fit = laplace.recover_intensity(psi_tilde, scenario, x_hat, args.epsilon,
                                     num_cells=_num_cells(args))
     dec = fit.deconvolution
     block = {"eps": dec.eps, "solves": dec.solves,
@@ -279,14 +278,9 @@ def _identify(args, scenario, psi_tilde, out: Path) -> dict:
     """Transform every sensor series once, locate the source, recover its
     intensity from every sensor and score both against the ground truth
     when there is one."""
-    one_d = scenario.dimension == 1
-    # 1D: the sensors' span is the natural gap scale, since sensor-source
-    # gaps sit within a factor 2 of it for any bracketed source; 2D/3D:
-    # the fit uses the exact resolvent, so no gap bounds the window below
-    gap = float(np.ptp(scenario.sensor_points())) if one_d else np.inf
-    lambdas, window = _lambda_window(args, scenario, delta_hint=gap)
+    lambdas, window = _lambda_window(args, scenario)
     phi = laplace.laplace_grid(psi_tilde, scenario.grid, lambdas)
-    fields, x_hat = _locate_1d(scenario, phi) if one_d \
+    fields, x_hat = _locate_1d(scenario, phi) if scenario.dimension == 1 \
         else _locate_nd(args, scenario, phi)
     intensity, misfit_flags = _intensity_block(args, scenario, psi_tilde,
                                                x_hat)
@@ -374,10 +368,7 @@ def cmd_diagnose(args) -> int:
             obstructions.append(f"interleaving failure: {f['code']}")
     else:
         pts = scenario.sensor_points()
-        if pts.shape[0] >= n + 1:
-            ok, witness = identifynd.in_general_position(pts, n)
-        else:
-            ok, witness = True, None   # no triple/quadruple to test
+        ok, witness = identifynd.in_general_position(pts)
         checks["general_position"] = {
             "ok": ok, "witness": list(witness) if witness else None}
         if not ok:
@@ -444,6 +435,18 @@ def cmd_reproduce_example(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative(cast=float, keyword=None):
+    """argparse type: ``keyword``, or a finite ``cast`` value >= 0."""
+    def finite_nonnegative(text: str):
+        if text == keyword:
+            return text
+        value = cast(text)
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(text)
+        return value
+    return finite_nonnegative
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointsource",
@@ -467,17 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = command("reproduce-example", cmd_reproduce_example,
                     "built-in non-uniqueness configurations", scenario=False)
     for p in (p_sim, p_id):
-        p.add_argument("--noise", type=float, default=None,
+        p.add_argument("--noise", type=_nonnegative(), default=None,
                        help="noise sigma (default: the scenario's)")
         p.add_argument("--cells", type=int, default=None,
                        help=f"finite-difference cells for interval domains "
                             f"(default {forward.DEFAULT_CELLS})")
-    p_sim.add_argument("--seed", type=int, default=None,
+    p_sim.add_argument("--seed", type=_nonnegative(int), default=None,
                        help="override scenario noise seed")
     p_id.add_argument("--data", default=None,
                       help="sensor CSV (default <out>/sensors.csv)")
     p_id.add_argument("--epsilon", default="auto",
-                      help="regularization: 'auto' or a value")
+                      type=_nonnegative(keyword="auto"),
+                      help="regularization: 'auto' or a value >= 0")
     p_id.add_argument("--format", choices=("json", "csv"), default="json")
     p_rep.add_argument("which", type=int, choices=(1, 2))
     p_rep.add_argument("--a", type=float, default=1.0,

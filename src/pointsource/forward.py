@@ -29,7 +29,6 @@ from .model import (
     CoefficientField1D,
     Dirichlet,
     Interval1D,
-    PointSource,
     Robin,
     Scenario,
     TimeGrid,
@@ -172,15 +171,14 @@ class GreenEval:
 
 
 def green_1d_asymptotic(coeffs: CoefficientField1D, x1: float, b: float,
-                        lam: float, lambda_min: Union[float, None] = None
-                        ) -> GreenEval:
+                        lam: float) -> GreenEval:
     """Leading-order resolvent value at b for a point source at x1.
 
     Evaluates (2*sqrt(lam*a2(x1)))^(-1) * exp(-sqrt(lam)*|I_r| + I_r1)
     with I_r, I_r1 the slowness and amplitude-density integrals from x1
     to b, dropping the relative correction that decays like 1/sqrt(lam).
-    When lam falls below ``lambda_min`` (default 25/I_r^2, i.e. five
-    e-foldings across the gap) the value is still returned but flagged.
+    When lam falls below lambda_min = 25/I_r^2 (five e-foldings across
+    the gap) the value is still returned but flagged.
     """
     if x1 == b:
         raise ValueError("source and evaluation point must differ")
@@ -190,12 +188,11 @@ def green_1d_asymptotic(coeffs: CoefficientField1D, x1: float, b: float,
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     int_r, int_r1 = travel_integrals(coeffs, x1, b)
-    if lambda_min is None:
-        lambda_min = 25.0 / int_r ** 2
+    lambda_min = 25.0 / int_r ** 2
     value = np.exp(-np.sqrt(lam) * abs(int_r) + int_r1) \
         / (2.0 * np.sqrt(lam * coeffs.diffusion(x1)))
     return GreenEval(value=float(value), lam=lam,
-                     int_r=int_r, int_r1=int_r1, lambda_min=float(lambda_min),
+                     int_r=int_r, int_r1=int_r1, lambda_min=lambda_min,
                      valid=bool(lam >= lambda_min))
 
 
@@ -317,8 +314,6 @@ def free_space_response(sources, sensor, grid: TimeGrid, n: int,
     sensor = np.atleast_1d(np.asarray(sensor, dtype=float))
     psi = np.zeros(grid.num_samples)
     for src in sources:
-        if not isinstance(src, PointSource):
-            src = PointSource(location=np.asarray(src, dtype=float))
         dist = float(np.linalg.norm(sensor - src.location))
         if dist == 0.0:
             raise ValueError("sensor coincides with a source location")

@@ -166,9 +166,9 @@ def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
     ``phi`` holds the transforms of every sensor series from one
     ``laplace_grid`` call, shape (K, s), column j from sensor j; the fit
     reads the columns of the leftmost sensor b1 and the rightmost b2.  The
-    slowness and amplitude integrals use the scenario's coefficients, or
-    unit constants on [b1, b2] when it has none (free space), and the
-    boundary branch follows from where the two sensors sit
+    slowness and amplitude integrals use the coefficients of an interval,
+    and unit constants on [b1, b2] in free space, which has no coefficient
+    field; the boundary branch follows from where the two sensors sit
     (``_boundary_branch``).  Each lambda yields one travel-distance
     estimate; the aggregate is the bound-weighted median over the window
     (the largest lambdas are the most asymptotic but the most
@@ -188,10 +188,10 @@ def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
     if not b1 < b2:
         raise ValueError("sensors must satisfy b1 < b2")
     branch, notes = _boundary_branch(scenario, b1, b2)
-    coeffs = scenario.coefficients
-    if coeffs is None:
-        coeffs = CoefficientField1D.constant(1.0, 0.0, 0.0,
-                                             interval=(b1, b2))
+    if isinstance(scenario.domain, Interval1D):
+        coeffs = scenario.coefficients
+    else:   # free space: the unit metric on the sensor bracket
+        coeffs = CoefficientField1D.constant(1.0, interval=(b1, b2))
     phi = LaplaceSamples(lambdas=phi.lambdas, values=phi.values[:, pair],
                          truncation=phi.truncation[:, pair],
                          discretization=phi.discretization[:, pair])

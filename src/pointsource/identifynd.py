@@ -54,24 +54,24 @@ NOISE_HEADROOM = 30.0
 MIN_LAMBDAS = 4
 # sensor subsets tested per batched determinant call
 SUBSET_CHUNK = 8192
+NUM_PROBES = 20   # bisector probes of the mirror-pair configuration
 
 
-def in_general_position(points, n: int) -> tuple[bool, Union[tuple, None]]:
-    """No collinear triple (n = 2) / no coplanar quadruple (n = 3).
+def in_general_position(points) -> tuple[bool, Union[tuple, None]]:
+    """No collinear triple (n = 2) / no coplanar quadruple (n = 3) among
+    the rows of ``points``, shape (s, n).
 
     Returns (ok, witness); the witness is the index tuple of the
-    lexicographically first violating subset.  Degeneracy is tested against
-    1e-12 of the cloud scale, so exactly symmetric layouts are detected
-    reliably.  Subsets are tested SUBSET_CHUNK at a time.
+    lexicographically first violating subset, and fewer than n+1 points
+    pass.  Degeneracy is tested against 1e-12 of the cloud scale, so
+    exactly symmetric layouts are detected reliably.  Subsets are tested
+    SUBSET_CHUNK at a time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[1]
     if n not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    if pts.shape[1] != n:
-        raise ValueError("points do not match the dimension")
     k = n + 1
-    if pts.shape[0] < k:
-        raise ValueError(f"need at least {k} points")
     scale = max(float(np.ptp(pts)), 1e-300)
     subsets = combinations(range(pts.shape[0]), k)
     while (idx := np.fromiter(islice(subsets, SUBSET_CHUNK),
@@ -163,15 +163,13 @@ def locate_source_nd(phi: LaplaceSamples, scenario: Scenario,
     fewer than MIN_LAMBDAS remain, the call fails with that diagnosis.
     """
     n = scenario.dimension
-    if n not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
     sensors = scenario.sensor_points()
     s = sensors.shape[0]
     if s < n + 1:
         raise ValueError(f"need at least {n + 1} sensors, got {s}")
     if phi.values.shape != phi.lambdas.shape + (s,):
         raise ValueError("need one transform column per sensor")
-    ok, witness = in_general_position(sensors, n)
+    ok, witness = in_general_position(sensors)
     if not ok:
         raise ValueError(f"sensors fail general position; witness indices "
                          f"{witness}")
@@ -336,13 +334,13 @@ def _signed_field(n: int, sources: np.ndarray, signs: np.ndarray,
 
 def nonuniqueness_discrepancy(case: int, a: float = 1.0, m_dist: float = 3.0,
                               lambdas=(1.0, 10.0, 100.0), n: int = 3,
-                              probes=None, num_probes: int = 20
-                              ) -> DiscrepancyReport:
+                              probes=None) -> DiscrepancyReport:
     """Evaluate one of the built-in indistinguishable configurations.
 
     case 1: opposite-sign sources at distance 2a; on the bisecting plane
     (line for n = 2) the transforms cancel identically, so no number of
-    sensors there can see the pair.  case 2 (n = 3 only): two different
+    sensors there can see the pair; by default NUM_PROBES random points
+    of that plane are probed.  case 2 (n = 3 only): two different
     same-sign source pairs on the diagonals of a square of half-side a;
     their transforms coincide at the six axis probes at distance m_dist,
     so six sensors cannot separate the configurations while a generic
@@ -357,7 +355,7 @@ def nonuniqueness_discrepancy(case: int, a: float = 1.0, m_dist: float = 3.0,
         signs = np.array([1.0, -1.0])
         x1, x2 = sources
         if probes is None:
-            probes = _bisector_probes(x1, x2, num_probes, extent=m_dist)
+            probes = _bisector_probes(x1, x2, NUM_PROBES, extent=m_dist)
         probes = np.atleast_2d(np.asarray(probes, dtype=float))
         # reference probe at the same distance from x1 as the first bisector
         # probe, but on the x1 side of the axis where nothing cancels

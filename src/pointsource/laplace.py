@@ -142,24 +142,26 @@ def laplace_grid(samples: np.ndarray, grid: TimeGrid, lambdas
     )
 
 
-def suggest_lambda_grid(grid: TimeGrid, delta_hint: float
-                        ) -> tuple[float, float]:
-    """Transform window (lambda_min, lambda_max) compatible with the
-    sampling rate.
+def suggest_lambda_grid(scenario: Scenario) -> tuple[float, float]:
+    """Transform window (lambda_min, lambda_max) for ``scenario``.
 
-    The lower end max(4/T^2, 25/delta^2) keeps the asymptotic regime valid
-    across the hinted source-sensor gap; the upper end 0.05/tau keeps the
-    numeric transform trustworthy (large parameters amplify data errors).
+    The lower end is 4/T^2, in 1D at least 25/delta^2 with delta the
+    sensors' span: the 1D locator's large-lambda asymptotics hold from
+    five e-foldings across the source-sensor gap, which sits within a
+    factor 2 of delta for any source the sensors bracket (the 2D/3D fit
+    uses the exact resolvent).  The upper end 0.05/tau keeps the numeric
+    transform trustworthy (large parameters amplify data errors).
     """
-    lam_min = 4.0 / grid.horizon ** 2
-    if np.isfinite(delta_hint) and delta_hint > 0.0:
-        lam_min = max(lam_min, 25.0 / delta_hint ** 2)
-    lam_max = 0.05 / grid.tau
+    lam_min = 4.0 / scenario.grid.horizon ** 2
+    delta = float(np.ptp(scenario.sensor_points()))
+    if scenario.dimension == 1 and delta > 0.0:
+        lam_min = max(lam_min, 25.0 / delta ** 2)
+    lam_max = 0.05 / scenario.grid.tau
     if lam_min >= lam_max:
         raise ValueError(
             f"time grid cannot support the asymptotic regime: needs lambda in "
             f"[{lam_min:.4g}, {lam_max:.4g}]; decrease tau or increase the "
-            f"horizon/gap")
+            f"horizon or the sensor span")
     return lam_min, lam_max
 
 

@@ -27,11 +27,12 @@ A scenario file is a single JSON object::
 
 Boundary ``g`` values and sampled intensities are either a constant or an
 array of ``num_steps + 1`` samples on the uniform time grid.  ``f0`` is a
-time-independent volumetric source sampled on the coefficient grid.
-``field1d`` coefficients are always evaluated as cubic splines; a
-``"degree"`` key, which older files carry, is accepted and ignored.
-``drift_nd`` is a constant drift velocity on a free-space domain.  Only
-``diagnose`` uses it, to weight the nearest-source visibility matrix;
+time-independent volumetric source sampled on the coefficient grid.  All
+of these must be finite.  An interval takes ``field1d`` or ``constant1d``
+coefficients, always evaluated as cubic splines (a ``"degree"`` key, which
+older files carry, is ignored).  Free space takes ``null`` (unit
+diffusivity) or ``drift_nd``, a constant drift velocity that only
+``diagnose`` uses, to weight the nearest-source visibility matrix;
 ``simulate`` and ``identify`` model no drift and reject a nonzero one.
 
 Sensor series interchange is a CSV file with header ``t,psi_1,...,psi_s``
@@ -296,9 +297,10 @@ def _point_in_domain(p: np.ndarray, domain: SpatialDomain, strict: bool) -> bool
 
 
 def _check_series(g, grid: TimeGrid) -> bool:
-    if isinstance(g, np.ndarray):
-        return g.size == grid.num_samples
-    return np.isfinite(g)
+    """A finite constant, or a series of num_steps+1 finite samples."""
+    if isinstance(g, np.ndarray) and g.size != grid.num_samples:
+        return False
+    return bool(np.all(np.isfinite(g)))
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -317,7 +319,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             if isinstance(bc, Robin) and not np.isfinite(bc.sigma):
                 out.append(f"domain.{side}: Robin sigma must be finite")
             if not _check_series(bc.g, s.grid):
-                out.append(f"domain.{side}.g: series must have num_steps+1 samples")
+                out.append(f"domain.{side}.g: must be finite; a series needs "
+                           f"num_steps+1 samples")
         if s.coefficients is None or not isinstance(s.coefficients, CoefficientField1D):
             out.append("coefficients: interval domain requires a CoefficientField1D")
         else:
@@ -340,13 +343,8 @@ def validate_scenario(s: Scenario) -> list[str]:
                 out.append("coefficients.constant: drift components must be "
                            "finite")
         if isinstance(s.coefficients, CoefficientField1D):
-            c = s.coefficients
-            unit = (np.all(c.a2 == 1.0) and np.all(c.a1 == 0.0)
-                    and np.all(c.a0 == 0.0))
-            if not unit:
-                out.append("coefficients: free-space domains carry unit "
-                           "coefficients; variable fields need an interval "
-                           "domain")
+            out.append("coefficients: free-space domains take null or "
+                       "drift_nd; a coefficient field needs an interval")
     else:
         out.append("domain: unknown domain variant")
 
@@ -355,9 +353,9 @@ def validate_scenario(s: Scenario) -> list[str]:
     for i, src in enumerate(s.sources):
         if not _point_in_domain(src.location, dom, strict=True):
             out.append(f"sources[{i}].location: must lie strictly inside the domain")
-        if isinstance(src.intensity, np.ndarray) and \
-                src.intensity.size != s.grid.num_samples:
-            out.append(f"sources[{i}].intensity: series must match the time grid")
+        if not _check_series(src.intensity, s.grid):
+            out.append(f"sources[{i}].intensity: must be finite; a series "
+                       f"must match the time grid")
 
     if not s.sensors:
         out.append("sensors: at least one sensor is required")
@@ -373,11 +371,15 @@ def validate_scenario(s: Scenario) -> list[str]:
                     float(np.linalg.norm(src.location - p)) == 0.0:
                 out.append(f"sensors[{j}]: coincides with sources[{i}]")
 
-    if s.noise_sigma < 0.0:
-        out.append("noise.sigma: must be nonnegative")
+    if not (np.isfinite(s.noise_sigma) and s.noise_sigma >= 0.0):
+        out.append("noise.sigma: must be finite and nonnegative")
+    if s.seed < 0:
+        out.append("noise.seed: must be nonnegative")
     if s.f0 is not None:
         if not isinstance(dom, Interval1D):
             out.append("f0: volumetric background source is 1D-interval only")
+        elif not np.all(np.isfinite(s.f0)):
+            out.append("f0: samples must be finite")
         elif isinstance(s.coefficients, CoefficientField1D) and \
                 s.f0.size != s.coefficients.grid.size:
             out.append("f0: must be sampled on the coefficient grid")
@@ -537,11 +539,9 @@ def load_scenario(path) -> Scenario:
 
 def write_sensor_csv(path, times: np.ndarray, series: np.ndarray) -> None:
     """Write series (shape (num_samples, s)) with 17-significant-digit floats."""
-    series = np.atleast_2d(np.asarray(series, dtype=float))
-    if series.shape[0] != times.size:
-        series = series.T
-    if series.shape[0] != times.size:
-        raise ValueError("series shape does not match the time axis")
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 2 or series.shape[0] != times.size:
+        raise ValueError("series must have shape (num_samples, s)")
     header = ",".join(["t"] + [f"psi_{j + 1}" for j in range(series.shape[1])])
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")

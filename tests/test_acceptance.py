@@ -153,7 +153,7 @@ def test_c6_intensity_round_trip():
 
 def test_c7_mirror_pair_cancellation():
     rep = identifynd.nonuniqueness_discrepancy(
-        1, a=1.0, m_dist=3.0, lambdas=(1.0, 10.0, 100.0), num_probes=20)
+        1, a=1.0, m_dist=3.0, lambdas=(1.0, 10.0, 100.0))
     ok = rep.max_discrepancy <= 1e-14 * rep.reference
     check("C7", "mirror-pair transform vanishes on the bisector "
           "(<= 1e-14 of matched off-bisector magnitude)", ok,
@@ -207,9 +207,9 @@ def test_c10_diagnostics():
 
     # planted collinear / coplanar subsets are found
     ok2, w2 = identifynd.in_general_position(
-        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]], 2)
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
     ok3, w3 = identifynd.in_general_position(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.4, 1.0]], 3)
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.4, 1.0]])
     ok_pos = (not ok2 and w2 == (0, 1, 2)) and (not ok3 and w3 == (0, 1, 2, 3))
     details.append(f"planted degeneracies found ({w2}, {w3})")
 

@@ -685,6 +685,80 @@ class TestIdentify:
         np.testing.assert_allclose(tr["full"] - tr["bg"], tr["src"],
                                    atol=1e-10)
 
+    def test_sensor_count_mismatch_rejected(self, tmp_path, capsys):
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=200)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        times, series = model.read_sensor_csv(out / "sensors.csv")
+        model.write_sensor_csv(out / "sensors.csv", times, series[:, :3])
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "does not match the scenario" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_background_solver_failure_exit_code(self, tmp_path, capsys):
+        # a0 = -1000 gives the operator an eigenvalue beyond 2/tau, so the
+        # step matrix of the background solve is not positive definite
+        grid = model.TimeGrid(tau=0.01, num_steps=50)
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0,
+                                    bc_left=model.Dirichlet(g=1.0),
+                                    bc_right=model.Robin(sigma=0.0, g=0.0)),
+            coefficients=model.CoefficientField1D.constant(1.0, 0.0,
+                                                           -1000.0),
+            sources=(model.PointSource(location=[0.5]),),
+            sensors=([0.3], [0.7]), grid=grid)
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        out = tmp_path / "out"
+        out.mkdir()
+        model.write_sensor_csv(out / "sensors.csv", grid.times(),
+                               np.zeros((grid.num_samples, 2)))
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out), "--cells", "20"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_SOLVER
+        assert err.startswith("solver (background): ")
+        assert "not positive definite" in err
+        assert not (out / "report.json").exists()
+
+    def test_no_ground_truth_no_evaluation(self, tmp_path):
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=2000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        (out / "ground_truth.json").unlink()
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--epsilon", "0"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["evaluation"] == {}
+
+    @pytest.mark.parametrize("command", ["simulate", "identify"])
+    def test_coefficient_field_on_free_space_rejected(self, tmp_path, capsys,
+                                                      command):
+        # free space has unit coefficients already; a unit field on [0, 1]
+        # with a sensor at 2 used to make identify fail (exit 4)
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=1),
+            coefficients=model.CoefficientField1D.constant(1.0),
+            sources=(model.PointSource(location=[1.5]),),
+            sensors=([0.0], [2.0]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=10000))
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        capsys.readouterr()
+        rc = cli.main([command, "--scenario", str(spath),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: coefficients: free-space" in \
+            capsys.readouterr().err
+
 
 def interval_scenario(coeffs=INTERVAL1D_COEFFS):
     """The interval1d benchmark geometry, 200 steps."""
@@ -920,6 +994,29 @@ class TestFlagsPerCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--noise=-1e-5"), ("simulate", "--noise=nan"),
+        ("simulate", "--seed=-3"), ("identify", "--noise=-1e-5"),
+        ("identify", "--noise=nan"), ("identify", "--epsilon=abc"),
+        ("identify", "--epsilon=-1"), ("identify", "--epsilon=nan"),
+        ("identify", "--epsilon=inf")])
+    def test_malformed_value_rejected(self, tmp_path, capsys, command, flag):
+        # a negative or non-finite noise level, a negative seed and an
+        # epsilon that is neither 'auto' nor a finite value >= 0 are usage
+        # errors, rejected before the command reads anything
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=300)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--scenario", str(spath), "--out", str(out),
+                      flag])
+        assert exc.value.code == 2
+        assert f"argument {flag.split('=')[0]}: invalid" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproduceExamples:

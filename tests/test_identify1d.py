@@ -63,6 +63,20 @@ class TestEstimateOffset:
         travel, _ = forward.travel_integrals(UNIT_COEFFS, 0.0, 1.0)
         assert abs(fit.offset) < 0.5 * travel
 
+    def test_offset_inadmissible(self):
+        # a ratio whose large-lambda slope puts the source 0.6 travel units
+        # off the midpoint of a bracket 1 long: no bracketed source does
+        lams = np.geomspace(100, 400, 13)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        values = phi.values.copy()
+        values[:, 1] = values[:, 0] * np.exp(-(1.2 * np.sqrt(lams) - 10.0))
+        fit = identify1d.locate_source_1d(with_values(phi, values), scen)
+        np.testing.assert_allclose(fit.offset, 0.6, atol=1e-12)
+        assert not fit.admissible
+        assert fit.used.all()
+        assert fit.diagnostics == ({"code": "offset_inadmissible",
+                                    "offset": fit.offset, "bound": 0.5},)
+
     def test_too_few_points(self):
         lams = np.array([100.0, 200.0])
         scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
@@ -161,6 +175,32 @@ class TestLocate1D:
         values[4, 0] = -values[4, 0]
         with pytest.raises(ValueError, match="changes sign"):
             identify1d.locate_source_1d(with_values(phi, values), scen)
+
+    def test_nonpositive_ratio_rejected(self):
+        lams = np.geomspace(100, 400, 10)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams)
+        values = phi.values.copy()
+        values[:, 0] = -values[:, 0]
+        with pytest.raises(ValueError, match="nonpositive across the window"):
+            identify1d.locate_source_1d(with_values(phi, values), scen)
+
+    def test_single_sensor_rejected(self):
+        lams = np.geomspace(100, 400, 10)
+        scen, phi = oracle_transforms(0.3, [1.0], lams)
+        with pytest.raises(ValueError, match="needs two sensors"):
+            identify1d.locate_source_1d(phi, scen)
+
+    def test_free_space_metric_spans_the_sensors(self):
+        # free space has unit coefficients everywhere: a coefficient field
+        # on [0, 1] (which validation rejects) does not cut the metric
+        # short of the sensor at 2
+        scen, phi = oracle_transforms(1.5, [0.0, 2.0],
+                                      np.geomspace(6.25, 50.0, 13))
+        short = model.Scenario(
+            domain=scen.domain, sources=(), sensors=scen.sensors,
+            grid=scen.grid, coefficients=UNIT_COEFFS)
+        fit = identify1d.locate_source_1d(phi, short)
+        assert abs(fit.x1_hat - 1.5) <= 1e-12
 
     def test_scale_invariance(self):
         lams = np.geomspace(100, 400, 10)

@@ -35,12 +35,22 @@ def psi_3d():
 
 class TestGeneralPosition:
     def test_plane_ok(self):
-        ok, w = identifynd.in_general_position([[0, 0], [1, 0], [0, 1]], 2)
+        ok, w = identifynd.in_general_position([[0, 0], [1, 0], [0, 1]])
         assert ok and w is None
+        # fewer than n+1 points hold no triple (quadruple) to test
+        assert identifynd.in_general_position([[0, 0], [1, 1]]) == \
+            (True, None)
+        assert identifynd.in_general_position(
+            [[0, 0, 0], [1, 0, 0], [2, 0, 0]]) == (True, None)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_other_dimensions_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension must be 2 or 3"):
+            identifynd.in_general_position(np.eye(n + 1, n))
 
     def test_collinear_triple_found(self):
         pts = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]]
-        ok, w = identifynd.in_general_position(pts, 2)
+        ok, w = identifynd.in_general_position(pts)
         assert not ok
         assert w == (0, 1, 2)
 
@@ -50,7 +60,7 @@ class TestGeneralPosition:
         m = 1.0
         pts = [[m, 0, 0], [-m, 0, 0], [0, m, 0], [0, -m, 0], [0, 0, m],
                [0, 0, -m]]
-        ok, witness = identifynd.in_general_position(pts, 3)
+        ok, witness = identifynd.in_general_position(pts)
         from itertools import combinations
         brute = all(
             abs(np.linalg.det(np.asarray(pts)[list(idx[1:])]
@@ -63,12 +73,12 @@ class TestGeneralPosition:
     def test_generic_cloud_ok(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(6, 3))
-        ok, _ = identifynd.in_general_position(pts, 3)
+        ok, _ = identifynd.in_general_position(pts)
         assert ok
 
     def test_coplanar_quadruple_found(self):
         pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
-        ok, w = identifynd.in_general_position(pts, 3)
+        ok, w = identifynd.in_general_position(pts)
         assert not ok and w == (0, 1, 2, 3)
 
     @staticmethod
@@ -99,7 +109,7 @@ class TestGeneralPosition:
         self.make_coplanar(pts, quad)
         assert self.chunk_of(quad, s) >= 1
         assert self.first_coplanar(pts) == quad
-        assert identifynd.in_general_position(pts, 3) == (False, quad)
+        assert identifynd.in_general_position(pts) == (False, quad)
 
     def test_first_witness_across_chunks(self):
         s = 30
@@ -109,11 +119,11 @@ class TestGeneralPosition:
         self.make_coplanar(pts, early)
         assert 1 <= self.chunk_of(early, s) < self.chunk_of(late, s)
         assert self.first_coplanar(pts) == early
-        assert identifynd.in_general_position(pts, 3) == (False, early)
+        assert identifynd.in_general_position(pts) == (False, early)
         # the later subset alone is found in its own chunk
         pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(s, 3))
         self.make_coplanar(pts, late)
-        assert identifynd.in_general_position(pts, 3) == (False, late)
+        assert identifynd.in_general_position(pts) == (False, late)
 
 
 def noisy_series(x1, sensors, n, grid, rel_sigma, seed):
@@ -145,11 +155,11 @@ def free3d_fit(traces, sigma, seed):
     noise drawn over the whole (samples, sensors) array, CLI lambda grid."""
     rng = np.random.default_rng(seed)
     noisy = traces + sigma * rng.standard_normal(traces.shape)
-    lambdas = np.geomspace(*laplace.suggest_lambda_grid(FREE3D_GRID, np.inf),
-                           13)
+    scenario = free_space(SENSORS_3D, FREE3D_GRID)
+    lambdas = np.geomspace(*laplace.suggest_lambda_grid(scenario), 13)
     return identifynd.locate_source_nd(
-        laplace.laplace_grid(noisy, FREE3D_GRID, lambdas),
-        free_space(SENSORS_3D, FREE3D_GRID), noise_sigma=sigma)
+        laplace.laplace_grid(noisy, FREE3D_GRID, lambdas), scenario,
+        noise_sigma=sigma)
 
 
 class TestLocateSourceND:
@@ -301,7 +311,7 @@ class TestLocateSourceND:
             sensors = rng.uniform(-1.4, 1.4, size=(n + 1, n))
             x1 = rng.uniform(-0.6, 0.6, size=n)
             dists = np.linalg.norm(sensors - x1, axis=1)
-            ok, _ = identifynd.in_general_position(sensors, n)
+            ok, _ = identifynd.in_general_position(sensors)
             if ok and dists.min() > 0.3 and dists.max() < 2.5:
                 break
         else:

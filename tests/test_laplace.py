@@ -94,21 +94,32 @@ class TestLaplaceGrid:
         np.testing.assert_allclose(slope, -delta, rtol=0.02)
 
 
+def advisor_scenario(grid, *sensors, n=1):
+    """A free-space scenario: all the advisor reads of it is the grid,
+    the dimension and the sensors."""
+    return model.Scenario(domain=model.FreeSpace(n=n), sources=(),
+                          sensors=sensors, grid=grid)
+
+
 class TestLambdaGridAdvisor:
     def test_nominal(self):
+        # 1D sensors 0.5 apart: the lower end is 25/0.5^2
         grid = model.TimeGrid(tau=1e-4, num_steps=100000)  # T = 10
-        lam_min, lam_max = laplace.suggest_lambda_grid(grid, delta_hint=0.5)
+        lam_min, lam_max = laplace.suggest_lambda_grid(
+            advisor_scenario(grid, [0.2], [0.7], [0.5]))
         assert lam_max == pytest.approx(500.0)
         assert lam_min == pytest.approx(100.0)
 
     def test_unsupportable_grid(self):
         grid = model.TimeGrid(tau=0.1, num_steps=100)
         with pytest.raises(ValueError):
-            laplace.suggest_lambda_grid(grid, delta_hint=0.1)
+            laplace.suggest_lambda_grid(advisor_scenario(grid, [0.0], [0.1]))
 
     def test_infinite_hint_falls_back_to_horizon(self):
+        # 2D/3D: no gap bounds the window below, only the horizon does
         grid = model.TimeGrid(tau=1e-3, num_steps=10000)  # T = 10
-        lam_min, _ = laplace.suggest_lambda_grid(grid, delta_hint=np.inf)
+        lam_min, _ = laplace.suggest_lambda_grid(
+            advisor_scenario(grid, [1.0, 0.0, 0.0], [0.0, 9.0, 0.0], n=3))
         assert lam_min == pytest.approx(4.0 / 100.0)
 
 

@@ -112,6 +112,63 @@ class TestValidation:
         msgs = model.validate_scenario(scen)
         assert any("free-space" in m for m in msgs)
 
+    def test_unit_field_on_free_space_rejected(self):
+        # free space has unit coefficients; a field on it, even a unit one,
+        # is a second form of the same physics and is rejected
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=1),
+            coefficients=model.CoefficientField1D.constant(1.0),
+            sources=(model.PointSource(location=[1.5]),),
+            sensors=([0.0], [2.0]),
+            grid=model.TimeGrid(tau=1e-2, num_steps=10),
+        )
+        msgs = model.validate_scenario(scen)
+        assert len(msgs) == 1 and msgs[0].startswith(
+            "coefficients: free-space domains take null or drift_nd")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, rule", [
+        ("intensity", "sources[0].intensity: must be finite"),
+        ("intensity_series", "sources[0].intensity: must be finite"),
+        ("g_series", "domain.bc_left.g: must be finite"),
+        ("f0", "f0: samples must be finite"),
+        ("noise_sigma", "noise.sigma: must be finite")])
+    def test_nonfinite_samples_rejected(self, field, rule, value):
+        grid = model.TimeGrid(tau=1e-2, num_steps=10)
+        coeffs = model.CoefficientField1D.constant(1.0)
+        q, g = np.ones(grid.num_samples), np.zeros(grid.num_samples)
+        f0 = np.zeros(coeffs.grid.size)
+        intensity, sigma = 1.0, 0.0
+        if field == "intensity":
+            intensity = value
+        elif field == "intensity_series":
+            q[4] = value
+            intensity = q
+        elif field == "g_series":
+            g[4] = value
+        elif field == "f0":
+            f0[1] = value
+        else:
+            sigma = value
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0,
+                                    bc_left=model.Robin(sigma=0.0, g=g)),
+            coefficients=coeffs,
+            sources=(model.PointSource(location=[0.4], intensity=intensity),),
+            sensors=([0.1], [0.9]), grid=grid, noise_sigma=sigma, f0=f0)
+        msgs = model.validate_scenario(scen)
+        assert len(msgs) == 1 and msgs[0].startswith(rule)
+
+    def test_negative_seed_rejected(self):
+        # the noise generator takes no negative seed
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=2),
+            sources=(model.PointSource(location=[0.0, 0.0]),),
+            sensors=([1.0, 0.0],), grid=model.TimeGrid(tau=1e-2, num_steps=10),
+            noise_sigma=1e-3, seed=-3)
+        assert model.validate_scenario(scen) == \
+            ["noise.seed: must be nonnegative"]
+
     @pytest.mark.parametrize("interval,covers", [
         ((-1.0, 1.0 - 1e-13), True), ((0.0, 1.0 - 1e-13), True),
         ((1e-13, 2.0), True), ((1e-13, 1.0), True),
@@ -231,3 +288,12 @@ class TestSerialization:
         np.testing.assert_array_equal(s2, series)
         header = path.read_text().splitlines()[0]
         assert header == "t,psi_1,psi_2"
+
+    @pytest.mark.parametrize("shape", ["transposed", "one_series"])
+    def test_sensor_csv_needs_samples_by_sensors(self, tmp_path, shape):
+        # (num_samples, s) only: the transposed and the 1D forms are errors
+        times = np.linspace(0, 1, 11)
+        series = np.column_stack([np.sin(times), np.cos(times)])
+        series = series.T if shape == "transposed" else series[:, 0]
+        with pytest.raises(ValueError, match="num_samples, s"):
+            model.write_sensor_csv(tmp_path / "sensors.csv", times, series)
