@@ -104,9 +104,6 @@ def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
         if args.noise is not None:
             out.append("--noise: 1D identification does not use a noise "
                        "level")
-        if getattr(dom, "lambda0", 0.0) > 0.0:
-            out.append("domain.lambda0: the 1D locator models no reaction "
-                       "term")
     elif args.format == "csv":
         out.append("--format csv: only a 1D report has a per-lambda table")
     return out
@@ -158,15 +155,15 @@ def cmd_simulate(args) -> int:
 
 
 def _window_violations(args, min_points: int) -> list[str]:
-    """Flag a lone or misordered --lambda-min/--lambda-max and too few
-    --lambda-points."""
+    """Flag a lone, misordered or unbounded --lambda-min/--lambda-max and
+    too few --lambda-points."""
     out = []
     lo, hi = args.lambda_min, args.lambda_max
     if (lo is None) != (hi is None):
         out.append("--lambda-min and --lambda-max must be given together")
-    elif lo is not None and not 0.0 < lo < hi:
-        out.append(f"--lambda-min/--lambda-max: need 0 < min < max, got "
-                   f"{lo:g} and {hi:g}")
+    elif lo is not None and not 0.0 < lo < hi < np.inf:
+        out.append(f"--lambda-min/--lambda-max: need 0 < min < max < inf, "
+                   f"got {lo:g} and {hi:g}")
     if args.lambda_points < min_points:
         out.append(f"--lambda-points: at least {min_points} transform "
                    f"parameters are required, got {args.lambda_points}")
@@ -361,8 +358,7 @@ def cmd_diagnose(args) -> int:
     obstructions = []
     if n == 1:
         findings = identify1d.alternation_findings(
-            [float(s.location[0]) for s in scenario.sources],
-            [float(p[0]) for p in scenario.sensors])
+            scenario.source_points(), scenario.sensor_points())
         checks["alternation"] = findings
         for f in findings:
             obstructions.append(f"interleaving failure: {f['code']}")
@@ -406,12 +402,16 @@ def cmd_diagnose(args) -> int:
 def cmd_reproduce_example(args) -> int:
     if _report_violations(_window_violations(args, 1)):
         return EXIT_VALIDATION
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lambdas = np.geomspace(args.lambda_min, args.lambda_max,
                            args.lambda_points)
-    report = identifynd.nonuniqueness_discrepancy(
-        args.which, a=args.a, m_dist=args.m, lambdas=lambdas)
+    try:
+        report = identifynd.nonuniqueness_discrepancy(
+            args.which, a=args.a, m_dist=args.m, lambdas=lambdas)
+    except ValueError as exc:
+        print(f"validation: --a/--m: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"example{args.which}_discrepancy.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -484,9 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="regularization: 'auto' or a value >= 0")
     p_id.add_argument("--format", choices=("json", "csv"), default="json")
     p_rep.add_argument("which", type=int, choices=(1, 2))
-    p_rep.add_argument("--a", type=float, default=1.0,
+    p_rep.add_argument("--a", type=_nonnegative(), default=1.0,
                        help="source half-separation")
-    p_rep.add_argument("--m", type=float, default=3.0, help="probe distance")
+    p_rep.add_argument("--m", type=_nonnegative(), default=3.0,
+                       help="probe distance")
     # identify's window defaults to the sampling-rate advisor's
     for p, lo, hi, points in ((p_id, None, None, 13), (p_rep, 1.0, 100.0, 3)):
         p.add_argument("--lambda-min", type=float, default=lo)

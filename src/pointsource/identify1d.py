@@ -6,19 +6,22 @@ the two outermost sensors b1 < b2.  Location recovery uses the
 large-parameter behaviour of their transform ratio: for a single source
 between them,
 
-    log(Phi_1/Phi_2)(lam) = -sqrt(lam) * (travel(b1, x1) - travel(x1, b2))
-                            - amp(b1, b2) + O(1/sqrt(lam)),
+    log(Phi_1/Phi_2)(lam) = -mu * (travel(b1, x1) - travel(x1, b2))
+                            - amp(b1, b2) + O(1/mu),
 
-where travel integrates the slowness 1/sqrt(a2) and amp integrates the
-first-order amplitude density of the scenario's coefficients (unit
-constants in free space).  Solving for the travel distance from b1 and
-inverting the (strictly monotone) travel integral yields the source
-coordinate.  A sensor on a reflecting end of an interval sees the image
-source, which doubles its transform; the locator works out that branch
-from the domain's boundary conditions.  Scaled by 1/(2 sqrt(lam)), the
-same log-ratio tends to the midpoint offset at large lambda, which the
-admissibility check reads.  The intensity at the recovered location comes
-from ``laplace.recover_intensity``, the path every dimension shares.
+with mu = sqrt(lam + lambda0), where travel integrates the slowness
+1/sqrt(a2) and amp integrates the first-order amplitude density of the
+scenario's coefficients (unit constants in free space).  Only free space
+has a reaction lambda0 (zero on an interval); on the free line the
+relation is exact, since Phi_j = Q(lam) exp(-mu |x1 - b_j|)/(2 mu).
+Solving for the travel distance from b1 and inverting the (strictly
+monotone) travel integral yields the source coordinate.  A sensor on a
+reflecting end of an interval sees the image source, which doubles its
+transform; the locator works out that branch from the domain's boundary
+conditions.  Scaled by 1/(2 mu), the same log-ratio tends to the
+midpoint offset at large lambda, which the admissibility check reads.
+The intensity at the recovered location comes from
+``laplace.recover_intensity``, the path every dimension shares.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class LocationFit1D:
     ``x1_per_lambda`` is NaN where ``used`` is false: at lambdas whose
     transforms failed the guards or whose travel distance fell outside
     the sensor bracket.  ``offset`` is the large-lambda limit of
-    log(Phi_1/Phi_2)/(2 sqrt(lam)): how far the source travel-coordinate
+    log(Phi_1/Phi_2)/(2 mu): how far the source travel-coordinate
     sits from the sensor midpoint, with ``offset_residual`` the rms
     residual of its fit.  ``diagnostics`` holds ``{code, ...}`` records.
     """
@@ -168,14 +171,15 @@ def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
     reads the columns of the leftmost sensor b1 and the rightmost b2.  The
     slowness and amplitude integrals use the coefficients of an interval,
     and unit constants on [b1, b2] in free space, which has no coefficient
-    field; the boundary branch follows from where the two sensors sit
-    (``_boundary_branch``).  Each lambda yields one travel-distance
-    estimate; the aggregate is the bound-weighted median over the window
-    (the largest lambdas are the most asymptotic but the most
-    error-amplified, so no single point is trusted).  The midpoint offset
-    is fitted to the same log-ratio over all trustworthy lambdas; a
-    source bracketed by the sensors has |offset| < travel(b1, b2)/2 (the
-    admissibility check).
+    field; the decay rate mu = sqrt(lam + lambda0) takes the reaction of
+    free space (an interval has none); the boundary branch follows from
+    where the two sensors sit (``_boundary_branch``).  Each lambda yields
+    one travel-distance estimate; the aggregate is the bound-weighted
+    median over the window (the largest lambdas are the most asymptotic
+    but the most error-amplified, so no single point is trusted).  The
+    midpoint offset is fitted to the same log-ratio over all trustworthy
+    lambdas; a source bracketed by the sensors has |offset| <
+    travel(b1, b2)/2 (the admissibility check).
     """
     sensors = scenario.sensor_points()[:, 0]
     if sensors.size < 2:
@@ -189,24 +193,25 @@ def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
         raise ValueError("sensors must satisfy b1 < b2")
     branch, notes = _boundary_branch(scenario, b1, b2)
     if isinstance(scenario.domain, Interval1D):
-        coeffs = scenario.coefficients
+        coeffs, lambda0 = scenario.coefficients, 0.0
     else:   # free space: the unit metric on the sensor bracket
         coeffs = CoefficientField1D.constant(1.0, interval=(b1, b2))
+        lambda0 = scenario.domain.lambda0
     phi = LaplaceSamples(lambdas=phi.lambdas, values=phi.values[:, pair],
                          truncation=phi.truncation[:, pair],
                          discretization=phi.discretization[:, pair])
     lam = phi.lambdas
+    mu = np.sqrt(lam + lambda0)
     ok, logr = _log_ratio(phi)
-    # the offset: a_k = offset + slope/sqrt(lam_k) fitted to the scaled
-    # log-ratio a_k = logr_k/(2 sqrt(lam_k)) at the trustworthy lambdas
-    a = logr[ok] / (2.0 * np.sqrt(lam[ok]))
-    x = 1.0 / np.sqrt(lam[ok])
+    # the offset: a_k = offset + slope/mu_k fitted to the scaled
+    # log-ratio a_k = logr_k/(2 mu_k) at the trustworthy lambdas
+    a = logr[ok] / (2.0 * mu[ok])
+    x = 1.0 / mu[ok]
     design = np.column_stack([np.ones_like(x), x])
     coef = np.linalg.lstsq(design, a, rcond=None)[0]
     offset = float(coef[0])
     offset_residual = float(np.sqrt(np.mean((a - design @ coef) ** 2)))
     travel_total, amp_total = travel_integrals(coeffs, b1, b2)
-    sq = np.sqrt(lam)
     if branch == "left_boundary":
         logr = logr - np.log(2.0)   # reflecting boundary doubles Phi_1
     elif branch == "right_boundary":
@@ -215,13 +220,13 @@ def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
     # travel distance from b1 per lambda; a source outside the bracket
     # lands exactly on an endpoint (the asymptotics clip there), so the
     # range check needs a margin wider than the transform noise floor
-    travel = 0.5 * travel_total - (amp_total + logr) / (2.0 * sq)
+    travel = 0.5 * travel_total - (amp_total + logr) / (2.0 * mu)
     margin = 1e-4 * travel_total
     used = ok & (travel > margin) & (travel < travel_total - margin)
     if not np.any(used):
         raise ValueError("recovered travel distance out of range at every "
                          "lambda: the source is not bracketed by the sensors")
-    x1 = np.full_like(sq, np.nan)
+    x1 = np.full_like(mu, np.nan)
     x1[used] = invert_travel_distance(coeffs, b1, travel[used])
 
     rel = phi.bounds / np.abs(np.where(phi.values == 0, 1.0, phi.values))

@@ -15,12 +15,12 @@ q to all columns jointly, each through its own arrival kernel.
 
 Also here: the geometric general-position check (no collinear triples /
 coplanar quadruples of sensors), the nearest-source visibility matrix
-and its determinant, sensor-count sufficiency for constant-intensity
-multi-source recovery, and evaluators for the two built-in
-non-uniqueness configurations used by the CLI.  The visibility matrix
-is the one consumer of a scenario's constant drift velocity
-(``DriftFieldND``), which enters in closed form as
-exp(-(1/2) a . (x_i - b_j)); the location fit and the intensity
+(each sensor's nearest sources, ties kept) and its determinant,
+sensor-count sufficiency for constant-intensity multi-source recovery,
+and evaluators for the two built-in non-uniqueness configurations used
+by the CLI.  The visibility matrix is the one consumer of a scenario's
+constant drift velocity (``DriftFieldND``), which enters in closed form
+as exp(-(1/2) a . (x_i - b_j)); the location fit and the intensity
 deconvolution model no drift.
 """
 
@@ -35,7 +35,7 @@ from scipy import optimize, special
 
 from .forward import resolvent_green
 from .laplace import LaplaceSamples
-from .model import DriftFieldND, Scenario, sensor_source_distances
+from .model import DriftFieldND, Scenario
 
 __all__ = [
     "in_general_position",
@@ -55,6 +55,8 @@ MIN_LAMBDAS = 4
 # sensor subsets tested per batched determinant call
 SUBSET_CHUNK = 8192
 NUM_PROBES = 20   # bisector probes of the mirror-pair configuration
+# relative tolerance of a tie in a sensor's nearest-source distance
+TIE_RTOL = 1e-9
 
 
 def in_general_position(points) -> tuple[bool, Union[tuple, None]]:
@@ -250,15 +252,26 @@ class NearestSourceMatrix:
 
 def nearest_source_matrix(sources, sensors, drift: Union[DriftFieldND, None]
                           ) -> NearestSourceMatrix:
+    """The visibility matrix of the ``sources`` (r, n) seen by the
+    ``sensors`` (s, n) under a constant ``drift`` (None for none).
+
+    Every source within TIE_RTOL of a sensor's minimal distance counts as
+    nearest: ties are kept, not broken, because symmetric layouts
+    genuinely have several nearest sources.
+    """
     xs = np.atleast_2d(np.asarray(sources, dtype=float))
     bs = np.atleast_2d(np.asarray(sensors, dtype=float))
-    table = sensor_source_distances(xs, bs)
+    if xs.size == 0 or bs.size == 0:
+        raise ValueError("sources and sensors must be nonempty")
+    if xs.shape[1] != bs.shape[1]:
+        raise ValueError("sources and sensors must share a dimension")
+    diff = xs[None] - bs[:, None]   # x_i - b_j, shape (s, r, n)
+    r = np.linalg.norm(diff, axis=2)
+    nearest = r <= r.min(axis=1, keepdims=True) * (1.0 + TIE_RTOL) + 1e-300
     velocity = np.zeros(xs.shape[1]) if drift is None else drift.velocity
     # the drift line integral from sensor j to source i, shape (s, r)
-    exponent = -0.5 * (xs[None] - bs[:, None]) @ velocity
-    mat = np.zeros_like(exponent)
-    for j, nearest in enumerate(table.nearest):
-        mat[j, nearest] = np.exp(exponent[j, nearest])
+    exponent = -0.5 * diff @ velocity
+    mat = np.exp(np.where(nearest, exponent, -np.inf))
     if mat.shape[0] != mat.shape[1]:
         return NearestSourceMatrix(matrix=mat, determinant=None,
                                    near_singular=None)
@@ -300,27 +313,6 @@ class DiscrepancyReport:
     reference: float           # comparable off-symmetry magnitude
 
 
-def _bisector_probes(x1: np.ndarray, x2: np.ndarray, count: int,
-                     extent: float, seed: int = 7) -> np.ndarray:
-    """Points on the hyperplane bisecting segment [x1, x2]."""
-    n = x1.size
-    mid = 0.5 * (x1 + x2)
-    axis = x2 - x1
-    axis = axis / np.linalg.norm(axis)
-    basis = []
-    for e in np.eye(n):
-        v = e - np.dot(e, axis) * axis
-        for u in basis:
-            v = v - np.dot(v, u) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            basis.append(v / norm)
-    basis = np.array(basis)
-    rng = np.random.default_rng(seed)
-    coef = rng.uniform(-extent, extent, size=(count, basis.shape[0]))
-    return mid[None, :] + coef @ basis
-
-
 def _signed_field(n: int, sources: np.ndarray, signs: np.ndarray,
                   probes: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """|sum_i sign_i G_n(|p - x_i|, lam)| for every probe p (rows) and
@@ -353,14 +345,16 @@ def nonuniqueness_discrepancy(case: int, a: float = 1.0, m_dist: float = 3.0,
         sources = np.zeros((2, n))
         sources[:, 0] = a, -a
         signs = np.array([1.0, -1.0])
-        x1, x2 = sources
         if probes is None:
-            probes = _bisector_probes(x1, x2, NUM_PROBES, extent=m_dist)
+            # the pair's bisector is the plane x_0 = 0
+            probes = np.zeros((NUM_PROBES, n))
+            probes[:, 1:] = np.random.default_rng(7).uniform(
+                -m_dist, m_dist, (NUM_PROBES, n - 1))
         probes = np.atleast_2d(np.asarray(probes, dtype=float))
         # reference probe at the same distance from x1 as the first bisector
-        # probe, but on the x1 side of the axis where nothing cancels
-        axis = (x1 - x2) / np.linalg.norm(x1 - x2)
-        ref_p = x1 + np.linalg.norm(probes[0] - x1) * axis
+        # probe, but on the x1 side of axis 0 where nothing cancels
+        x1 = sources[0]
+        ref_p = x1 + np.linalg.norm(probes[0] - x1) * np.eye(n)[0]
     elif case == 2:
         if n != 3:
             raise ValueError("case 2 is a spatial (n=3) configuration")

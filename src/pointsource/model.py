@@ -61,9 +61,7 @@ __all__ = [
     "DriftFieldND",
     "PointSource",
     "Scenario",
-    "DistanceTable",
     "validate_scenario",
-    "sensor_source_distances",
     "scenario_to_dict",
     "scenario_from_dict",
     "save_scenario",
@@ -73,9 +71,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-#: relative tolerance used to detect ties in nearest-source distances
-TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,35 +379,6 @@ def validate_scenario(s: Scenario) -> list[str]:
                 s.f0.size != s.coefficients.grid.size:
             out.append("f0: must be sampled on the coefficient grid")
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceTable:
-    """Pairwise source-sensor geometry: r[i, j] = |x_i - b_j|."""
-
-    r: np.ndarray
-    delta: np.ndarray
-    nearest: tuple  # per sensor j, indices i attaining delta_j (within TIE_RTOL)
-
-
-def sensor_source_distances(sources, sensors) -> DistanceTable:
-    """Euclidean distance matrix, per-sensor minima and their argmin sets.
-
-    Ties in the minimum are kept as index sets rather than broken, because
-    symmetric layouts genuinely have several nearest sources.
-    """
-    xs = np.atleast_2d(np.asarray(sources, dtype=float))
-    bs = np.atleast_2d(np.asarray(sensors, dtype=float))
-    if xs.size == 0 or bs.size == 0:
-        raise ValueError("sources and sensors must be nonempty")
-    if xs.shape[1] != bs.shape[1]:
-        raise ValueError("sources and sensors must share a dimension")
-    r = np.linalg.norm(xs[:, None, :] - bs[None, :, :], axis=2)
-    delta = r.min(axis=0)
-    nearest = tuple(
-        np.nonzero(r[:, j] <= delta[j] * (1.0 + TIE_RTOL) + 1e-300)[0]
-        for j in range(bs.shape[0]))
-    return DistanceTable(r=r, delta=delta, nearest=nearest)
 
 
 # ---------------------------------------------------------------------------

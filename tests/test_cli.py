@@ -270,23 +270,23 @@ class TestIdentify:
         assert "validation: coefficients" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_1d_reaction_rejected(self, tmp_path, capsys):
-        # the oracle damps the 1D series by exp(-lambda0 t); the intensity
-        # kernel models that, but the 1D locator does not: identify would
-        # exit 0 with x_error 4e-4 at lambda0 = 0.5
+    def test_1d_reaction_round_trip(self, tmp_path):
+        # the oracle damps the 1D series by exp(-lambda0 t); the locator
+        # and the intensity kernel both model it (exit 0 with x_error 4e-4
+        # when the locator decayed with sqrt(lam) alone)
         spath = tmp_path / "scen.json"
         write_free_space_scenario(spath, n=1, tau=1e-3, num_steps=2000,
                                   lambda0=0.5)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(spath),
                          "--out", str(out)]) == 0
-        capsys.readouterr()
         rc = cli.main(["identify", "--scenario", str(spath),
                        "--out", str(out),
                        "--lambda-min", "100", "--lambda-max", "400"])
-        assert rc == cli.EXIT_VALIDATION
-        assert "validation: domain.lambda0" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert rc == cli.EXIT_OK
+        ev = json.loads((out / "report.json").read_text())["evaluation"]
+        assert ev["x_error"] <= 1e-8
+        assert ev["q_rel_l2"] <= 1e-8
 
     @pytest.mark.parametrize("points", [0, 1, 2, 3])
     def test_too_few_lambda_points_rejected(self, tmp_path, capsys, points):
@@ -311,7 +311,9 @@ class TestIdentify:
                                         ("--lambda-min", "50",
                                          "--lambda-max", "6"),
                                         ("--lambda-min", "0",
-                                         "--lambda-max", "50")])
+                                         "--lambda-max", "50"),
+                                        ("--lambda-min", "1",
+                                         "--lambda-max", "inf")])
     def test_bad_lambda_window_rejected(self, tmp_path, capsys, window):
         # a lone end of the window is an error, not a cue to fall back on
         # the advisor's window
@@ -1019,6 +1021,61 @@ class TestNumericFlags:
         assert not out.exists()
 
 
+# the numeric flags of each command, as build_parser declares them
+NUMERIC_FLAGS = {
+    "simulate": ("--noise", "--seed", "--cells"),
+    "identify": ("--noise", "--epsilon", "--cells", "--lambda-min",
+                 "--lambda-max", "--lambda-points"),
+    "reproduce-example": ("--a", "--m", "--lambda-min", "--lambda-max",
+                          "--lambda-points"),
+}
+
+
+@pytest.fixture(scope="module")
+def swept_scenarios(tmp_path_factory):
+    """Small 3D free-space and interval scenarios, simulated: the
+    (scenario, sensor CSV) paths of each."""
+    root = tmp_path_factory.mktemp("sweep")
+    free = root / "free.json"
+    write_free_space_scenario(free, n=3, num_steps=300)
+    interval = root / "interval.json"
+    model.save_scenario(interval, model.Scenario(
+        domain=model.Interval1D(a=0.0, b=1.0),
+        coefficients=model.CoefficientField1D.constant(
+            1.0, 0.0, 0.0, interval=(0.0, 1.0)),
+        sources=(model.PointSource(location=[0.3], intensity=1.0),),
+        sensors=([0.1], [0.9]), grid=model.TimeGrid(tau=1e-3, num_steps=300)))
+    paths = {}
+    for name, spath in (("free", free), ("interval", interval)):
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(root / name)]) == 0
+        paths[name] = (spath, root / name / "sensors.csv")
+    return paths
+
+
+class TestNumericFlagSweep:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in NUMERIC_FLAGS.items()
+        for flag in flags])
+    def test_documented_exit_code(self, tmp_path, swept_scenarios, command,
+                                  flag, value):
+        # --cells acts on an interval only; free space rejects any value
+        spath, data = swept_scenarios[
+            "interval" if flag == "--cells" else "free"]
+        argv = {"simulate": ["simulate", "--scenario", str(spath)],
+                "identify": ["identify", "--scenario", str(spath),
+                             "--data", str(data)],
+                "reproduce-example": ["reproduce-example", "1"]}[command]
+        try:
+            rc = cli.main([*argv, "--out", str(tmp_path / "out"),
+                           f"{flag}={value}"])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_SOLVER,
+                      cli.EXIT_IDENTIFY)
+
+
 class TestReproduceExamples:
     def test_lambda_points_honoured(self, tmp_path):
         rc = cli.main(["reproduce-example", "1", "--out", str(tmp_path),
@@ -1053,6 +1110,25 @@ class TestReproduceExamples:
         summary = json.loads(
             (tmp_path / "example2_summary.json").read_text())
         assert summary["max_discrepancy"] == 0.0
+
+    def test_coincident_mirror_pair(self, tmp_path):
+        rc = cli.main(["reproduce-example", "1", "--a", "0", "--out",
+                       str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "example1_discrepancy.csv").read_text() \
+            .splitlines()[1:]
+        assert [float(r.rsplit(",", 1)[1]) for r in rows] == [0.0] * 60
+
+    @pytest.mark.parametrize("argv", [
+        ["1", "--lambda-max", "inf"], ["2", "--a", "0", "--m", "0"]])
+    def test_bad_input_rejected(self, tmp_path, capsys, argv):
+        # an unbounded window used to write inf rows, and a probe on a
+        # source ended in a traceback
+        out = tmp_path / "out"
+        rc = cli.main(["reproduce-example", *argv, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation: --")
+        assert not out.exists()
 
 
 class TestCsvReportFormat:

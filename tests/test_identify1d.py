@@ -5,22 +5,25 @@ from scipy.optimize import brentq
 from pointsource import forward, identify1d, laplace, model
 
 
-def free_line(grid, *sensors):
+def free_line(grid, *sensors, lambda0=0.0):
     """A 1D free-space scenario: all the locator and recover_intensity
     read of it is the domain, the sensors and the grid."""
-    return model.Scenario(domain=model.FreeSpace(n=1), sources=(),
+    return model.Scenario(domain=model.FreeSpace(n=1, lambda0=lambda0),
+                          sources=(),
                           sensors=tuple([b] for b in sensors), grid=grid)
 
 
 def oracle_transforms(x1, sensors, lams, tau=1e-3, num_steps=10000,
-                      intensity=1.0):
+                      intensity=1.0, lambda0=0.0):
     """The free-line scenario of the sensors and the transform of its
     sensor matrix, one column per sensor."""
     grid = model.TimeGrid(tau=tau, num_steps=num_steps)
     src = model.PointSource(location=[x1], intensity=intensity)
-    psi = np.column_stack([forward.free_space_response([src], [b], grid, n=1)
+    psi = np.column_stack([forward.free_space_response([src], [b], grid, n=1,
+                                                       lambda0=lambda0)
                            for b in sensors])
-    return free_line(grid, *sensors), laplace.laplace_grid(psi, grid, lams)
+    return (free_line(grid, *sensors, lambda0=lambda0),
+            laplace.laplace_grid(psi, grid, lams))
 
 
 def with_values(phi, values, scale=1.0):
@@ -145,6 +148,16 @@ class TestLocate1D:
         fit = identify1d.locate_source_1d(phi, scen)
         assert abs(fit.x1_hat - 0.3) <= 1e-2
         assert fit.admissible
+
+    @pytest.mark.parametrize("lambda0", [0.5, 2.0])
+    def test_reaction_on_the_free_line(self, lambda0):
+        # Phi_j = Q exp(-mu |x1 - b_j|)/(2 mu), mu = sqrt(lam + lambda0):
+        # decaying with sqrt(lam) alone misses by 4e-4 and 1.6e-3
+        lams = np.geomspace(100, 400, 13)
+        scen, phi = oracle_transforms(0.3, [0.0, 1.0], lams, num_steps=2000,
+                                      lambda0=lambda0)
+        fit = identify1d.locate_source_1d(phi, scen)
+        assert abs(fit.x1_hat - 0.3) <= 1e-8
 
     def test_outermost_pair_read(self):
         # a middle sensor and the column order play no part: the fit reads

@@ -450,6 +450,61 @@ class TestNearestSourceMatrix:
             [[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], None)
         assert nsm.determinant is None and nsm.near_singular is None
 
+    def test_hand_nearest_source(self):
+        # sensor (3,0,0) sees (1,1,0) at sqrt(5) and (-1,-1,0) at sqrt(17)
+        nsm = identifynd.nearest_source_matrix(
+            [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [[3.0, 0.0, 0.0]], None)
+        np.testing.assert_array_equal(nsm.matrix, [[1.0, 0.0]])
+
+    def test_one_source_nearest_to_equidistant_sensors(self):
+        nsm = identifynd.nearest_source_matrix(
+            [[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], None)
+        np.testing.assert_array_equal(nsm.matrix, [[1.0], [1.0]])
+
+    def test_symmetric_two_source_tie(self):
+        nsm = identifynd.nearest_source_matrix(
+            [[1.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]], None)
+        assert np.count_nonzero(nsm.matrix[0]) == 2
+
+    def test_nearest_sets_match_brute_force(self):
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(4, 3))
+        bs = rng.normal(size=(5, 3))
+        nsm = identifynd.nearest_source_matrix(xs, bs, None)
+        for j, b in enumerate(bs):
+            dist = np.linalg.norm(xs - b, axis=1)
+            np.testing.assert_array_equal(np.flatnonzero(nsm.matrix[j]),
+                                          [np.argmin(dist)])
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_drift_scales_determinant(self, shared):
+        # entry (j, i) is exp(a.b_j/2) exp(-a.x_i/2) on the nearest
+        # pattern, so a constant drift a scales the determinant by
+        # exp(a.(sum_j b_j - sum_i x_i)/2); a shared nearest source keeps
+        # the matrix singular
+        rng = np.random.default_rng(5)
+        xs = rng.normal(size=(4, 3))
+        near = np.zeros(4, dtype=int) if shared else rng.permutation(4)
+        bs = xs[near] + 0.05 * rng.normal(size=(4, 3))
+        a = np.array([0.7, -0.4, 0.3])
+        plain = identifynd.nearest_source_matrix(xs, bs, None)
+        drifted = identifynd.nearest_source_matrix(xs, bs,
+                                                   model.DriftFieldND(a))
+        scale = np.exp(0.5 * a @ (bs.sum(axis=0) - xs.sum(axis=0)))
+        np.testing.assert_allclose(drifted.determinant,
+                                   scale * plain.determinant, rtol=1e-12)
+        assert drifted.near_singular is plain.near_singular is shared
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            identifynd.nearest_source_matrix([[0.0, 1.0]], [[0.0]], None)
+
+    @pytest.mark.parametrize("sources, sensors", [
+        (np.empty((0, 2)), [[0.0, 1.0]]), ([[0.0, 1.0]], np.empty((0, 2)))])
+    def test_empty_input_rejected(self, sources, sensors):
+        with pytest.raises(ValueError, match="nonempty"):
+            identifynd.nearest_source_matrix(sources, sensors, None)
+
 
 class TestSensorCountSufficiency:
     @pytest.mark.parametrize("r,s,n,want", [
@@ -487,6 +542,11 @@ class TestNonuniquenessConfigurations:
     def test_coincident_pairs_all_zero(self):
         rep = identifynd.nonuniqueness_discrepancy(2, a=0.0, m_dist=3.0)
         assert rep.max_discrepancy == 0.0
+
+    def test_coincident_mirror_pair_all_zero(self):
+        rep = identifynd.nonuniqueness_discrepancy(1, a=0.0, m_dist=3.0)
+        assert rep.max_discrepancy == 0.0
+        assert np.all(rep.probes[:, 0] == 0.0)
 
     def test_probe_on_source_rejected(self):
         with pytest.raises(ValueError):

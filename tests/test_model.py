@@ -197,48 +197,6 @@ class TestValidation:
         assert any("coincides" in m for m in msgs)
 
 
-class TestDistances:
-    def test_1d(self):
-        t = model.sensor_source_distances([[0.3]], [[0.0], [1.0]])
-        np.testing.assert_allclose(t.r, [[0.3, 0.7]])
-        np.testing.assert_allclose(t.delta, [0.3, 0.7])
-
-    def test_3d_hand_value(self):
-        # delta for sensor (3,0,0) against sources (1,1,0), (-1,-1,0):
-        # sqrt((3-1)^2 + 1) = sqrt(5), checked against brute force
-        sources = [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]
-        sensor = [[3.0, 0.0, 0.0]]
-        t = model.sensor_source_distances(sources, sensor)
-        brute = min(np.linalg.norm(np.array(s) - np.array(sensor[0]))
-                    for s in sources)
-        np.testing.assert_allclose(t.delta[0], np.sqrt(5.0))
-        np.testing.assert_allclose(t.delta[0], brute)
-
-    def test_tie_argmin_set(self):
-        t = model.sensor_source_distances([[0.0, 0.0]],
-                                          [[1.0, 0.0], [-1.0, 0.0]])
-        assert all(len(idx) == 1 for idx in t.nearest)
-        np.testing.assert_allclose(t.delta, [1.0, 1.0])
-
-    def test_symmetric_two_source_tie(self):
-        t = model.sensor_source_distances([[1.0, 0.0], [-1.0, 0.0]],
-                                          [[0.0, 0.0]])
-        assert len(t.nearest[0]) == 2
-
-    def test_delta_bounds_invariant(self):
-        rng = np.random.default_rng(3)
-        xs = rng.normal(size=(4, 3))
-        bs = rng.normal(size=(5, 3))
-        t = model.sensor_source_distances(xs, bs)
-        assert np.all(t.delta[None, :] <= t.r + 1e-15)
-        for j, idx in enumerate(t.nearest):
-            np.testing.assert_allclose(t.r[idx, j], t.delta[j], rtol=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            model.sensor_source_distances([[0.0, 1.0]], [[0.0]])
-
-
 class TestSerialization:
     def test_scenario_round_trip(self, tmp_path):
         scen = model.Scenario(
