@@ -181,21 +181,46 @@ def _lambda_window(args, scenario: model.Scenario
     return np.geomspace(*window, args.lambda_points), window
 
 
-def _evaluation_block(x_hat, q_hat, grid: model.TimeGrid,
-                      truth_path: Path) -> dict:
+def _truth_sources(path: Path, scenario: model.Scenario):
+    """(location, intensity samples) of every source in the ground truth
+    at ``path``, or None when there is no such file.  ValueError when the
+    file does not fit the scenario."""
+    if not path.exists():
+        return None
+    with open(path) as fh:
+        doc = json.load(fh)
+    sources = doc.get("sources") if isinstance(doc, dict) else None
+    if not isinstance(sources, list) or not sources:
+        raise ValueError("holds no sources")
+    n, k = scenario.dimension, scenario.grid.num_samples
+    out = []
+    for i, src in enumerate(sources):
+        try:
+            loc = np.atleast_1d(np.asarray(src["location"], dtype=float))
+            q = np.asarray(src["intensity"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"source {i} is unreadable ({exc})") from None
+        if loc.shape != (n,):
+            raise ValueError(f"source {i} has {loc.size} coordinates; the "
+                             f"scenario has dimension {n}")
+        if q.shape != (k,):
+            raise ValueError(f"source {i} has {q.size} intensity samples; "
+                             f"the scenario grid has {k}")
+        out.append((loc, q))
+    return out
+
+
+def _evaluation_block(x_hat, q_hat, grid: model.TimeGrid, sources) -> dict:
     """Errors against the true source nearest to ``x_hat``, when the
-    ground truth is at hand."""
-    if not truth_path.exists():
+    ground truth ``sources`` (see ``_truth_sources``) are at hand."""
+    if sources is None:
         return {}
-    with open(truth_path) as fh:
-        sources = json.load(fh)["sources"]
-    errors = [float(np.linalg.norm(np.atleast_1d(x_hat)
-                                   - np.asarray(s["location"], dtype=float)))
-              for s in sources]
+    errors = [float(np.linalg.norm(np.atleast_1d(x_hat) - loc))
+              for loc, _ in sources]
     k = int(np.argmin(errors))
     out = {"x_error": errors[k], "scored_source": k,
            "num_sources": len(sources)}
-    q_true = np.asarray(sources[k]["intensity"], dtype=float)
+    q_true = sources[k][1]
     win = grid.times() >= 0.1 * grid.horizon
     denom = float(np.linalg.norm(q_true[win]))
     if denom > 0.0:
@@ -271,10 +296,10 @@ def _locate_nd(args, scenario, phi) -> tuple[dict, np.ndarray]:
     return fields, rec.x1_hat
 
 
-def _identify(args, scenario, psi_tilde, out: Path) -> dict:
+def _identify(args, scenario, psi_tilde, truth) -> dict:
     """Transform every sensor series once, locate the source, recover its
     intensity from every sensor and score both against the ground truth
-    when there is one."""
+    ``truth`` when there is one."""
     lambdas, window = _lambda_window(args, scenario)
     phi = laplace.laplace_grid(psi_tilde, scenario.grid, lambdas)
     fields, x_hat = _locate_1d(scenario, phi) if scenario.dimension == 1 \
@@ -286,8 +311,8 @@ def _identify(args, scenario, psi_tilde, out: Path) -> dict:
               "lambda_window": list(window),
               "intensity": intensity}
     report["diagnostics"] += misfit_flags
-    report["evaluation"] = _evaluation_block(
-        x_hat, intensity["q_hat"], scenario.grid, out / "ground_truth.json")
+    report["evaluation"] = _evaluation_block(x_hat, intensity["q_hat"],
+                                             scenario.grid, truth)
     return report
 
 
@@ -318,6 +343,12 @@ def cmd_identify(args) -> int:
               f"grid (tau={grid.tau:.6g}) by up to {shift:.3g}",
               file=sys.stderr)
         return EXIT_VALIDATION
+    truth_path = out / "ground_truth.json"
+    try:
+        truth = _truth_sources(truth_path, scenario)
+    except (OSError, ValueError) as exc:
+        print(f"validation: ground truth {truth_path}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         background = forward.sensor_traces(
             dataclasses.replace(scenario, sources=()), _num_cells(args))
@@ -326,7 +357,7 @@ def cmd_identify(args) -> int:
         return EXIT_SOLVER
     psi_tilde = series - background
     try:
-        report = _identify(args, scenario, psi_tilde, out)
+        report = _identify(args, scenario, psi_tilde, truth)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"identification: {exc}", file=sys.stderr)
         return EXIT_IDENTIFY

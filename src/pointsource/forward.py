@@ -1,9 +1,9 @@
 """Forward solvers and Green-function machinery.
 
 Contains the analytic free-space response oracle (time-domain Duhamel
-convolution with exactly integrated kernel masses), resolvent Green
-functions (exact constant-coefficient forms and the large-parameter
-asymptotic evaluator for variable 1D coefficients), and a Crank-Nicolson
+convolution with exactly integrated kernel masses), the free-space
+resolvent Green function in log form (``log_green``), the large-parameter
+asymptotic Green value for variable 1D coefficients, and a Crank-Nicolson
 finite-difference solver for bounded 1D intervals.  ``sensor_traces`` is
 the one entry point that turns a scenario into its clean sensor series:
 simulated data, the source-free background and the unit-source kernel of
@@ -38,7 +38,7 @@ __all__ = [
     "heat_kernel",
     "distance_kernel",
     "bessel_k0",
-    "resolvent_green",
+    "log_green",
     "GreenEval",
     "green_1d_asymptotic",
     "travel_integrals",
@@ -110,29 +110,26 @@ def bessel_k0(x):
     return special.k0(x)
 
 
-def resolvent_green(n: int, r: float, lam: float, lambda0: float = 0.0,
-                    a2: float = 1.0):
-    """Free-space resolvent kernel of (lam + lambda0 - Delta) at distance r.
-
-    For n = 1 the operator is lam + lambda0 - a2 * d^2/dx^2 with constant
-    diffusivity a2; for n = 2, 3 the diffusivity is 1.
-    """
+def log_green(n: int, r, mu) -> tuple[np.ndarray, np.ndarray]:
+    """log G_n(r, mu) and its r-derivative for the free-space resolvent of
+    (mu^2 - Delta), r > 0, mu > 0: G_1 = exp(-mu r)/(2 mu),
+    G_2 = K0(mu r)/(2 pi), G_3 = exp(-mu r)/(4 pi r).  A reaction lambda0
+    enters as mu = sqrt(lam + lambda0), a 1D diffusivity a2 as
+    G_1(r, sqrt(lam/a2))/a2.  Exponentially scaled Bessels keep G_2 finite
+    where K0 itself underflows."""
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2, or 3")
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError("resolvent kernel is singular at r = 0")
-    mu2 = lam + lambda0
-    if np.any(np.asarray(mu2) <= 0.0):
-        raise ValueError("lam + lambda0 must be positive")
+    if np.any(np.asarray(mu) <= 0.0):
+        raise ValueError("mu must be positive")
+    z = mu * r
     if n == 1:
-        if a2 <= 0.0:
-            raise ValueError("diffusivity a2 must be positive")
-        mu_c = np.sqrt(mu2 / a2)
-        return np.exp(-mu_c * r) / (2.0 * a2 * mu_c)
-    mu = np.sqrt(mu2)
-    if n == 2:
-        return special.k0(mu * r) / (2.0 * np.pi)
-    return np.exp(-mu * r) / (4.0 * np.pi * r)
+        return -z - np.log(2.0 * mu), np.broadcast_to(-mu, np.shape(z))
+    if n == 3:
+        return -z - np.log(4.0 * np.pi * r), -mu - 1.0 / r
+    k0e = special.k0e(z)
+    return np.log(k0e / (2.0 * np.pi)) - z, -mu * special.k1e(z) / k0e
 
 
 # ---------------------------------------------------------------------------

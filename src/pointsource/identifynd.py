@@ -5,7 +5,8 @@ The location fit takes the transforms of every sensor series from one
 and reads the sensors, the dimension, the grid and the reaction lambda0
 from that scenario.  For one source the sensor transforms factorize
 exactly into the intensity transform times the free-space resolvent
-Green function of the source-sensor distance.  ``locate_source_nd``
+Green function of the source-sensor distance (``forward.log_green``,
+which the non-uniqueness evaluators share).  ``locate_source_nd``
 removes the intensity factor by taking the per-lambda sensor mean out of
 the log-transforms and fits the location to all sensors and all
 trustworthy lambdas in one weighted least-squares problem; the Jacobian
@@ -31,9 +32,9 @@ from itertools import combinations, islice
 from typing import Union
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
-from .forward import resolvent_green
+from .forward import log_green
 from .laplace import LaplaceSamples
 from .model import DriftFieldND, Scenario
 
@@ -102,17 +103,6 @@ class RecoveryND:
     lambdas: np.ndarray
     residual_norm: float
     diagnostics: tuple
-
-
-def _log_green(n: int, r: np.ndarray, mu: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """log G_n(r, mu) and its r-derivative (exponentially scaled Bessels
-    keep the plane case finite at large mu*r)."""
-    z = mu * r
-    if n == 3:
-        return -z - np.log(4.0 * np.pi * r), -mu - 1.0 / r
-    k0e = special.k0e(z)
-    return np.log(k0e / (2.0 * np.pi)) - z, -mu * special.k1e(z) / k0e
 
 
 def _asymptotic_start(sensors: np.ndarray, mu: np.ndarray,
@@ -206,7 +196,7 @@ def locate_source_nd(phi: LaplaceSamples, scenario: Scenario,
     def model(x):
         diff = x[None, :] - sensors
         r = np.linalg.norm(diff, axis=1)[:, None]
-        log_g, dlog_g = _log_green(n, r, mu)
+        log_g, dlog_g = log_green(n, r, mu)
         return log_g - log_g.mean(axis=0), dlog_g, diff / r
 
     def residuals(x):
@@ -284,17 +274,12 @@ def nearest_source_matrix(sources, sensors, drift: Union[DriftFieldND, None]
 
 
 def sensor_count_sufficient(r: int, s: int, n: int) -> bool:
-    """Sensor count sufficient to pin down up to r constant sources.
-
-    Requires s >= 2r+1 in the plane and s >= 3r+1 in space; below the
-    bound there are explicit configurations two different source sets
-    cannot be told apart from.
-    """
-    if n == 2:
-        return s >= 2 * r + 1
-    if n == 3:
-        return s >= 3 * r + 1
-    raise ValueError("dimension must be 2 or 3")
+    """Sensor count sufficient to pin down up to r constant sources in
+    dimension n = 2 or 3: s >= n r + 1, below which explicit
+    configurations of two source sets cannot be told apart."""
+    if n not in (2, 3):
+        raise ValueError("dimension must be 2 or 3")
+    return s >= n * r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +303,8 @@ def _signed_field(n: int, sources: np.ndarray, signs: np.ndarray,
     """|sum_i sign_i G_n(|p - x_i|, lam)| for every probe p (rows) and
     lambda (columns)."""
     r = np.linalg.norm(probes[:, None, :] - sources[None, :, :], axis=2)
-    if np.any(r == 0.0):
-        raise ValueError("probe coincides with a source")
-    green = resolvent_green(n, r[:, None, :], lambdas[None, :, None])
+    green = np.exp(log_green(n, r[:, None, :],
+                             np.sqrt(lambdas)[None, :, None])[0])
     return np.abs((signs * green).sum(axis=2))
 
 

@@ -741,6 +741,52 @@ class TestIdentify:
         report = json.loads((out / "report.json").read_text())
         assert report["evaluation"] == {}
 
+    def test_short_series_at_eps_zero(self, tmp_path):
+        # finite-precision CG needs more than m iterations on this system
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=300)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--epsilon", "0"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["evaluation"]["q_rel_l2"] <= 5e-2
+
+    @pytest.mark.parametrize("defect", ["other_grid", "other_dimension",
+                                        "unparsable", "no_sources"])
+    def test_stale_ground_truth_rejected(self, tmp_path, capsys, defect):
+        # the truth file in --out must describe the scenario identified:
+        # a different grid used to end in an IndexError after the fit, a
+        # 3D truth scored a 1D estimate against a 3D location
+        n, other_n, other_steps = {
+            "other_grid": (3, 3, 2000), "other_dimension": (1, 3, 3000),
+        }.get(defect, (3, None, None))
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=n, num_steps=3000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        truth = out / "ground_truth.json"
+        if other_n is not None:
+            opath = tmp_path / "other.json"
+            write_free_space_scenario(opath, n=other_n, num_steps=other_steps)
+            assert cli.main(["simulate", "--scenario", str(opath),
+                             "--out", str(tmp_path / "other")]) == 0
+            truth.write_bytes(
+                (tmp_path / "other" / "ground_truth.json").read_bytes())
+        elif defect == "unparsable":
+            truth.write_text("{")
+        else:
+            truth.write_text('{"sources": []}')
+        capsys.readouterr()
+        rc = cli.main(["identify", "--scenario", str(spath),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation: ground truth {truth}: ")
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "identify"])
     def test_coefficient_field_on_free_space_rejected(self, tmp_path, capsys,
                                                       command):

@@ -83,24 +83,29 @@ class TestBesselK0:
             forward.bessel_k0(0.0)
 
 
+def green(n, r, mu):
+    """G_n(r, mu) from its log form."""
+    return np.exp(forward.log_green(n, r, mu)[0])
+
+
 class TestResolventGreen:
     def test_3d_values(self):
-        np.testing.assert_allclose(forward.resolvent_green(3, 1.0, 1e-12),
+        np.testing.assert_allclose(green(3, 1.0, np.sqrt(1e-12)),
                                    1 / (4 * np.pi), rtol=1e-5)
-        np.testing.assert_allclose(forward.resolvent_green(3, 2.0, 4.0),
+        np.testing.assert_allclose(green(3, 2.0, 2.0),
                                    np.exp(-4.0) / (8 * np.pi), rtol=1e-14)
 
     def test_2d_exact_vs_asymptotic(self):
         lam = 25.0
-        exact = forward.resolvent_green(2, 1.0, lam)
+        exact = green(2, 1.0, np.sqrt(lam))
         np.testing.assert_allclose(exact, k0_quadrature(5.0) / (2 * np.pi),
                                    rtol=1e-10)
         asym = np.exp(-5.0) / (2 * np.sqrt(2 * np.pi) * lam ** 0.25)
         assert abs(exact - asym) / exact <= 0.1
 
     def test_1d_constant_diffusivity(self):
-        # operator lam - 4 d^2/dx^2, mu_c = sqrt(lam/4)
-        v = forward.resolvent_green(1, 1.0, 4.0, a2=4.0)
+        # operator lam - a2 d^2/dx^2 with lam = a2 = 4: G_1(r, sqrt(lam/a2))/a2
+        v = green(1, 1.0, np.sqrt(4.0 / 4.0)) / 4.0
         np.testing.assert_allclose(v, np.exp(-1.0) / 8.0, rtol=1e-14)
 
     @pytest.mark.parametrize("n,r,lam", [(1, 0.7, 3.0), (2, 1.2, 5.0),
@@ -111,22 +116,46 @@ class TestResolventGreen:
         val, _ = integrate.quad(
             lambda t: np.exp(-(lam + lam0) * t) * forward.heat_kernel(n, r, t),
             0.0, 200.0, epsabs=1e-13, epsrel=1e-11, limit=500)
-        np.testing.assert_allclose(
-            val, forward.resolvent_green(n, r, lam, lambda0=lam0), rtol=1e-8)
+        np.testing.assert_allclose(val, green(n, r, np.sqrt(lam + lam0)),
+                                   rtol=1e-8)
 
     def test_monotone_in_r_and_lam(self):
         for n in (1, 2, 3):
             r = np.array([0.5, 1.0, 2.0, 4.0])
-            vals = forward.resolvent_green(n, r, 3.0)
+            vals = green(n, r, np.sqrt(3.0))
             assert np.all(np.diff(vals) < 0)
             lams = np.array([1.0, 2.0, 5.0, 20.0])
-            vals = np.array([forward.resolvent_green(n, 1.0, la)
-                             for la in lams])
+            vals = np.array([green(n, 1.0, np.sqrt(la)) for la in lams])
             assert np.all(np.diff(vals) < 0)
 
     def test_singular_at_zero_distance(self):
         with pytest.raises(ValueError):
-            forward.resolvent_green(3, 0.0, 1.0)
+            forward.log_green(3, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n,r,mu", [(4, 1.0, 1.0), (2, 1.0, 0.0),
+                                        (1, 1.0, -1.0)])
+    def test_domain(self, n, r, mu):
+        with pytest.raises(ValueError):
+            forward.log_green(n, r, mu)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_r_derivative_central_difference(self, n):
+        r = np.array([0.3, 1.0, 2.5])
+        mu = np.array([[0.5], [2.0], [7.0]])
+        h = 1e-5
+        diff = (forward.log_green(n, r + h, mu)[0]
+                - forward.log_green(n, r - h, mu)[0]) / (2 * h)
+        np.testing.assert_allclose(forward.log_green(n, r, mu)[1], diff,
+                                   rtol=1e-8)
+
+    def test_plane_large_argument_stays_finite(self):
+        # K0(800) underflows to 0; the scaled form keeps log G_2 finite
+        z = 800.0
+        log_g, dlog_g = forward.log_green(2, 1.0, z)
+        assert np.isfinite(log_g) and np.isfinite(dlog_g)
+        series = 0.5 * np.log(np.pi / (2 * z)) - z \
+            + np.log(1 - 1 / (8 * z) + 9 / (128 * z ** 2)) - np.log(2 * np.pi)
+        np.testing.assert_allclose(log_g, series, rtol=0, atol=1e-6)
 
 
 class TestTravelIntegrals:
@@ -149,17 +178,14 @@ class TestGreen1dAsymptotic:
         c = model.CoefficientField1D.constant(1.0)
         ev = forward.green_1d_asymptotic(c, 0.0, 1.0, lam=4.0)
         np.testing.assert_allclose(ev.value, np.exp(-2.0) / 4.0, rtol=1e-12)
-        np.testing.assert_allclose(ev.value,
-                                   forward.resolvent_green(1, 1.0, 4.0),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(ev.value, green(1, 1.0, 2.0), rtol=1e-12)
 
     def test_scaled_diffusivity(self):
         c = model.CoefficientField1D.constant(4.0)
         lam = 9.0
         ev = forward.green_1d_asymptotic(c, 0.0, 1.0, lam=lam)
         np.testing.assert_allclose(
-            ev.value, forward.resolvent_green(1, 1.0, lam, a2=4.0),
-            rtol=1e-12)
+            ev.value, green(1, 1.0, np.sqrt(lam / 4.0)) / 4.0, rtol=1e-12)
         np.testing.assert_allclose(ev.int_r, 0.5, rtol=1e-10)
         np.testing.assert_allclose(ev.int_r1, 0.0, atol=1e-12)
 

@@ -370,6 +370,26 @@ class TestToeplitzGram:
         assert "identification:" in capsys.readouterr().err
 
 
+class TestShortSeries:
+    @pytest.mark.parametrize("lambda0", [0.0, 0.5])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    def test_converges_beyond_m_iterations(self, lambda0, eps):
+        # 100 steps of clean free3d data: finite-precision CG needs more
+        # than m iterations at eps ~ 0, where exact arithmetic needs m
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=3, lambda0=lambda0),
+            sources=(model.PointSource(location=[0.2, 0.1, -0.3]),),
+            sensors=([1.1, 0.2, 0.1], [-0.7, 0.9, -0.2], [0.3, -1.0, 0.5],
+                     [-0.2, -0.3, -1.2]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=100))
+        psi = forward.sensor_traces(scen)
+        fit = laplace.recover_intensity(psi, scen, [0.2, 0.1, -0.3], eps)
+        dec = fit.deconvolution
+        m = scen.grid.num_steps - dec.n_tail_extended
+        assert dec.cg_iterations <= laplace.CG_ITERATIONS_PER_CELL * m
+        assert np.max(np.abs(fit.q - 1.0)) <= 1e-3
+
+
 class TestJointDeconvolution:
     def test_single_column_is_the_series(self):
         # an (N+1, 1) column solves exactly the same system as the series
