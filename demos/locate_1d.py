@@ -53,8 +53,5 @@ win = t >= 1.0
 err = np.linalg.norm(intensity.q[win] - 1.0) / np.sqrt(win.sum())
 print(f"\nintensity: mean {intensity.q[win].mean():.4f} over [1, 10], "
       f"rms error {err:.2e} (true intensity is 1)")
-print(f"kernel: {intensity.kernel['source']}, "
-      f"{intensity.deconvolution.solves} solve(s), "
-      f"eps {intensity.deconvolution.eps:.3g}")
 print("per-sensor misfit |A_j q - y_j|/|y_j|:",
-      np.array2string(intensity.deconvolution.misfit, precision=2))
+      np.array2string(intensity.misfit, precision=2))

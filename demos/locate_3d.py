@@ -54,4 +54,4 @@ win = t >= 2.0
 print(f"\nintensity mean over [2, 20]: {intensity.q[win].mean():.4f} "
       f"(true 1)")
 print("per-sensor misfit |A_j q - y_j|/|y_j|:",
-      np.array2string(intensity.deconvolution.misfit, precision=2))
+      np.array2string(intensity.misfit, precision=2))

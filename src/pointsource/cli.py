@@ -206,6 +206,9 @@ def _truth_sources(path: Path, scenario: model.Scenario):
         if q.shape != (k,):
             raise ValueError(f"source {i} has {q.size} intensity samples; "
                              f"the scenario grid has {k}")
+        if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(q))):
+            raise ValueError(f"source {i} holds a non-finite coordinate or "
+                             f"intensity sample")
         out.append((loc, q))
     return out
 
@@ -234,16 +237,19 @@ def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
     """The report's intensity block, with the same keys in every
     dimension (the caller adds ``background``), and a sensor_misfit_high
     diagnostic for every sensor the joint fit explains poorly."""
-    fit = laplace.recover_intensity(psi_tilde, scenario, x_hat, args.epsilon,
+    dec = laplace.recover_intensity(psi_tilde, scenario, x_hat, args.epsilon,
                                     num_cells=_num_cells(args))
-    dec = fit.deconvolution
+    if isinstance(scenario.domain, model.Interval1D):
+        kernel = {"source": "crank_nicolson", "cells": _num_cells(args)}
+    else:
+        kernel = {"source": "analytic"}
     block = {"eps": dec.eps, "solves": dec.solves,
              "cg_iterations": dec.cg_iterations,
              "n_tail_extended": dec.n_tail_extended,
              "residual_norm": dec.residual_norm, "stride": dec.stride,
              "misfit": dec.misfit.tolist(),
-             "kernel": fit.kernel,
-             "q_hat": fit.q.tolist()}
+             "kernel": kernel,
+             "q_hat": dec.q.tolist()}
     flags = [{"code": "sensor_misfit_high", "sensor": j,
               "misfit": float(misfit)}
              for j, misfit in enumerate(dec.misfit) if misfit > MISFIT_LIMIT]

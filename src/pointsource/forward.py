@@ -37,7 +37,6 @@ from .model import (
 __all__ = [
     "heat_kernel",
     "distance_kernel",
-    "bessel_k0",
     "log_green",
     "GreenEval",
     "green_1d_asymptotic",
@@ -95,19 +94,6 @@ def distance_kernel(n: int, gamma: float, t):
     if n == 2:
         return h
     return 4.0 * np.pi * gamma * h
-
-
-def bessel_k0(x):
-    """Modified Bessel function K0 (second kind, order zero), x > 0.
-
-    Backed by the library routine; relative error is well below 1e-10 on
-    [1e-3, 50], which the test suite checks against an independent
-    quadrature of the integral representation.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_k0 requires x > 0")
-    return special.k0(x)
 
 
 def log_green(n: int, r, mu) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,8 @@ on the caller's grid.
 its kernel masses are the first differences of the forward model's own
 sensor series for a unit source at the recovered location
 (``forward.sensor_traces``), and it deconvolves every sensor series
-jointly against them.
+jointly against them, returning the ``DeconvolutionResult`` of that one
+joint solve.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ __all__ = [
     "suggest_lambda_grid",
     "DeconvolutionResult",
     "volterra_deconvolve",
-    "estimate_noise_sigma",
-    "IntensityFit",
     "recover_intensity",
 ]
 
@@ -202,7 +201,7 @@ class DeconvolutionResult:
     noise_sigma: Union[float, None] = None
 
 
-def estimate_noise_sigma(samples: np.ndarray) -> float:
+def _estimate_noise_sigma(samples: np.ndarray) -> float:
     """Robust per-sample noise scale from first differences (MAD estimator)."""
     d = np.diff(np.asarray(samples, dtype=float))
     mad = np.median(np.abs(d - np.median(d)))
@@ -468,7 +467,7 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     if eps == "auto":
         if sigma is None:
             sig = float(np.sqrt(np.mean(np.square(
-                [estimate_noise_sigma(col) for col in series.T]))))
+                [_estimate_noise_sigma(col) for col in series.T]))))
         else:
             sig = float(sigma)
         eps_used, trial = _discrepancy_search(solve, sig * np.sqrt(y.size),
@@ -502,23 +501,11 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
                                noise_sigma=result_sigma)
 
 
-@dataclass(frozen=True, eq=False)
-class IntensityFit:
-    """Recovered intensity, the kernel it was deconvolved against
-    (``{"source": "crank_nicolson", "cells": N}`` on an interval,
-    ``{"source": "analytic"}`` from the free-space oracle) and the
-    deconvolution diagnostics, whose ``misfit`` has one entry per
-    sensor."""
-
-    q: np.ndarray
-    kernel: dict
-    deconvolution: DeconvolutionResult
-
-
 def recover_intensity(psi: np.ndarray, scenario: Scenario, x_hat,
                       eps: Union[float, str] = 0.0,
                       sigma: Union[float, None] = None,
-                      num_cells: int = DEFAULT_CELLS) -> IntensityFit:
+                      num_cells: int = DEFAULT_CELLS
+                      ) -> DeconvolutionResult:
     """Deconvolve the background-subtracted series of every sensor of
     ``scenario`` into one intensity of a source at ``x_hat``.
 
@@ -533,8 +520,9 @@ def recover_intensity(psi: np.ndarray, scenario: Scenario, x_hat,
     subtracted from ``psi``, so by linearity it plays no part).  The
     reaction lambda0 of free space is part of that response, so the data
     need no rescaling.  All columns are fitted jointly by
-    ``volterra_deconvolve``, whose per-sensor ``misfit`` flags a sensor
-    the common intensity cannot explain.
+    ``volterra_deconvolve``, and its ``DeconvolutionResult`` is returned:
+    ``q`` is the intensity on the scenario grid, and the per-sensor
+    ``misfit`` flags a sensor the common intensity cannot explain.
     """
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
     distances = np.linalg.norm(scenario.sensor_points() - x_hat, axis=1)
@@ -544,12 +532,8 @@ def recover_intensity(psi: np.ndarray, scenario: Scenario, x_hat,
     if isinstance(dom, Interval1D):
         dom = replace(dom, bc_left=replace(dom.bc_left, g=0.0),
                       bc_right=replace(dom.bc_right, g=0.0))
-        kernel = {"source": "crank_nicolson", "cells": num_cells}
-    else:
-        kernel = {"source": "analytic"}
     unit = replace(scenario, domain=dom, f0=None,
                    sources=(PointSource(location=x_hat, intensity=1.0),))
     masses = np.diff(sensor_traces(unit, num_cells), axis=0)
-    dec = volterra_deconvolve(psi, masses, scenario.grid, eps=eps,
-                              sigma=sigma)
-    return IntensityFit(q=dec.q, kernel=kernel, deconvolution=dec)
+    return volterra_deconvolve(psi, masses, scenario.grid, eps=eps,
+                               sigma=sigma)

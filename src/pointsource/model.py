@@ -30,7 +30,8 @@ array of ``num_steps + 1`` samples on the uniform time grid.  ``f0`` is a
 time-independent volumetric source sampled on the coefficient grid.  All
 of these must be finite.  An interval takes ``field1d`` or ``constant1d``
 coefficients, always evaluated as cubic splines (a ``"degree"`` key, which
-older files carry, is ignored).  Free space takes ``null`` (unit
+older files carry, is ignored); a2 must stay positive on its spline, not
+only at its samples.  Free space takes ``null`` (unit
 diffusivity) or ``drift_nd``, a constant drift velocity that only
 ``diagnose`` uses, to weight the nearest-source visibility matrix;
 ``simulate`` and ``identify`` model no drift and reject a nonzero one.
@@ -188,7 +189,12 @@ class CoefficientField1D:
 
     @property
     def ellipticity_bounds(self) -> tuple[float, float]:
-        return float(self.a2.min()), float(self.a2.max())
+        """Least and greatest a2 on [a, b], read from the spline every
+        evaluation goes through: its extremes lie at the knots or where its
+        derivative vanishes (a constant piece reports NaN roots)."""
+        roots = self._d2.roots(extrapolate=False)
+        values = self._s2(np.concatenate([self.grid, roots[~np.isnan(roots)]]))
+        return float(values.min()), float(values.max())
 
     def diffusion(self, x):
         return self._s2(x)
@@ -321,7 +327,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         else:
             m1, _ = s.coefficients.ellipticity_bounds
             if not m1 > 0.0:
-                out.append("coefficients.a2: ellipticity lower bound M1 > 0 violated")
+                out.append(f"coefficients.a2: ellipticity lower bound M1 > 0 "
+                           f"violated (its spline reaches {m1:.3g})")
             # each end may fall short of the domain's by 1e-12
             if s.coefficients.a > dom.a + 1e-12 or s.coefficients.b < dom.b - 1e-12:
                 out.append("coefficients: sample interval must cover the domain")
@@ -518,7 +525,8 @@ def write_sensor_csv(path, times: np.ndarray, series: np.ndarray) -> None:
 def read_sensor_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a sensor CSV; returns (times, series) with series (num_samples, s).
 
-    A bad header, a non-numeric cell or a ragged row raises ValueError.
+    A bad header, a non-numeric or non-finite cell or a ragged row raises
+    ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
@@ -528,4 +536,9 @@ def read_sensor_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if data.shape[1] != len(header):
         raise ValueError(f"sensor CSV rows hold {data.shape[1]} values, the "
                          f"header names {len(header)} columns")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"line {i + 2}, column {header[j]}: {data[i, j]} is "
+                         f"not finite")
     return data[:, 0], data[:, 1:]

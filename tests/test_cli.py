@@ -103,6 +103,27 @@ class TestSimulate:
                        "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_VALIDATION
 
+    def test_a2_spline_dipping_below_zero_rejected(self, tmp_path, capsys):
+        # positive samples whose spline reaches -0.116 at x = 0.5 used to
+        # simulate an all-NaN sensors.csv (exit 0)
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0, bc_right=model.Robin(0.5)),
+            coefficients=model.CoefficientField1D(
+                0.0, 1.0, [1.0, 1.0, 0.05, 0.05, 1.0, 1.0], [0.0] * 6,
+                [0.0] * 6),
+            sources=(model.PointSource(location=[0.3]),),
+            sensors=([0.1], [0.9]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=2000))
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--scenario", str(spath), "--out",
+                       str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "validation: coefficients.a2: ")
+        assert not (out / "sensors.csv").exists()
+
     def test_interval_scenario_runs_fd_solver(self, tmp_path):
         grid = model.TimeGrid(tau=1e-3, num_steps=1000)
         scen = model.Scenario(
@@ -346,8 +367,12 @@ class TestIdentify:
         assert "validation: sensor CSV time column" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("defect", ["non_numeric", "ragged", "header"])
+    @pytest.mark.parametrize("defect", ["non_numeric", "ragged", "header",
+                                        "nan_sensor", "inf_sensor",
+                                        "nan_time"])
     def test_malformed_csv_rejected(self, tmp_path, capsys, defect):
+        # a non-finite sensor cell used to reach the solves (exit 4), and a
+        # nan time passed the time-column check (exit 0)
         spath = tmp_path / "scen.json"
         write_free_space_scenario(spath, n=3, tau=1e-3, num_steps=200)
         out = tmp_path / "out"
@@ -359,6 +384,12 @@ class TestIdentify:
             cells[2] = "n/a"
         elif defect == "ragged":
             cells.pop()
+        elif defect == "nan_sensor":
+            cells[2] = "nan"
+        elif defect == "inf_sensor":
+            cells[2] = "inf"
+        elif defect == "nan_time":
+            cells[0] = "nan"
         lines[5] = ",".join(cells)
         if defect == "header":
             lines[0] = lines[0].replace("t,", "time,", 1)
@@ -368,6 +399,7 @@ class TestIdentify:
                        "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
         assert "validation: sensor CSV" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_nd_diagnostic_codes(self, tmp_path):
         # a second source near sensor 2 breaks the one-source model, so no
@@ -754,7 +786,9 @@ class TestIdentify:
         assert report["evaluation"]["q_rel_l2"] <= 5e-2
 
     @pytest.mark.parametrize("defect", ["other_grid", "other_dimension",
-                                        "unparsable", "no_sources"])
+                                        "unparsable", "no_sources",
+                                        "infinite_location",
+                                        "nan_intensity"])
     def test_stale_ground_truth_rejected(self, tmp_path, capsys, defect):
         # the truth file in --out must describe the scenario identified:
         # a different grid used to end in an IndexError after the fit, a
@@ -777,8 +811,17 @@ class TestIdentify:
                 (tmp_path / "other" / "ground_truth.json").read_bytes())
         elif defect == "unparsable":
             truth.write_text("{")
-        else:
+        elif defect == "no_sources":
             truth.write_text('{"sources": []}')
+        else:
+            # json reads Infinity and NaN; an infinite location used to
+            # write "x_error": Infinity, which is not JSON, into the report
+            doc = json.loads(truth.read_text())
+            if defect == "infinite_location":
+                doc["sources"][0]["location"][0] = float("inf")
+            else:
+                doc["sources"][0]["intensity"][7] = float("nan")
+            truth.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = cli.main(["identify", "--scenario", str(spath),
                        "--out", str(out)])

@@ -59,28 +59,30 @@ class TestDistanceKernel:
             forward.distance_kernel(2, 0.0, 1.0)
 
 
+def k0(x):
+    """K0(x) as the plane resolvent evaluates it: 2 pi G_2(x, mu = 1)."""
+    return 2.0 * np.pi * np.exp(forward.log_green(2, x, 1.0)[0])
+
+
 class TestBesselK0:
     def test_value_at_one(self):
-        np.testing.assert_allclose(forward.bessel_k0(1.0), 0.42102443824,
-                                   rtol=1e-10)
-        np.testing.assert_allclose(forward.bessel_k0(1.0), k0_quadrature(1.0),
-                                   rtol=1e-10)
+        np.testing.assert_allclose(k0(1.0), 0.42102443824, rtol=1e-10)
+        np.testing.assert_allclose(k0(1.0), k0_quadrature(1.0), rtol=1e-10)
 
     def test_small_argument_limit(self):
         # K0(x) + log(x/2) + euler_gamma -> 0 as x -> 0
         for x in (1e-3, 1e-4, 1e-5):
-            assert abs(forward.bessel_k0(x) + np.log(x / 2.0)
-                       + np.euler_gamma) < 2 * x
+            assert abs(k0(x) + np.log(x / 2.0) + np.euler_gamma) < 2 * x
 
     def test_large_argument_series(self):
         x = 10.0
         series = np.sqrt(np.pi / (2 * x)) * np.exp(-x) * \
             (1 - 1 / (8 * x) + 9 / (128 * x ** 2))
-        np.testing.assert_allclose(forward.bessel_k0(x), series, atol=1e-6)
+        np.testing.assert_allclose(k0(x), series, atol=1e-6)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            forward.bessel_k0(0.0)
+        with pytest.raises(ValueError, match="singular at r = 0"):
+            k0(0.0)
 
 
 def green(n, r, mu):
@@ -584,6 +586,14 @@ class TestCrankNicolsonPreconditions:
         # a1 = 120 at 50 cells: cell Peclet 120 * 0.02 / 2 = 1.2
         with pytest.raises(ValueError):
             forward.crank_nicolson_1d(self.scenario(a1=a1), num_cells=cells)
+
+    def test_a2_spline_dipping_below_zero_rejected(self):
+        # positive samples whose spline reaches -0.116 at x = 0.5: the
+        # symmetrizing scaling would take the log of a negative ratio
+        scen = replace(self.scenario(), coefficients=model.CoefficientField1D(
+            0.0, 1.0, [1.0, 1.0, 0.05, 0.05, 1.0, 1.0], [0.0] * 6, [0.0] * 6))
+        with pytest.raises(ValueError, match="strictly positive"):
+            forward.crank_nicolson_1d(scen, num_cells=50)
 
     def test_unstable_step_rejected(self):
         # a0 = -300 puts an eigenvalue of L above 2/tau = 200: the step

@@ -389,18 +389,6 @@ class TestRecoverIntensity1D:
             np.zeros(grid.num_samples), free_line(grid, 1.0), 0.3)
         np.testing.assert_allclose(fit.q, 0.0, atol=1e-10)
 
-    def test_kernel_source_recorded(self):
-        grid = model.TimeGrid(tau=1e-3, num_steps=500)
-        fit = laplace.recover_intensity(
-            np.zeros(grid.num_samples), free_line(grid, 1.0), 0.3)
-        assert fit.kernel == {"source": "analytic"}
-        interval = model.Scenario(
-            domain=model.Interval1D(a=0.0, b=1.0), coefficients=UNIT_COEFFS,
-            sources=(), sensors=([0.7],), grid=grid)
-        fit = laplace.recover_intensity(
-            np.zeros(grid.num_samples), interval, 0.3, num_cells=50)
-        assert fit.kernel == {"source": "crank_nicolson", "cells": 50}
-
     def test_interval_kernel_matches_free_space(self):
         # far from the ends the interval's discrete kernel is the free-space
         # one up to the O(h^2) mesh error, and so is the intensity

@@ -350,8 +350,8 @@ class TestRecoverIntensityND:
         win = GRID_3D.times() >= 0.1 * GRID_3D.horizon
         rel = np.linalg.norm(fit.q[win] - 1.0) / np.sqrt(win.sum())
         assert rel <= 0.02
-        assert fit.deconvolution.misfit.shape == (4,)
-        assert np.all(fit.deconvolution.misfit <= 1e-3)
+        assert fit.misfit.shape == (4,)
+        assert np.all(fit.misfit <= 1e-3)
 
     def test_one_factorization_for_all_sensors(self, psi_3d):
         # eps="auto" searches once for the joint system; the constant
@@ -359,9 +359,9 @@ class TestRecoverIntensityND:
         # circulant preconditioner keeps its CG iteration count small
         fit = laplace.recover_intensity(
             psi_3d, free_space(SENSORS_3D, GRID_3D), X1_3D, eps="auto")
-        assert fit.deconvolution.solves == 1
-        assert fit.deconvolution.cg_iterations <= 40
-        assert fit.deconvolution.misfit.shape == (4,)
+        assert fit.solves == 1
+        assert fit.cg_iterations <= 40
+        assert fit.misfit.shape == (4,)
 
     def test_varying_intensity_round_trip(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=5000)
@@ -404,7 +404,7 @@ class TestRecoverIntensityND:
         moved = [X1_3D + 1.3 * (SENSORS_3D[0] - X1_3D)] + SENSORS_3D[1:]
         fit = laplace.recover_intensity(psi_3d, free_space(moved, GRID_3D),
                                         X1_3D)
-        misfit = fit.deconvolution.misfit
+        misfit = fit.misfit
         assert misfit[0] > 0.05
         assert misfit[0] > 2.0 * misfit[1:].max()
 

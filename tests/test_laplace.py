@@ -383,11 +383,10 @@ class TestShortSeries:
                      [-0.2, -0.3, -1.2]),
             grid=model.TimeGrid(tau=1e-3, num_steps=100))
         psi = forward.sensor_traces(scen)
-        fit = laplace.recover_intensity(psi, scen, [0.2, 0.1, -0.3], eps)
-        dec = fit.deconvolution
+        dec = laplace.recover_intensity(psi, scen, [0.2, 0.1, -0.3], eps)
         m = scen.grid.num_steps - dec.n_tail_extended
         assert dec.cg_iterations <= laplace.CG_ITERATIONS_PER_CELL * m
-        assert np.max(np.abs(fit.q - 1.0)) <= 1e-3
+        assert np.max(np.abs(dec.q - 1.0)) <= 1e-3
 
 
 class TestJointDeconvolution:

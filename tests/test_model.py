@@ -65,6 +65,7 @@ class TestCoefficientField:
                      "amplitude_density"):
             np.testing.assert_allclose(getattr(c, name)(xs),
                                        getattr(ref, name)(xs), atol=1e-14)
+        assert c.ellipticity_bounds == (4.0, 4.0)
         with pytest.raises(ValueError, match="share a length"):
             model.CoefficientField1D(0.0, 2.0, [4.0] * 3, [0.5] * 2, [0.1])
 
@@ -86,6 +87,22 @@ class TestValidation:
         )
         msgs = model.validate_scenario(scen)
         assert any("coefficients.a2" in m for m in msgs)
+
+    def test_a2_dipping_between_samples(self):
+        # every sample is positive, but the cubic spline through them, which
+        # every evaluation reads, reaches -0.116 at x = 0.5
+        scen = model.Scenario(
+            domain=model.Interval1D(a=0.0, b=1.0, bc_right=model.Robin(0.5)),
+            coefficients=model.CoefficientField1D(
+                0.0, 1.0, [1.0, 1.0, 0.05, 0.05, 1.0, 1.0], [0.0] * 6,
+                [0.0] * 6),
+            sources=(model.PointSource(location=[0.3]),),
+            sensors=([0.1], [0.9]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=2000),
+        )
+        assert model.validate_scenario(scen) == [
+            "coefficients.a2: ellipticity lower bound M1 > 0 violated (its "
+            "spline reaches -0.116)"]
 
     def test_duplicate_sensor(self):
         scen = model.Scenario(
@@ -246,6 +263,23 @@ class TestSerialization:
         np.testing.assert_array_equal(s2, series)
         header = path.read_text().splitlines()[0]
         assert header == "t,psi_1,psi_2"
+
+    @pytest.mark.parametrize("column, value", [("t", "nan"),
+                                               ("psi_1", "inf"),
+                                               ("psi_2", "-inf")])
+    def test_sensor_csv_rejects_nonfinite_cells(self, tmp_path, column,
+                                                value):
+        times = np.linspace(0, 1, 11)
+        path = tmp_path / "sensors.csv"
+        model.write_sensor_csv(path, times, np.column_stack([times, times]))
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[["t", "psi_1", "psi_2"].index(column)] = value
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"line 5, column {column}: .* not finite"):
+            model.read_sensor_csv(path)
 
     @pytest.mark.parametrize("shape", ["transposed", "one_series"])
     def test_sensor_csv_needs_samples_by_sensors(self, tmp_path, shape):
