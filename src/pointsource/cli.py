@@ -85,6 +85,11 @@ def _num_cells(args) -> int:
     return forward.DEFAULT_CELLS if args.cells is None else args.cells
 
 
+def _noise_sigma(args, scenario: model.Scenario) -> float:
+    """--noise, or the scenario's noise sigma when it is not given."""
+    return scenario.noise_sigma if args.noise is None else args.noise
+
+
 def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
     """Violations for flags and scenario inputs of simulate and identify
     that cannot act on this scenario, or that the pipeline does not
@@ -98,7 +103,10 @@ def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
             np.any(scenario.coefficients.velocity):
         out.append(f"coefficients: {args.command} models no drift; a "
                    f"drift_nd velocity is used by diagnose only")
-    if args.command != "identify":
+    if args.command == "simulate":
+        if args.seed is not None and _noise_sigma(args, scenario) == 0.0:
+            out.append("--seed: the noise sigma is 0, so no noise is drawn "
+                       "and the seed changes no sensor value")
         return out
     if scenario.dimension == 1:
         if args.noise is not None:
@@ -136,7 +144,7 @@ def cmd_simulate(args) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"solver: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    sigma = scenario.noise_sigma if args.noise is None else args.noise
+    sigma = _noise_sigma(args, scenario)
     seed = scenario.seed if args.seed is None else args.seed
     if sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -302,11 +310,11 @@ def _locate_nd(args, scenario, phi) -> tuple[dict, np.ndarray]:
     return fields, rec.x1_hat
 
 
-def _identify(args, scenario, psi_tilde, truth) -> dict:
-    """Transform every sensor series once, locate the source, recover its
-    intensity from every sensor and score both against the ground truth
-    ``truth`` when there is one."""
-    lambdas, window = _lambda_window(args, scenario)
+def _identify(args, scenario, psi_tilde, truth, lambdas, window) -> dict:
+    """Transform every sensor series once at ``lambdas``, drawn from
+    ``window``, locate the source, recover its intensity from every sensor
+    and score both against the ground truth ``truth`` when there is
+    one."""
     phi = laplace.laplace_grid(psi_tilde, scenario.grid, lambdas)
     fields, x_hat = _locate_1d(scenario, phi) if scenario.dimension == 1 \
         else _locate_nd(args, scenario, phi)
@@ -329,6 +337,11 @@ def cmd_identify(args) -> int:
     violations = _run_violations(args, scenario)
     violations += _window_violations(args, identifynd.MIN_LAMBDAS)
     if _report_violations(violations):
+        return EXIT_VALIDATION
+    try:
+        lambdas, window = _lambda_window(args, scenario)
+    except ValueError as exc:
+        _report_violations([f"lambda window: {exc}"])
         return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,7 +376,8 @@ def cmd_identify(args) -> int:
         return EXIT_SOLVER
     psi_tilde = series - background
     try:
-        report = _identify(args, scenario, psi_tilde, truth)
+        report = _identify(args, scenario, psi_tilde, truth, lambdas,
+                           window)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"identification: {exc}", file=sys.stderr)
         return EXIT_IDENTIFY

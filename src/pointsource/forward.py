@@ -2,8 +2,9 @@
 
 Contains the analytic free-space response oracle (time-domain Duhamel
 convolution with exactly integrated kernel masses), the free-space
-resolvent Green function in log form (``log_green``), the large-parameter
-asymptotic Green value for variable 1D coefficients, and a Crank-Nicolson
+resolvent Green function in log form (``log_green``), the leading-order
+large-parameter Green value for variable 1D coefficients (a float; the
+lambda-window advisor says where it holds), and a Crank-Nicolson
 finite-difference solver for bounded 1D intervals.  ``sensor_traces`` is
 the one entry point that turns a scenario into its clean sensor series:
 simulated data, the source-free background and the unit-source kernel of
@@ -17,7 +18,6 @@ carries no information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "heat_kernel",
     "distance_kernel",
     "log_green",
-    "GreenEval",
     "green_1d_asymptotic",
     "travel_integrals",
     "kernel_mass_cumulative",
@@ -122,46 +121,23 @@ def log_green(n: int, r, mu) -> tuple[np.ndarray, np.ndarray]:
 # Variable-coefficient 1D: coefficient integrals and asymptotic Green values
 
 
-def _travel(coeffs: CoefficientField1D, x0: float, x1: float) -> float:
-    """Signed integral of the slowness from x0 to x1."""
-    return integrate.quad(coeffs.slowness, x0, x1, epsabs=_QUAD_TOL,
-                          epsrel=_QUAD_TOL, limit=200)[0]
-
-
 def travel_integrals(coeffs: CoefficientField1D, x0: float, x1: float
                      ) -> tuple[float, float]:
     """Signed integrals of slowness and amplitude density from x0 to x1."""
-    amp, _ = integrate.quad(coeffs.amplitude_density, x0, x1,
-                            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return _travel(coeffs, x0, x1), amp
-
-
-@dataclass(frozen=True)
-class GreenEval:
-    """One leading-order evaluation of the 1D variable-coefficient resolvent.
-
-    ``int_r`` and ``int_r1`` carry the coefficient integrals (slowness and
-    amplitude density) between the two points, and ``valid`` records
-    whether lam cleared the configured asymptotic threshold.
-    """
-
-    value: float
-    lam: float
-    int_r: float = 0.0
-    int_r1: float = 0.0
-    lambda_min: float = 0.0
-    valid: bool = True
+    return tuple(integrate.quad(f, x0, x1, epsabs=_QUAD_TOL,
+                                epsrel=_QUAD_TOL, limit=200)[0]
+                 for f in (coeffs.slowness, coeffs.amplitude_density))
 
 
 def green_1d_asymptotic(coeffs: CoefficientField1D, x1: float, b: float,
-                        lam: float) -> GreenEval:
+                        lam: float) -> float:
     """Leading-order resolvent value at b for a point source at x1.
 
     Evaluates (2*sqrt(lam*a2(x1)))^(-1) * exp(-sqrt(lam)*|I_r| + I_r1)
     with I_r, I_r1 the slowness and amplitude-density integrals from x1
-    to b, dropping the relative correction that decays like 1/sqrt(lam).
-    When lam falls below lambda_min = 25/I_r^2 (five e-foldings across
-    the gap) the value is still returned but flagged.
+    to b (``travel_integrals``), dropping the relative correction that
+    decays like 1/sqrt(lam).  Where lam is large enough for that is the
+    lambda-window advisor's rule (``laplace.suggest_lambda_grid``).
     """
     if x1 == b:
         raise ValueError("source and evaluation point must differ")
@@ -171,12 +147,8 @@ def green_1d_asymptotic(coeffs: CoefficientField1D, x1: float, b: float,
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     int_r, int_r1 = travel_integrals(coeffs, x1, b)
-    lambda_min = 25.0 / int_r ** 2
-    value = np.exp(-np.sqrt(lam) * abs(int_r) + int_r1) \
-        / (2.0 * np.sqrt(lam * coeffs.diffusion(x1)))
-    return GreenEval(value=float(value), lam=lam,
-                     int_r=int_r, int_r1=int_r1, lambda_min=lambda_min,
-                     valid=bool(lam >= lambda_min))
+    return float(np.exp(-np.sqrt(lam) * abs(int_r) + int_r1)
+                 / (2.0 * np.sqrt(lam * coeffs.diffusion(x1))))
 
 
 # ---------------------------------------------------------------------------

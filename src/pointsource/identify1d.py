@@ -20,6 +20,8 @@ reflecting end of an interval sees the image source, which doubles its
 transform; the locator works out that branch from the domain's boundary
 conditions.  Scaled by 1/(2 mu), the same log-ratio tends to the
 midpoint offset at large lambda, which the admissibility check reads.
+The locator's ``used`` mask is the one range rule: only travel distances
+strictly inside the sensor bracket reach the travel inversion.
 The intensity at the recovered location comes from
 ``laplace.recover_intensity``, the path every dimension shares.
 """
@@ -31,14 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .forward import _travel, travel_integrals
+from .forward import travel_integrals
 from .laplace import LaplaceSamples
 from .model import CoefficientField1D, Dirichlet, Interval1D, Scenario
 
 __all__ = [
     "LocationFit1D",
     "locate_source_1d",
-    "invert_travel_distance",
     "alternation_findings",
 ]
 
@@ -67,33 +68,21 @@ def _log_ratio(phi: LaplaceSamples) -> tuple[np.ndarray, np.ndarray]:
     return ok, logr
 
 
-def invert_travel_distance(coeffs: CoefficientField1D, b1: float, m):
-    """Find x >= b1 with int_{b1}^{x} slowness = m.
+def _invert_travel(coeffs: CoefficientField1D, b1: float,
+                   m: np.ndarray) -> np.ndarray:
+    """The points x with int_{b1}^{x} slowness = m, for an array of
+    positive travel distances m whose points lie inside the coefficient
+    interval (the locator's ``used`` mask keeps them there).
 
-    ``m`` is a scalar or an array of travel distances.  x(m) solves
-    dx/dm = sqrt(a2(x)) with x(0) = b1, so one DOP853 integration through
-    the sorted targets (rtol = atol = 1e-13) inverts them all; the
-    slowness is strictly positive, so each root is unique.
+    x(m) solves dx/dm = sqrt(a2(x)) with x(0) = b1, so one DOP853
+    integration through the sorted targets (rtol = atol = 1e-13) inverts
+    them all; the slowness is strictly positive, so each root is unique.
     """
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0.0):
-        raise ValueError("travel distance must be nonnegative")
-    total = _travel(coeffs, b1, coeffs.b)
-    if np.any(m_arr > total * (1.0 + 1e-12)):
-        raise ValueError("travel distance exceeds the domain extent")
-    targets, inverse = np.unique(np.minimum(m_arr.ravel(), total),
-                                 return_inverse=True)
-    x = np.full(targets.shape, float(b1))
-    inside = (targets > 0.0) & (targets < total)
-    if np.any(inside):
-        sol = solve_ivp(lambda _, y: np.sqrt(coeffs.diffusion(y)),
-                        (0.0, targets[inside][-1]), [float(b1)],
-                        method="DOP853", t_eval=targets[inside],
-                        rtol=1e-13, atol=1e-13)
-        x[inside] = sol.y[0]
-    x[targets >= total] = coeffs.b
-    out = x[inverse].reshape(m_arr.shape)
-    return float(out) if out.ndim == 0 else out
+    targets, inverse = np.unique(m, return_inverse=True)
+    sol = solve_ivp(lambda _, y: np.sqrt(coeffs.diffusion(y)),
+                    (0.0, targets[-1]), [float(b1)], method="DOP853",
+                    t_eval=targets, rtol=1e-13, atol=1e-13)
+    return sol.y[0][inverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +165,10 @@ def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
     where the two sensors sit (``_boundary_branch``).  Each lambda yields
     one travel-distance estimate; the aggregate is the bound-weighted
     median over the window (the largest lambdas are the most asymptotic
-    but the most error-amplified, so no single point is trusted).  The
+    but the most error-amplified, so no single point is trusted).  A
+    lambda counts (``used``) only when its travel distance lies inside
+    the bracket by a margin; every other range case is dropped there,
+    and the inversion sees interior targets only.  The
     midpoint offset is fitted to the same log-ratio over all trustworthy
     lambdas; a source bracketed by the sensors has |offset| <
     travel(b1, b2)/2 (the admissibility check).
@@ -227,7 +219,7 @@ def locate_source_1d(phi: LaplaceSamples, scenario: Scenario
         raise ValueError("recovered travel distance out of range at every "
                          "lambda: the source is not bracketed by the sensors")
     x1 = np.full_like(mu, np.nan)
-    x1[used] = invert_travel_distance(coeffs, b1, travel[used])
+    x1[used] = _invert_travel(coeffs, b1, travel[used])
 
     rel = phi.bounds / np.abs(np.where(phi.values == 0, 1.0, phi.values))
     weights = 1.0 / (rel[:, 0] + rel[:, 1] + 1e-12)

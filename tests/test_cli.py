@@ -78,6 +78,34 @@ class TestSimulate:
         gb = (tmp_path / "b" / "ground_truth.json").read_bytes()
         assert ga == gb
 
+    @pytest.mark.parametrize("sigma, flags", [
+        (0.0, ("--seed", "1")), (0.01, ("--noise", "0", "--seed", "9"))],
+        ids=["scenario-sigma-0", "noise-flag-0"])
+    def test_seed_without_noise_rejected(self, tmp_path, capsys, sigma,
+                                         flags):
+        # at sigma = 0 no noise is drawn, so --seed would change only the
+        # seed recorded in ground_truth.json
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=300, sigma=sigma)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--scenario", str(spath),
+                       "--out", str(out), *flags])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation: --seed: ")
+        assert not out.exists()
+
+    def test_seed_draws_the_noise(self, tmp_path):
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=300)
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert cli.main(["simulate", "--scenario", str(spath),
+                             "--out", str(out), "--noise", "1e-3",
+                             "--seed", seed]) == 0
+            written.append((out / "sensors.csv").read_bytes())
+        assert written[0] != written[1]
+
     def test_solver_failure_exit_code(self, tmp_path):
         # reaction * horizon beyond the damped-intensity range: the forward
         # solver refuses, which is a solver failure, not a validation one
@@ -350,6 +378,24 @@ class TestIdentify:
         assert "validation: --lambda-min" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_empty_advisor_window_rejected(self, tmp_path, capsys):
+        # sensors 0.1 apart on the free line need lambda >= 25/0.1^2 =
+        # 2500, beyond the grid's 0.05/tau = 50: identify used to read
+        # the CSV and solve the background before it exited 4
+        model.save_scenario(tmp_path / "scen.json", model.Scenario(
+            domain=model.FreeSpace(n=1),
+            sources=(model.PointSource(location=[0.05]),),
+            sensors=([0.0], [0.1]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=2000)))
+        argv = ["--scenario", str(tmp_path / "scen.json"),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(["simulate", *argv]) == 0
+        capsys.readouterr()
+        assert cli.main(["identify", *argv]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "validation: lambda window: time grid cannot support")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_csv_time_column_checked(self, tmp_path, capsys):
         # series sampled with a tau 1 % off the scenario's: same shape, but
         # the time column departs from the grid by up to 20 steps
@@ -395,8 +441,11 @@ class TestIdentify:
             lines[0] = lines[0].replace("t,", "time,", 1)
         (out / "sensors.csv").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
+        # 200 steps leave the advisor no window (4/T^2 > 0.05/tau): an
+        # explicit one lets identify reach the CSV
         rc = cli.main(["identify", "--scenario", str(spath),
-                       "--out", str(out)])
+                       "--out", str(out), "--lambda-min", "6",
+                       "--lambda-max", "50"])
         assert rc == cli.EXIT_VALIDATION
         assert "validation: sensor CSV" in capsys.readouterr().err
         assert not (out / "report.json").exists()
@@ -729,7 +778,8 @@ class TestIdentify:
         model.write_sensor_csv(out / "sensors.csv", times, series[:, :3])
         capsys.readouterr()
         rc = cli.main(["identify", "--scenario", str(spath),
-                       "--out", str(out)])
+                       "--out", str(out), "--lambda-min", "6",
+                       "--lambda-max", "50"])
         assert rc == cli.EXIT_VALIDATION
         assert "does not match the scenario" in capsys.readouterr().err
         assert not (out / "report.json").exists()
@@ -754,7 +804,8 @@ class TestIdentify:
                                np.zeros((grid.num_samples, 2)))
         capsys.readouterr()
         rc = cli.main(["identify", "--scenario", str(spath),
-                       "--out", str(out), "--cells", "20"])
+                       "--out", str(out), "--cells", "20",
+                       "--lambda-min", "1", "--lambda-max", "5"])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_SOLVER
         assert err.startswith("solver (background): ")

@@ -524,6 +524,23 @@ class TestDecimation:
         np.testing.assert_allclose(fine.cells, direct.cells, rtol=1e-12)
         np.testing.assert_allclose(fine.q[::4], direct.q, rtol=1e-12)
 
+    def test_reaction_survives_the_stride(self):
+        # free3d at lambda0 = 2 and N = 20000 (stride 8): the damping is
+        # part of the full-resolution kernel, so the decimated solve
+        # recovers q as at lambda0 = 0
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=3, lambda0=2.0),
+            sources=(model.PointSource(location=[0.2, 0.1, -0.3]),),
+            sensors=([1.1, 0.2, 0.1], [-0.7, 0.9, -0.2], [0.3, -1.0, 0.5],
+                     [-0.2, -0.3, -1.2]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=20000))
+        psi = forward.sensor_traces(scen)
+        dec = laplace.recover_intensity(psi, scen, [0.2, 0.1, -0.3], eps=0.0)
+        assert dec.stride == 8
+        win = scen.grid.times() >= 0.1 * scen.grid.horizon
+        q_rel_l2 = np.linalg.norm(dec.q[win] - 1.0) / np.sqrt(win.sum())
+        assert q_rel_l2 <= 1e-8
+
     def test_no_op_when_short(self):
         grid = model.TimeGrid(tau=1e-3, num_steps=100)
         masses = 2.0 * forward.duhamel_masses(1, 0.1, grid)
