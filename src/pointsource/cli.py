@@ -29,6 +29,7 @@ import csv
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -63,21 +64,39 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _report_violations(violations: list[str]) -> bool:
-    for v in violations:
-        print(f"validation: {v}", file=sys.stderr)
-    return bool(violations)
+class _Failure(Exception):
+    """A command's exit code and the stderr lines ``main`` prints for it."""
+
+    def __init__(self, code: int, *lines: str):
+        self.code, self.lines = code, lines
 
 
-def _load_scenario(path):
-    """The scenario at ``path``, or None after a validation message when
-    the file cannot be read or does not describe a scenario."""
+@contextmanager
+def _failing(code: int, prefix: str, errors=ValueError):
+    """Turn ``errors`` (by default ValueError, and so LinAlgError) raised in
+    the block into the failure ``code`` with the line ``prefix: <message>``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, f"{prefix}: {exc}") from exc
+
+
+def _reject(*violations: str) -> None:
+    """The exit-2 failure with one line per violation, if there is any."""
+    if violations:
+        raise _Failure(EXIT_VALIDATION,
+                       *(f"validation: {v}" for v in violations))
+
+
+def _load_scenario(path) -> model.Scenario:
+    """The scenario at ``path``; an exit-2 failure when the file cannot be
+    read or does not describe a scenario."""
     try:
         return model.load_scenario(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"validation: scenario {path}: {detail}", file=sys.stderr)
-        return None
+        raise _Failure(EXIT_VALIDATION,
+                       f"validation: scenario {path}: {detail}") from exc
 
 
 def _num_cells(args) -> int:
@@ -130,20 +149,13 @@ def _run_violations(args, scenario: model.Scenario) -> list[str]:
     return [] if problem is None else [f"--cells: {problem}"]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     scenario = _load_scenario(args.scenario)
-    if scenario is None:
-        return EXIT_VALIDATION
-    violations = _run_violations(args, scenario)
-    if _report_violations(violations):
-        return EXIT_VALIDATION
+    _reject(*_run_violations(args, scenario))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
+    with _failing(EXIT_SOLVER, "solver"):
         traces = forward.sensor_traces(scenario, _num_cells(args))
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"solver: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     sigma = _noise_sigma(args, scenario)
     seed = scenario.seed if args.seed is None else args.seed
     if sigma > 0.0:
@@ -159,7 +171,6 @@ def cmd_simulate(args) -> int:
     }
     _write_json(out / "ground_truth.json", truth)
     print(f"wrote {out / 'sensors.csv'} and {out / 'ground_truth.json'}")
-    return EXIT_OK
 
 
 def _window_violations(args, min_points: int) -> list[str]:
@@ -291,10 +302,8 @@ def _locate_1d(scenario, phi) -> tuple[dict, float]:
 def _locate_nd(args, scenario, phi) -> tuple[dict, np.ndarray]:
     """The 2D/3D location fields of the report and the recovered
     location."""
-    if args.noise is None:
-        noise = {"value": scenario.noise_sigma, "source": "scenario"}
-    else:
-        noise = {"value": args.noise, "source": "flag"}
+    noise = {"value": _noise_sigma(args, scenario),
+             "source": "scenario" if args.noise is None else "flag"}
     rec = identifynd.locate_source_nd(phi, scenario,
                                       noise_sigma=noise["value"])
     fields = {
@@ -330,57 +339,36 @@ def _identify(args, scenario, psi_tilde, truth, lambdas, window) -> dict:
     return report
 
 
-def cmd_identify(args) -> int:
+def cmd_identify(args) -> None:
     scenario = _load_scenario(args.scenario)
-    if scenario is None:
-        return EXIT_VALIDATION
-    violations = _run_violations(args, scenario)
-    violations += _window_violations(args, identifynd.MIN_LAMBDAS)
-    if _report_violations(violations):
-        return EXIT_VALIDATION
-    try:
+    _reject(*_run_violations(args, scenario),
+            *_window_violations(args, identifynd.MIN_LAMBDAS))
+    with _failing(EXIT_VALIDATION, "validation: lambda window"):
         lambdas, window = _lambda_window(args, scenario)
-    except ValueError as exc:
-        _report_violations([f"lambda window: {exc}"])
-        return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = Path(args.data) if args.data else out / "sensors.csv"
-    try:
+    with _failing(EXIT_VALIDATION, f"validation: sensor CSV {data_path}",
+                  (OSError, ValueError)):
         times, series = model.read_sensor_csv(data_path)
-    except (OSError, ValueError) as exc:
-        print(f"validation: sensor CSV {data_path}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     grid = scenario.grid
     if series.shape != (grid.num_samples, len(scenario.sensors)):
-        print("validation: sensor CSV does not match the scenario "
-              "(samples x sensors)", file=sys.stderr)
-        return EXIT_VALIDATION
+        _reject("sensor CSV does not match the scenario (samples x sensors)")
     shift = float(np.max(np.abs(times - grid.times())))
     if shift > TIME_RTOL * grid.tau:
-        print(f"validation: sensor CSV time column departs from the scenario "
-              f"grid (tau={grid.tau:.6g}) by up to {shift:.3g}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        _reject(f"sensor CSV time column departs from the scenario grid "
+                f"(tau={grid.tau:.6g}) by up to {shift:.3g}")
     truth_path = out / "ground_truth.json"
-    try:
+    with _failing(EXIT_VALIDATION, f"validation: ground truth {truth_path}",
+                  (OSError, ValueError)):
         truth = _truth_sources(truth_path, scenario)
-    except (OSError, ValueError) as exc:
-        print(f"validation: ground truth {truth_path}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+    with _failing(EXIT_SOLVER, "solver (background)"):
         background = forward.sensor_traces(
             dataclasses.replace(scenario, sources=()), _num_cells(args))
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"solver (background): {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     psi_tilde = series - background
-    try:
+    with _failing(EXIT_IDENTIFY, "identification"):
         report = _identify(args, scenario, psi_tilde, truth, lambdas,
                            window)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"identification: {exc}", file=sys.stderr)
-        return EXIT_IDENTIFY
     report["intensity"]["background"] = "solved" if np.any(background) \
         else "zero"
     _write_json(out / "report.json", report)
@@ -393,15 +381,11 @@ def cmd_identify(args) -> int:
                 w.writerow([f"{row['lam']:.17g}", x1,
                             f"{row['weight']:.17g}", row["used"]])
     print(f"wrote {out / 'report.json'}")
-    return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
     scenario = _load_scenario(args.scenario)
-    if scenario is None:
-        return EXIT_VALIDATION
-    if _report_violations(model.validate_scenario(scenario)):
-        return EXIT_VALIDATION
+    _reject(*model.validate_scenario(scenario))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = scenario.dimension
@@ -447,20 +431,15 @@ def cmd_diagnose(args) -> int:
     for o in obstructions:
         print(f"  - {o}")
     print(f"wrote {out / 'diagnostics.json'}")
-    return EXIT_OK
 
 
-def cmd_reproduce_example(args) -> int:
-    if _report_violations(_window_violations(args, 1)):
-        return EXIT_VALIDATION
+def cmd_reproduce_example(args) -> None:
+    _reject(*_window_violations(args, 1))
     lambdas = np.geomspace(args.lambda_min, args.lambda_max,
                            args.lambda_points)
-    try:
+    with _failing(EXIT_VALIDATION, "validation: --a/--m"):
         report = identifynd.nonuniqueness_discrepancy(
             args.which, a=args.a, m_dist=args.m, lambdas=lambdas)
-    except ValueError as exc:
-        print(f"validation: --a/--m: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"example{args.which}_discrepancy.csv"
@@ -483,7 +462,6 @@ def cmd_reproduce_example(args) -> int:
     print(f"max discrepancy {report.max_discrepancy:.3e} vs reference "
           f"{report.reference:.3e}")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
 def _nonnegative(cast=float, keyword=None):
@@ -549,7 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Failure as failure:
+        print(*failure.lines, sep="\n", file=sys.stderr)
+        return failure.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

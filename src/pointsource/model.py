@@ -396,13 +396,26 @@ def _num(x):
     return x.tolist() if isinstance(x, np.ndarray) else float(x)
 
 
+def _object(d, name: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return d
+
+
+def _integer(x, name: str) -> int:
+    if not (isinstance(x, int) or float(x).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _bc_to_dict(bc: BoundaryCondition) -> dict:
     if isinstance(bc, Dirichlet):
         return {"type": "dirichlet", "g": _num(bc.g)}
     return {"type": "robin", "sigma": float(bc.sigma), "g": _num(bc.g)}
 
 
-def _bc_from_dict(d: dict) -> BoundaryCondition:
+def _bc_from_dict(dd: dict, side: str) -> BoundaryCondition:
+    d = _object(dd.get(side, {"type": "dirichlet"}), f"domain.{side}")
     g = d.get("g", 0.0)
     g = np.asarray(g, dtype=float) if isinstance(g, list) else float(g)
     if d["type"] == "dirichlet":
@@ -445,16 +458,18 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    d = _object(d, "scenario")
     if d.get("schema_version", 1) != SCHEMA_VERSION:
         raise ValueError("unsupported scenario schema version")
     dd = d["domain"]
     if dd["type"] == "interval":
         domain: SpatialDomain = Interval1D(
             a=float(dd["a"]), b=float(dd["b"]),
-            bc_left=_bc_from_dict(dd.get("bc_left", {"type": "dirichlet"})),
-            bc_right=_bc_from_dict(dd.get("bc_right", {"type": "dirichlet"})))
+            bc_left=_bc_from_dict(dd, "bc_left"),
+            bc_right=_bc_from_dict(dd, "bc_right"))
     elif dd["type"] == "free_space":
-        domain = FreeSpace(n=int(dd["n"]), lambda0=float(dd.get("lambda0", 0.0)))
+        domain = FreeSpace(n=_integer(dd["n"], "domain.n"),
+                           lambda0=float(dd.get("lambda0", 0.0)))
     else:
         raise ValueError(f"unknown domain type {dd['type']!r}")
 
@@ -480,7 +495,7 @@ def scenario_from_dict(d: dict) -> Scenario:
                                if isinstance(sd["intensity"], list)
                                else float(sd["intensity"])))
         for sd in d["sources"])
-    noise = d.get("noise", {})
+    noise = _object(d.get("noise", {}), "noise")
     f0 = d.get("f0")
     return Scenario(
         domain=domain,
@@ -488,9 +503,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         sources=sources,
         sensors=tuple(np.asarray(p, dtype=float) for p in d["sensors"]),
         grid=TimeGrid(tau=float(d["time_grid"]["tau"]),
-                      num_steps=int(d["time_grid"]["num_steps"])),
+                      num_steps=_integer(d["time_grid"]["num_steps"],
+                                         "time_grid.num_steps")),
         noise_sigma=float(noise.get("sigma", 0.0)),
-        seed=int(noise.get("seed", 0)),
+        seed=_integer(noise.get("seed", 0), "noise.seed"),
         f0=None if f0 is None else np.asarray(f0, dtype=float),
     )
 

@@ -51,6 +51,17 @@ def run_interval_identify(tmp_path, scen, cells):
     return json.loads((out / "report.json").read_text())
 
 
+def save_edited(path, scen, keys, value):
+    """Save ``scen`` as JSON with the part at ``keys`` replaced by
+    ``value``; empty ``keys`` replace the whole document."""
+    doc = {"root": model.scenario_to_dict(scen)}
+    part, keys = doc, ("root", *keys)
+    for key in keys[:-1]:
+        part = part[key]
+    part[keys[-1]] = value
+    path.write_text(json.dumps(doc["root"]))
+
+
 class TestSimulate:
     def test_free_space_matches_oracle(self, tmp_path):
         spath = tmp_path / "scen.json"
@@ -415,7 +426,7 @@ class TestIdentify:
 
     @pytest.mark.parametrize("defect", ["non_numeric", "ragged", "header",
                                         "nan_sensor", "inf_sensor",
-                                        "nan_time"])
+                                        "nan_time", "short_rows"])
     def test_malformed_csv_rejected(self, tmp_path, capsys, defect):
         # a non-finite sensor cell used to reach the solves (exit 4), and a
         # nan time passed the time-column check (exit 0)
@@ -425,6 +436,9 @@ class TestIdentify:
         assert cli.main(["simulate", "--scenario", str(spath),
                          "--out", str(out)]) == 0
         lines = (out / "sensors.csv").read_text().splitlines()
+        if defect == "short_rows":
+            # every row one value short of the five columns of the header
+            lines[1:] = [row.rsplit(",", 1)[0] for row in lines[1:]]
         cells = lines[5].split(",")
         if defect == "non_numeric":
             cells[2] = "n/a"
@@ -447,7 +461,10 @@ class TestIdentify:
                        "--out", str(out), "--lambda-min", "6",
                        "--lambda-max", "50"])
         assert rc == cli.EXIT_VALIDATION
-        assert "validation: sensor CSV" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation: sensor CSV" in err
+        if defect == "short_rows":
+            assert "rows hold 4 values, the header names 5 columns" in err
         assert not (out / "report.json").exists()
 
     def test_nd_diagnostic_codes(self, tmp_path):
@@ -839,7 +856,7 @@ class TestIdentify:
     @pytest.mark.parametrize("defect", ["other_grid", "other_dimension",
                                         "unparsable", "no_sources",
                                         "infinite_location",
-                                        "nan_intensity"])
+                                        "nan_intensity", "no_intensity"])
     def test_stale_ground_truth_rejected(self, tmp_path, capsys, defect):
         # the truth file in --out must describe the scenario identified:
         # a different grid used to end in an IndexError after the fit, a
@@ -870,8 +887,10 @@ class TestIdentify:
             doc = json.loads(truth.read_text())
             if defect == "infinite_location":
                 doc["sources"][0]["location"][0] = float("inf")
-            else:
+            elif defect == "nan_intensity":
                 doc["sources"][0]["intensity"][7] = float("nan")
+            else:
+                del doc["sources"][0]["intensity"]
             truth.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = cli.main(["identify", "--scenario", str(spath),
@@ -980,8 +999,98 @@ class TestUnloadableScenario:
         assert f"validation: scenario {spath}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys, value, message", [
+        ((), [], "scenario must be a JSON object"),
+        (("noise",), [0.0, 0], "noise must be a JSON object"),
+        (("noise",), 0.0, "noise must be a JSON object"),
+        (("domain", "bc_left"), [], "domain.bc_left must be a JSON object"),
+        (("domain", "bc_right"), 0.5, "domain.bc_right must be a JSON "
+                                      "object"),
+        (("time_grid", "num_steps"), 2.5,
+         "time_grid.num_steps must be an integer, got 2.5"),
+        (("domain", "n"), 3.5, "domain.n must be an integer, got 3.5"),
+        (("noise", "seed"), 1.5, "noise.seed must be an integer, got 1.5")],
+        ids=["top_level_array", "noise_array", "noise_number",
+             "bc_left_array", "bc_right_number", "fractional_num_steps",
+             "fractional_n", "fractional_seed"])
+    def test_malformed_part_rejected(self, tmp_path, capsys, keys, value,
+                                     message):
+        # a part that is no JSON object used to end in an AttributeError
+        # traceback (exit 1), and int() truncated a fractional count, so
+        # num_steps 2.5 ran as 2 with exit 0
+        spath = tmp_path / "scen.json"
+        scen = interval_scenario() if "bc_left" in keys or \
+            "bc_right" in keys else write_free_space_scenario(spath)
+        save_edited(spath, scen, keys, value)
+        out = tmp_path / "out"
+        rc = cli.main(["diagnose", "--scenario", str(spath), "--out",
+                       str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"validation: scenario {spath}: {message}\n"
+        assert not out.exists()
+
 
 class TestDiagnose:
+    @pytest.mark.parametrize("interval, keys, value, message", [
+        (True, ("domain", "a"), 10.0,
+         "domain: interval requires finite a < b"),
+        (True, ("domain", "bc_right", "sigma"), float("inf"),
+         "domain.bc_right: Robin sigma must be finite"),
+        (True, ("coefficients",), None,
+         "coefficients: interval domain requires a CoefficientField1D"),
+        (False, ("domain", "n"), 4,
+         "domain.n: free-space dimension must be 1, 2, or 3"),
+        (False, ("domain", "lambda0"), -1.0,
+         "domain.lambda0: reaction coefficient must be nonnegative"),
+        (False, ("coefficients",),
+         {"type": "drift_nd", "n": 2, "constant": [1.0, 0.0]},
+         "coefficients: drift dimension must match the domain"),
+        (False, ("sources",), [], "sources: at least one source is required"),
+        (True, ("sources", 0, "location"), [12.0],
+         "sources[0].location: must lie strictly inside the domain"),
+        (False, ("sensors",), [], "sensors: at least one sensor is required"),
+        (True, ("sensors", 0), [-11.0], "sensors[0]: must lie in the domain"),
+        (False, ("f0",), [0.0],
+         "f0: volumetric background source is 1D-interval only"),
+        (True, ("f0",), [0.0, 0.0, 0.0],
+         "f0: must be sampled on the coefficient grid")],
+        ids=["interval_a_not_below_b", "robin_sigma_infinite",
+             "interval_without_field", "free_space_n_4", "negative_lambda0",
+             "drift_dimension", "no_sources", "source_outside",
+             "no_sensors", "sensor_outside", "f0_on_free_space",
+             "f0_off_coefficient_grid"])
+    def test_validation_rule(self, tmp_path, capsys, interval, keys, value,
+                             message):
+        spath = tmp_path / "scen.json"
+        scen = interval_scenario() if interval else \
+            write_free_space_scenario(spath)
+        save_edited(spath, scen, keys, value)
+        rc = cli.main(["diagnose", "--scenario", str(spath),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"validation: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_singular_visibility_matrix(self, tmp_path):
+        # each sensor lies on the sources' bisector and sees both at the
+        # same distance, so the visibility matrix has two equal rows
+        scen = model.Scenario(
+            domain=model.FreeSpace(n=2),
+            sources=(model.PointSource(location=[1.0, 0.0]),
+                     model.PointSource(location=[-1.0, 0.0])),
+            sensors=([0.0, 1.0], [0.0, -1.0]),
+            grid=model.TimeGrid(tau=1e-2, num_steps=100))
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        assert cli.main(["diagnose", "--scenario", str(spath),
+                         "--out", str(tmp_path / "out")]) == 0
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["nearest_source_matrix"]["near_singular"] is True
+        assert "nearest-source visibility matrix is numerically singular" \
+            in diag["obstructions"]
+        assert diag["verdict"] == "non_unique_or_underdetermined"
+
     def test_validation_exit_code(self, tmp_path, capsys):
         spath = tmp_path / "scen.json"
         write_free_space_scenario(spath, n=3, num_steps=300)

@@ -245,6 +245,25 @@ class TestSerialization:
         data = json.loads(path.read_text())
         assert data["schema_version"] == 1
 
+    def test_constant1d_block_loads(self, tmp_path):
+        # the documented constant1d type; save_scenario writes field1d
+        data = {"domain": {"type": "interval", "a": 0.0, "b": 2.0},
+                "coefficients": {"type": "constant1d", "a2": 2.0, "a1": 0.5,
+                                 "a": 0.0, "b": 2.0},
+                "sources": [{"location": [0.7], "intensity": 1.0}],
+                "sensors": [[0.1], [1.9]],
+                "time_grid": {"tau": 0.1, "num_steps": 10}}
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(data))
+        scen = model.load_scenario(path)
+        co = scen.coefficients
+        assert (co.a, co.b) == (0.0, 2.0)
+        x = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_allclose(co.diffusion(x), 2.0, rtol=1e-15)
+        np.testing.assert_allclose(co.drift(x), 0.5, rtol=1e-15)
+        np.testing.assert_array_equal(co.reaction(x), 0.0)
+        assert model.validate_scenario(scen) == []
+
     def test_free_space_round_trip(self, tmp_path):
         scen = make_free_scenario()
         path = tmp_path / "scen.json"
