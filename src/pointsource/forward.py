@@ -1,19 +1,23 @@
 """Forward solvers and Green-function machinery.
 
 Contains the analytic free-space response oracle (time-domain Duhamel
-convolution with exactly integrated kernel masses), the free-space
-resolvent Green function in log form (``log_green``), the leading-order
-large-parameter Green value for variable 1D coefficients (a float; the
-lambda-window advisor says where it holds), and a Crank-Nicolson
-finite-difference solver for bounded 1D intervals.  ``sensor_traces`` is
-the one entry point that turns a scenario into its clean sensor series:
-simulated data, the source-free background and the unit-source kernel of
-the intensity fit all come from it.
+convolution with exactly integrated kernel masses, evaluated as FFT
+products), the free-space resolvent Green function in log form
+(``log_green``), the leading-order large-parameter Green value for
+variable 1D coefficients (a float; the lambda-window advisor says where
+it holds), and a Crank-Nicolson finite-difference solver for bounded 1D
+intervals.  ``sensor_traces`` is the one entry point that turns a
+scenario into its clean sensor series: simulated data, the source-free
+background and the unit-source kernel of the intensity fit all come from
+it.
 
 Sign convention: all Green/resolvent values are returned positive (the
 resolvent of the positive-definite operator).  Every recovery formula in
 the identification modules consumes ratios or moduli, so a global sign
 carries no information.
+
+Each scipy module is imported in the function that uses it, so importing
+this module costs numpy only.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy import integrate, signal, special
-from scipy.interpolate import CubicSpline
-from scipy.linalg import get_lapack_funcs
 
 from .model import (
     CoefficientField1D,
@@ -52,8 +53,8 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-10
-#: largest lambda0 * horizon of the damped-intensity formulation: the
-#: factor exp(lambda0 * t) must stay finite across the grid
+#: largest lambda0 * horizon of the free-space oracle: the damping factor
+#: exp(-lambda0 * t) must stay in the normal double range across the grid
 MAX_DAMPING = 600.0
 #: finite-difference cells of an interval solve when none are given
 DEFAULT_CELLS = 400
@@ -113,6 +114,8 @@ def log_green(n: int, r, mu) -> tuple[np.ndarray, np.ndarray]:
         return -z - np.log(2.0 * mu), np.broadcast_to(-mu, np.shape(z))
     if n == 3:
         return -z - np.log(4.0 * np.pi * r), -mu - 1.0 / r
+    from scipy import special
+
     k0e = special.k0e(z)
     return np.log(k0e / (2.0 * np.pi)) - z, -mu * special.k1e(z) / k0e
 
@@ -124,6 +127,8 @@ def log_green(n: int, r, mu) -> tuple[np.ndarray, np.ndarray]:
 def travel_integrals(coeffs: CoefficientField1D, x0: float, x1: float
                      ) -> tuple[float, float]:
     """Signed integrals of slowness and amplitude density from x0 to x1."""
+    from scipy import integrate
+
     return tuple(integrate.quad(f, x0, x1, epsabs=_QUAD_TOL,
                                 epsrel=_QUAD_TOL, limit=200)[0]
                  for f in (coeffs.slowness, coeffs.amplitude_density))
@@ -157,6 +162,8 @@ def green_1d_asymptotic(coeffs: CoefficientField1D, x1: float, b: float,
 
 def kernel_mass_cumulative(n: int, r: float, t) -> np.ndarray:
     """Integral of heat_kernel(n, r, .) over (0, t], elementwise in t >= 0."""
+    from scipy import special
+
     if r <= 0.0:
         raise ValueError("distance r must be positive")
     t = np.asarray(t, dtype=float)
@@ -180,6 +187,8 @@ def kernel_mass_cumulative(n: int, r: float, t) -> np.ndarray:
 
 def kernel_moment_cumulative(n: int, r: float, t) -> np.ndarray:
     """Integral of s * heat_kernel(n, r, s) over (0, t], elementwise."""
+    from scipy import special
+
     if r <= 0.0:
         raise ValueError("distance r must be positive")
     t = np.asarray(t, dtype=float)
@@ -230,14 +239,27 @@ def duhamel_weights(n: int, r: float, grid: TimeGrid
     return p, mass - p
 
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real series as an rfft product, at
+    the transform length ``scipy.signal.fftconvolve`` uses."""
+    from scipy import fft
+
+    size = fft.next_fast_len(a.size + b.size - 1, real=True)
+    return fft.irfft(fft.rfft(a, size) * fft.rfft(b, size), size)
+
+
 def convolve_intensity(q: np.ndarray, n: int, r: float, grid: TimeGrid,
                        lambda0: float = 0.0) -> np.ndarray:
     """Duhamel convolution of intensity samples with a point-source kernel.
 
     Evaluates psi(t_k) = int_0^{t_k} q(s) * exp(-lambda0 (t_k - s)) *
     K(t_k - s) ds exactly for piecewise-linear q (up to a relative
-    O((lambda0*tau)^2) cell error when lambda0 > 0, folded in by damping
-    the intensity instead of the kernel).
+    O((lambda0*tau)^2) cell error when lambda0 > 0, from taking the
+    damped intensity q(s) exp(lambda0 s) linear between samples).  The
+    two convolutions are FFT products.  The damping rides on their
+    weights, exp(-lambda0 m tau) at lag m, so no term outgrows its
+    result: scaling the intensity by exp(lambda0 t) before the FFT would
+    cost exp(lambda0 * horizon) ulps of max|psi| at early times.
     """
     q = np.asarray(q, dtype=float)
     if q.size != grid.num_samples:
@@ -245,16 +267,13 @@ def convolve_intensity(q: np.ndarray, n: int, r: float, grid: TimeGrid,
     if lambda0 * grid.horizon > MAX_DAMPING:
         raise ValueError("lambda0 * horizon too large for the damped-intensity "
                          "formulation")
-    times = grid.times()
-    qk = q * np.exp(lambda0 * times) if lambda0 != 0.0 else q
     p, qq = duhamel_weights(n, r, grid)
-    pfull = np.concatenate(([0.0], p))
-    qfull = np.concatenate(([0.0], qq))
-    c1 = signal.convolve(qk, pfull)[:grid.num_samples]
-    c2 = signal.convolve(qk[1:], qfull)[:grid.num_samples]
-    psi = c1 + c2
-    if lambda0 != 0.0:
-        psi = psi * np.exp(-lambda0 * times)
+    # damp[i] is the factor of lag i - 1; P[j-1] has lag j, Q[j-1] lag j - 1
+    damp = np.exp(-lambda0 * grid.tau * np.arange(-1, grid.num_samples))
+    pfull = np.concatenate(([0.0], p)) * damp[1:]
+    qfull = np.concatenate(([0.0], qq)) * damp[:-1]
+    psi = _fft_convolve(q, pfull)[:grid.num_samples] \
+        + _fft_convolve(q[1:], qfull)[:grid.num_samples]
     psi[0] = 0.0
     return psi
 
@@ -361,6 +380,9 @@ def crank_nicolson_1d(scenario: Scenario, num_cells: int = DEFAULT_CELLS
     solution interpolated linearly between the mesh nodes bracketing
     sensor j, so a sensor on a mesh node reads that node's value.
     """
+    from scipy.interpolate import CubicSpline
+    from scipy.linalg import get_lapack_funcs
+
     dom = scenario.domain
     if not isinstance(dom, Interval1D):
         raise ValueError("the finite-difference solver requires an interval domain")

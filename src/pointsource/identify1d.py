@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .forward import travel_integrals
 from .laplace import LaplaceSamples
@@ -78,6 +77,8 @@ def _invert_travel(coeffs: CoefficientField1D, b1: float,
     integration through the sorted targets (rtol = atol = 1e-13) inverts
     them all; the slowness is strictly positive, so each root is unique.
     """
+    from scipy.integrate import solve_ivp
+
     targets, inverse = np.unique(m, return_inverse=True)
     sol = solve_ivp(lambda _, y: np.sqrt(coeffs.diffusion(y)),
                     (0.0, targets[-1]), [float(b1)], method="DOP853",

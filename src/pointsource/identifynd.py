@@ -32,7 +32,6 @@ from itertools import combinations, islice
 from typing import Union
 
 import numpy as np
-from scipy import optimize
 
 from .forward import log_green
 from .laplace import LaplaceSamples
@@ -154,6 +153,8 @@ def locate_source_nd(phi: LaplaceSamples, scenario: Scenario,
     clear the noise floor by NOISE_HEADROOM, are dropped and reported; if
     fewer than MIN_LAMBDAS remain, the call fails with that diagnosis.
     """
+    from scipy import optimize
+
     n = scenario.dimension
     sensors = scenario.sensor_points()
     s = sensors.shape[0]

@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
-from scipy import fft, linalg
 
 from .forward import DEFAULT_CELLS, sensor_traces
 from .model import Interval1D, PointSource, Scenario, TimeGrid
@@ -214,6 +213,8 @@ def _circulant_eigenvalues(w: np.ndarray, m: int, c: float, r: float
     preconditioner for sum_j A_j^T A_j + c D^T D + r I on m cells: that of
     the leading m x m block of A_j has first column (1 - k/m) w_j[k], and
     the periodic D^T D has eigenvalues 2 - 2 cos(2 pi k/m)."""
+    from scipy import fft
+
     k = np.arange(m)
     spec = fft.rfft((1.0 - k / m)[:, None] * w[:m], axis=0)
     lam = np.sum(spec.real ** 2 + spec.imag ** 2, axis=1)
@@ -224,8 +225,8 @@ def _pcg(apply, precond, b: np.ndarray, maxiter: int
          ) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients for apply(x) = b from x = 0: x
     and the iterations taken once the recursive residual falls to 1e-13|b|.
-    Raises LinAlgError when the preconditioner is not positive definite on
-    a residual or after ``maxiter`` iterations."""
+    Raises numpy's LinAlgError when the preconditioner is not positive
+    definite on a residual or after ``maxiter`` iterations."""
     x, p = np.zeros_like(b), np.zeros_like(b)
     res = b.copy()
     stop = 1e-13 * np.linalg.norm(b)
@@ -236,7 +237,7 @@ def _pcg(apply, precond, b: np.ndarray, maxiter: int
         z = precond(res)
         rho = res @ z
         if not (np.isfinite(rho) and rho > 0.0):
-            raise linalg.LinAlgError(
+            raise np.linalg.LinAlgError(
                 "deconvolution preconditioner is not positive definite")
         p = z + (rho / rho_prev) * p
         hp = apply(p)
@@ -246,8 +247,8 @@ def _pcg(apply, precond, b: np.ndarray, maxiter: int
         if np.linalg.norm(res) <= stop:
             return x, it
         rho_prev = rho
-    raise linalg.LinAlgError(f"deconvolution normal equations: CG did not "
-                             f"converge in {maxiter} iterations")
+    raise np.linalg.LinAlgError(f"deconvolution normal equations: CG did "
+                                f"not converge in {maxiter} iterations")
 
 
 class _Trial(NamedTuple):
@@ -369,8 +370,11 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     machine-precision spectral cutoff.  The normal matrix is never formed:
     one FFT of the masses at length n + m (m solved cells) applies every
     A_j and A_j^T, and CG preconditioned with T. Chan's optimal circulant
-    solves it (``_pcg``; LinAlgError beyond CG_ITERATIONS_PER_CELL * m).
+    solves it (``_pcg``; numpy's LinAlgError beyond
+    CG_ITERATIONS_PER_CELL * m).
     """
+    from scipy import fft
+
     psi = np.asarray(psi, dtype=float)
     w = np.asarray(masses, dtype=float)
     if psi.ndim > 2 or psi.shape[0] != grid.num_samples:

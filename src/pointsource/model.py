@@ -335,8 +335,9 @@ def validate_scenario(s: Scenario) -> list[str]:
     elif isinstance(dom, FreeSpace):
         if dom.n not in (1, 2, 3):
             out.append("domain.n: free-space dimension must be 1, 2, or 3")
-        if dom.lambda0 < 0.0:
-            out.append("domain.lambda0: reaction coefficient must be nonnegative")
+        if not (np.isfinite(dom.lambda0) and dom.lambda0 >= 0.0):
+            out.append("domain.lambda0: reaction coefficient must be finite "
+                       "and nonnegative")
         if isinstance(s.coefficients, DriftFieldND):
             if s.coefficients.n != dom.n:
                 out.append("coefficients: drift dimension must match the "

@@ -142,6 +142,22 @@ class TestSimulate:
                        "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("lambda0", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_lambda0_rejected(self, tmp_path, capsys, lambda0):
+        # a NaN reaction used to simulate an all-NaN sensors.csv (exit 0)
+        spath = tmp_path / "scen.json"
+        scen = write_free_space_scenario(spath, n=3, num_steps=300)
+        save_edited(spath, scen, ("domain", "lambda0"), lambda0)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--scenario", str(spath), "--out",
+                       str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation: domain.lambda0: reaction coefficient must be "
+            "finite and nonnegative\n")
+        assert not out.exists()
+
     def test_a2_spline_dipping_below_zero_rejected(self, tmp_path, capsys):
         # positive samples whose spline reaches -0.116 at x = 0.5 used to
         # simulate an all-NaN sensors.csv (exit 0)
@@ -1042,7 +1058,8 @@ class TestDiagnose:
         (False, ("domain", "n"), 4,
          "domain.n: free-space dimension must be 1, 2, or 3"),
         (False, ("domain", "lambda0"), -1.0,
-         "domain.lambda0: reaction coefficient must be nonnegative"),
+         "domain.lambda0: reaction coefficient must be finite and "
+         "nonnegative"),
         (False, ("coefficients",),
          {"type": "drift_nd", "n": 2, "constant": [1.0, 0.0]},
          "coefficients: drift dimension must match the domain"),
@@ -1442,16 +1459,58 @@ class TestReportDeterminism:
         assert ra == rb
 
 
-def test_module_entry_point_runs_the_cli():
-    # python -m pointsource is the pointsource command, and runs the CLI
-    # module only once (no runpy RuntimeWarning)
+def source_env():
+    """The environment of a fresh interpreter that imports this checkout."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point_runs_the_cli():
+    # python -m pointsource is the pointsource command, and runs the CLI
+    # module only once (no runpy RuntimeWarning)
     proc = subprocess.run([sys.executable, "-m", "pointsource", "--help"],
-                          env=env, capture_output=True, text=True,
+                          env=source_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "usage: pointsource" in proc.stdout
+
+
+# prints the scipy modules loaded by the package import, then the exit
+# codes of a command sequence and the scipy modules loaded after it
+STARTUP_PROBE = """
+import json, sys
+import pointsource, pointsource.cli
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
+at_import = scipy_modules()
+scen, out = sys.argv[1:]
+codes = [pointsource.cli.main([cmd, "--scenario", scen, "--out", out + cmd])
+         for cmd in ("simulate", "diagnose")]
+codes.append(pointsource.cli.main(["identify", "--scenario", scen,
+                                   "--out", out + "simulate"]))
+print(json.dumps([at_import, codes, scipy_modules()]))
+"""
+
+
+def test_startup_loads_only_the_scipy_a_command_runs(tmp_path):
+    # a fresh interpreter, so that no other test's imports hide a
+    # module-level scipy import; scipy.signal alone, with the scipy.stats
+    # it imports, adds about 0.4 s to every start
+    spath = tmp_path / "scen.json"
+    write_free_space_scenario(spath, n=3, num_steps=2000)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(spath),
+         str(tmp_path / "out-")],
+        env=source_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, codes, after = json.loads(proc.stdout.splitlines()[-1])
+    assert at_import == []
+    assert codes == [0, 0, 0]
+    assert not {"scipy.signal", "scipy.stats"} & set(after)
+    assert "scipy.optimize" in after

@@ -280,6 +280,26 @@ class TestConvolveIntensity:
             0.0, tk, limit=400)
         np.testing.assert_allclose(psi[350], want, rtol=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lambda0", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("num_steps", [50, 300, 4000])
+    def test_matches_direct_sum(self, n, lambda0, num_steps):
+        # the FFT products against the damped-intensity convolutions summed
+        # directly, term by term; up to lambda0 * horizon = 40, where
+        # damping the intensity before an FFT loses every digit early on
+        grid = model.TimeGrid(tau=5e-3, num_steps=num_steps)
+        t = grid.times()
+        q = 1.0 + 0.5 * np.sin(2.0 * np.pi * t / 3.0)
+        psi = forward.convolve_intensity(q, n, 0.8, grid, lambda0=lambda0)
+        p, qq = forward.duhamel_weights(n, 0.8, grid)
+        qk = q * np.exp(lambda0 * t)
+        want = np.convolve(qk, np.concatenate(([0.0], p)))[:t.size] \
+            + np.convolve(qk[1:], np.concatenate(([0.0], qq)))[:t.size]
+        want *= np.exp(-lambda0 * t)
+        want[0] = 0.0
+        np.testing.assert_allclose(psi, want, rtol=0.0,
+                                   atol=1e-14 * np.abs(want).max())
+
 
 class TestFreeSpaceResponse:
     def test_no_sources(self):
