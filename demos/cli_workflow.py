@@ -7,13 +7,25 @@ Equivalent shell session:
         --lambda-min 100 --lambda-max 400
     pointsource diagnose --scenario scen.json --out run/
     pointsource reproduce-example 2 --out run/
+
+The demo stops with the exit code of the first command that fails.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from pointsource import PointSource, Scenario, TimeGrid, cli, model
+
+
+def run(*argv: str) -> None:
+    """Run one CLI command; exit with its code when it fails."""
+    rc = cli.main(list(argv))
+    print(f"{argv[0]} exit code: {rc}")
+    if rc:
+        sys.exit(rc)
+
 
 workdir = Path(tempfile.mkdtemp(prefix="pointsource_demo_"))
 scenario_path = workdir / "scenario.json"
@@ -30,23 +42,15 @@ scenario = Scenario(
 model.save_scenario(scenario_path, scenario)
 print(f"scenario written to {scenario_path}")
 
-rc = cli.main(["simulate", "--scenario", str(scenario_path),
-               "--out", str(out)])
-print(f"simulate exit code: {rc}")
-
-rc = cli.main(["identify", "--scenario", str(scenario_path),
-               "--out", str(out),
-               "--lambda-min", "100", "--lambda-max", "400"])
-print(f"identify exit code: {rc}")
+run("simulate", "--scenario", str(scenario_path), "--out", str(out))
+run("identify", "--scenario", str(scenario_path), "--out", str(out),
+    "--lambda-min", "100", "--lambda-max", "400")
 
 report = json.loads((out / "report.json").read_text())
 print(f"\nrecovered x1 = {report['x1_hat']:.6f} (true 0.3)")
 print(f"evaluation block: {report['evaluation']}")
 
-rc = cli.main(["diagnose", "--scenario", str(scenario_path),
-               "--out", str(out)])
-print(f"\ndiagnose exit code: {rc}")
-
-rc = cli.main(["reproduce-example", "2", "--out", str(out)])
-print(f"reproduce-example exit code: {rc}")
+print()
+run("diagnose", "--scenario", str(scenario_path), "--out", str(out))
+run("reproduce-example", "2", "--out", str(out))
 print(f"\nall artifacts in {out}")

@@ -6,7 +6,7 @@ simulate          generate sensor series for a scenario JSON, with seeded
                   Gaussian noise, writing sensors.csv plus a ground-truth
                   sidecar for later evaluation.
 identify          run background subtraction and the 1D or multi-D
-                  identification pipeline on a sensor CSV; writes a JSON
+                  identification pipeline on a sensor CSV; writes one JSON
                   report, appending error metrics when ground truth is
                   available.
 diagnose          run the identifiability checks (sensor/source
@@ -43,7 +43,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 9
+REPORT_SCHEMA_VERSION = 10
 # ground_truth.json has its own version: a report-only schema change
 # leaves the ground-truth files byte for byte as they were
 GROUND_TRUTH_SCHEMA_VERSION = 7
@@ -88,6 +88,15 @@ def _reject(*violations: str) -> None:
                        *(f"validation: {v}" for v in violations))
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, made if missing; an exit-2 failure when it
+    cannot be (a file stands at the path or on it)."""
+    out = Path(args.out)
+    with _failing(EXIT_VALIDATION, f"validation: --out {out}", OSError):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _load_scenario(path) -> model.Scenario:
     """The scenario at ``path``; an exit-2 failure when the file cannot be
     read or does not describe a scenario."""
@@ -127,12 +136,8 @@ def _ineffective_flags(args, scenario: model.Scenario) -> list[str]:
             out.append("--seed: the noise sigma is 0, so no noise is drawn "
                        "and the seed changes no sensor value")
         return out
-    if scenario.dimension == 1:
-        if args.noise is not None:
-            out.append("--noise: 1D identification does not use a noise "
-                       "level")
-    elif args.format == "csv":
-        out.append("--format csv: only a 1D report has a per-lambda table")
+    if scenario.dimension == 1 and args.noise is not None:
+        out.append("--noise: 1D identification does not use a noise level")
     return out
 
 
@@ -152,8 +157,7 @@ def _run_violations(args, scenario: model.Scenario) -> list[str]:
 def cmd_simulate(args) -> None:
     scenario = _load_scenario(args.scenario)
     _reject(*_run_violations(args, scenario))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     with _failing(EXIT_SOLVER, "solver"):
         traces = forward.sensor_traces(scenario, _num_cells(args))
     sigma = _noise_sigma(args, scenario)
@@ -232,8 +236,9 @@ def _truth_sources(path: Path, scenario: model.Scenario):
     return out
 
 
-def _evaluation_block(x_hat, q_hat, grid: model.TimeGrid, sources) -> dict:
-    """Errors against the true source nearest to ``x_hat``, when the
+def _evaluation_block(x_hat, q, grid: model.TimeGrid, sources) -> dict:
+    """Errors of ``x_hat`` and of the intensity ``q`` on every time of
+    ``grid`` against the true source nearest to ``x_hat``, when the
     ground truth ``sources`` (see ``_truth_sources``) are at hand."""
     if sources is None:
         return {}
@@ -246,29 +251,29 @@ def _evaluation_block(x_hat, q_hat, grid: model.TimeGrid, sources) -> dict:
     win = grid.times() >= 0.1 * grid.horizon
     denom = float(np.linalg.norm(q_true[win]))
     if denom > 0.0:
-        out["q_rel_l2"] = float(
-            np.linalg.norm(np.asarray(q_hat)[win] - q_true[win]) / denom)
+        out["q_rel_l2"] = float(np.linalg.norm(q[win] - q_true[win]) / denom)
     return out
 
 
-def _intensity_block(args, scenario: model.Scenario, psi_tilde: np.ndarray,
-                     x_hat) -> tuple[dict, list[dict]]:
-    """The report's intensity block, with the same keys in every
-    dimension (the caller adds ``background``), and a sensor_misfit_high
-    diagnostic for every sensor the joint fit explains poorly."""
-    dec = laplace.recover_intensity(psi_tilde, scenario, x_hat, args.epsilon,
-                                    num_cells=_num_cells(args))
+def _intensity_block(args, scenario, dec) -> tuple[dict, list[dict]]:
+    """The report's block of the deconvolution ``dec``, with the same keys
+    in every dimension (the caller adds ``background``), and a
+    sensor_misfit_high diagnostic for every sensor the joint fit explains
+    poorly.  ``q_hat`` is the solve's nodes, t = k*stride*tau."""
     if isinstance(scenario.domain, model.Interval1D):
         kernel = {"source": "crank_nicolson", "cells": _num_cells(args)}
     else:
         kernel = {"source": "analytic"}
+    # the sigma of eps="auto"'s discrepancy target; a given eps uses none
+    sigma = None if dec.noise_sigma is None \
+        else {"value": dec.noise_sigma, "source": "estimated"}
     block = {"eps": dec.eps, "solves": dec.solves,
              "cg_iterations": dec.cg_iterations,
              "n_tail_extended": dec.n_tail_extended,
              "residual_norm": dec.residual_norm, "stride": dec.stride,
              "misfit": dec.misfit.tolist(),
-             "kernel": kernel,
-             "q_hat": dec.q.tolist()}
+             "kernel": kernel, "noise_sigma": sigma,
+             "q_hat": dec.q[::dec.stride].tolist()}
     flags = [{"code": "sensor_misfit_high", "sensor": j,
               "misfit": float(misfit)}
              for j, misfit in enumerate(dec.misfit) if misfit > MISFIT_LIMIT]
@@ -327,15 +332,16 @@ def _identify(args, scenario, psi_tilde, truth, lambdas, window) -> dict:
     phi = laplace.laplace_grid(psi_tilde, scenario.grid, lambdas)
     fields, x_hat = _locate_1d(scenario, phi) if scenario.dimension == 1 \
         else _locate_nd(args, scenario, phi)
-    intensity, misfit_flags = _intensity_block(args, scenario, psi_tilde,
-                                               x_hat)
+    dec = laplace.recover_intensity(psi_tilde, scenario, x_hat, args.epsilon,
+                                    num_cells=_num_cells(args))
+    intensity, misfit_flags = _intensity_block(args, scenario, dec)
     report = {"schema_version": REPORT_SCHEMA_VERSION,
               "dimension": scenario.dimension, **fields,
               "lambda_window": list(window),
               "intensity": intensity}
     report["diagnostics"] += misfit_flags
-    report["evaluation"] = _evaluation_block(x_hat, intensity["q_hat"],
-                                             scenario.grid, truth)
+    report["evaluation"] = _evaluation_block(x_hat, dec.q, scenario.grid,
+                                             truth)
     return report
 
 
@@ -345,8 +351,7 @@ def cmd_identify(args) -> None:
             *_window_violations(args, identifynd.MIN_LAMBDAS))
     with _failing(EXIT_VALIDATION, "validation: lambda window"):
         lambdas, window = _lambda_window(args, scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     data_path = Path(args.data) if args.data else out / "sensors.csv"
     with _failing(EXIT_VALIDATION, f"validation: sensor CSV {data_path}",
                   (OSError, ValueError)):
@@ -372,22 +377,13 @@ def cmd_identify(args) -> None:
     report["intensity"]["background"] = "solved" if np.any(background) \
         else "zero"
     _write_json(out / "report.json", report)
-    if args.format == "csv":
-        with open(out / "report_per_lambda.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lam", "x1", "weight", "used"])
-            for row in report["per_lambda"]:
-                x1 = "" if row["x1"] is None else f"{row['x1']:.17g}"
-                w.writerow([f"{row['lam']:.17g}", x1,
-                            f"{row['weight']:.17g}", row["used"]])
     print(f"wrote {out / 'report.json'}")
 
 
 def cmd_diagnose(args) -> None:
     scenario = _load_scenario(args.scenario)
     _reject(*model.validate_scenario(scenario))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     n = scenario.dimension
     checks: dict = {"schema_version": REPORT_SCHEMA_VERSION, "dimension": n}
     obstructions = []
@@ -440,8 +436,7 @@ def cmd_reproduce_example(args) -> None:
     with _failing(EXIT_VALIDATION, "validation: --a/--m"):
         report = identifynd.nonuniqueness_discrepancy(
             args.which, a=args.a, m_dist=args.m, lambdas=lambdas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     path = out / f"example{args.which}_discrepancy.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -511,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--epsilon", default="auto",
                       type=_nonnegative(keyword="auto"),
                       help="regularization: 'auto' or a value >= 0")
-    p_id.add_argument("--format", choices=("json", "csv"), default="json")
     p_rep.add_argument("which", type=int, choices=(1, 2))
     p_rep.add_argument("--a", type=_nonnegative(), default=1.0,
                        help="source half-separation")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointsource import cli, forward, model
+from pointsource import cli, forward, laplace, model
 
 
 def write_free_space_scenario(path, n=3, x1=(0.2, 0.1, -0.3), tau=1e-3,
@@ -226,6 +226,9 @@ class TestIdentify:
         assert rec["cg_iterations"] >= rec["solves"]
         assert rec["n_tail_extended"] >= 0
         assert rec["stride"] == 4           # 10000 steps down to 2500
+        # eps=auto aims at the noise level it estimated from the series
+        assert rec["noise_sigma"]["source"] == "estimated"
+        assert rec["noise_sigma"]["value"] >= 0.0
         # free space has no background, and its kernel is closed-form
         assert rec["kernel"] == {"source": "analytic"}
         assert rec["background"] == "zero"
@@ -247,7 +250,7 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 9
+        assert report["schema_version"] == 10
         truth = json.loads((out / "ground_truth.json").read_text())
         assert truth["schema_version"] == 7
         assert report["evaluation"]["scored_source"] == 0
@@ -259,6 +262,9 @@ class TestIdentify:
         assert rec["cg_iterations"] >= 1
         assert rec["n_tail_extended"] >= 0
         assert rec["stride"] == 5           # 12000 steps down to 2400
+        assert len(rec["q_hat"]) == 2401
+        # a given eps builds no discrepancy target from a noise level
+        assert rec["noise_sigma"] is None
         assert len(rec["misfit"]) == 4 and max(rec["misfit"]) <= 1e-3
         assert not {"spread", "q_hat_per_sensor"} & set(rec)
         assert np.shape(report["x1_cov"]) == (3, 3)
@@ -305,14 +311,12 @@ class TestIdentify:
         ("simulate", 3, ("--cells", "100")),
         ("identify", 3, ("--cells", "100")),
         ("identify", 1, ("--noise", "1e-3")),
-        ("identify", 3, ("--format", "csv")),
     ], ids=["simulate-cells-free-space", "identify-cells-free-space",
-            "identify-noise-1d", "identify-csv-3d"])
+            "identify-noise-1d"])
     def test_ineffective_flag_rejected(self, tmp_path, capsys, command, n,
                                        flags):
-        # free space runs no finite-difference solve, the 1D pipeline
-        # reads no noise level, and only a 1D report has a per-lambda
-        # table: such a flag could only be ignored
+        # free space runs no finite-difference solve and the 1D pipeline
+        # reads no noise level: such a flag could only be ignored
         spath = tmp_path / "scen.json"
         write_free_space_scenario(spath, n=n, tau=1e-3, num_steps=2000)
         out = tmp_path / "out"
@@ -857,6 +861,28 @@ class TestIdentify:
         report = json.loads((out / "report.json").read_text())
         assert report["evaluation"] == {}
 
+    def test_q_hat_holds_the_decimated_solve_nodes(self, tmp_path):
+        # 6000 steps are solved at stride 3: q_hat is the solve's node
+        # series at t = 3k*tau, the deconvolution's q sampled at its nodes
+        spath = tmp_path / "scen.json"
+        scen = write_free_space_scenario(spath, n=3, num_steps=6000,
+                                         sigma=1e-5)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        rec = report["intensity"]
+        assert rec["stride"] == 3
+        assert len(rec["q_hat"]) == 6000 // 3 + 1
+        _, series = model.read_sensor_csv(out / "sensors.csv")
+        dec = laplace.recover_intensity(series, scen, report["x1_hat"],
+                                        "auto")
+        assert rec["q_hat"] == dec.q[::3].tolist()
+        assert rec["noise_sigma"] == {"value": dec.noise_sigma,
+                                      "source": "estimated"}
+
     def test_short_series_at_eps_zero(self, tmp_path):
         # finite-precision CG needs more than m iterations on this system
         spath = tmp_path / "scen.json"
@@ -1248,6 +1274,28 @@ class TestDiagnose:
         assert not (tmp_path / "out" / "diagnostics.json").exists()
 
 
+class TestOutDirectory:
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["simulate", "identify", "diagnose",
+                                         "reproduce-example"])
+    def test_file_in_the_way_rejected(self, tmp_path, capsys, command,
+                                      below):
+        # a file at --out, or on its path, is a validation failure, not a
+        # traceback, and the file is left as it was
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=2000)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if below else blocker
+        head = ["reproduce-example", "1"] if command == "reproduce-example" \
+            else [command, "--scenario", str(spath)]
+        rc = cli.main([*head, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"validation: --out {out}: ")
+        assert blocker.read_text() == "keep\n"
+
+
 class TestFlagsPerCommand:
     @pytest.mark.parametrize("argv", [
         ["diagnose", "--scenario", "s.json", "--epsilon", "5"],
@@ -1256,9 +1304,11 @@ class TestFlagsPerCommand:
         ["simulate", "--scenario", "s.json", "--epsilon", "0"],
         ["simulate", "--scenario", "s.json", "--lambda-min", "1"],
         ["reproduce-example", "1", "--noise", "0.1"],
+        ["identify", "--scenario", "s.json", "--format", "csv"],
     ])
     def test_foreign_flag_rejected(self, argv):
-        # a flag the subcommand has no use for is an error
+        # a flag the subcommand has no use for is an error; identify
+        # writes report.json alone, so it has no --format
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -1398,32 +1448,17 @@ class TestReproduceExamples:
 
 
 class TestCsvReportFormat:
-    def test_per_lambda_table_written(self, tmp_path):
-        spath = tmp_path / "scen.json"
-        write_free_space_scenario(spath, n=1, tau=1e-3, num_steps=6000)
-        out = tmp_path / "out"
-        cli.main(["simulate", "--scenario", str(spath), "--out", str(out)])
-        rc = cli.main(["identify", "--scenario", str(spath),
-                       "--out", str(out), "--format", "csv",
-                       "--lambda-min", "25", "--lambda-max", "50",
-                       "--epsilon", "0"])
-        assert rc == 0
-        table = (out / "report_per_lambda.csv").read_text().splitlines()
-        assert table[0] == "lam,x1,weight,used"
-        assert len(table) >= 13
-
-
     def test_unused_lambdas_written_as_null(self, tmp_path):
         # a window reaching far past the sampling rate leaves lambdas
-        # without an estimate; the report stays strict JSON and the table
-        # leaves their x1 cell empty
+        # without an estimate; report.json, the only per-lambda table,
+        # stays strict JSON and writes their x1 as null
         spath = tmp_path / "scen.json"
         write_free_space_scenario(spath, n=1, tau=1e-3, num_steps=4000)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(spath),
                          "--out", str(out)]) == 0
         assert cli.main(["identify", "--scenario", str(spath),
-                         "--out", str(out), "--format", "csv",
+                         "--out", str(out),
                          "--lambda-min", "0.01",
                          "--lambda-max", "2000"]) == 0
 
@@ -1435,10 +1470,7 @@ class TestCsvReportFormat:
         rows = report["per_lambda"]
         assert any(not row["used"] for row in rows)
         assert all((row["x1"] is None) == (not row["used"]) for row in rows)
-        table = (out / "report_per_lambda.csv").read_text().splitlines()
-        cells = [line.split(",") for line in table[1:]]
-        assert [c[1] == "" for c in cells] == [not row["used"]
-                                               for row in rows]
+        assert not list(out.glob("report_*"))
 
 
 class TestReportDeterminism:
