@@ -25,7 +25,6 @@ Exit codes: 0 success, 2 scenario validation, 3 forward-solver failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -43,7 +42,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IDENTIFY = 4
 
-REPORT_SCHEMA_VERSION = 10
+REPORT_SCHEMA_VERSION = 11
 # ground_truth.json has its own version: a report-only schema change
 # leaves the ground-truth files byte for byte as they were
 GROUND_TRUTH_SCHEMA_VERSION = 7
@@ -61,7 +60,7 @@ def _write_json(path: Path, payload: dict) -> None:
     # float and needs no conversion
     text = json.dumps(payload, indent=2, sort_keys=True,
                       default=lambda o: o.tolist())
-    path.write_text(text + "\n")
+    _write(path, lambda p: p.write_text(text + "\n"))
 
 
 class _Failure(Exception):
@@ -79,6 +78,13 @@ def _failing(code: int, prefix: str, errors=ValueError):
         yield
     except errors as exc:
         raise _Failure(code, f"{prefix}: {exc}") from exc
+
+
+def _write(path: Path, write) -> None:
+    """``write(path)``, every output file's one way out; an exit-2 failure
+    when the file cannot be written (a directory stands at the path)."""
+    with _failing(EXIT_VALIDATION, f"validation: --out {path}", OSError):
+        write(path)
 
 
 def _reject(*violations: str) -> None:
@@ -165,7 +171,8 @@ def cmd_simulate(args) -> None:
     if sigma > 0.0:
         rng = np.random.default_rng(seed)
         traces = traces + sigma * rng.standard_normal(traces.shape)
-    model.write_sensor_csv(out / "sensors.csv", scenario.grid.times(), traces)
+    _write(out / "sensors.csv",
+           lambda p: model.write_sensor_csv(p, scenario.grid.times(), traces))
     truth = {
         "schema_version": GROUND_TRUTH_SCHEMA_VERSION,
         "sources": [{"location": s.location.tolist(),
@@ -260,10 +267,11 @@ def _intensity_block(args, scenario, dec) -> tuple[dict, list[dict]]:
     in every dimension (the caller adds ``background``), and a
     sensor_misfit_high diagnostic for every sensor the joint fit explains
     poorly.  ``q_hat`` is the solve's nodes, t = k*stride*tau."""
+    kernel = {"source": "analytic", "tau": scenario.grid.tau}
     if isinstance(scenario.domain, model.Interval1D):
-        kernel = {"source": "crank_nicolson", "cells": _num_cells(args)}
-    else:
-        kernel = {"source": "analytic"}
+        # recover_intensity runs the interval kernel at the solve's step
+        kernel = {"source": "crank_nicolson", "cells": _num_cells(args),
+                  "tau": scenario.grid.tau * dec.stride}
     # the sigma of eps="auto"'s discrepancy target; a given eps uses none
     sigma = None if dec.noise_sigma is None \
         else {"value": dec.noise_sigma, "source": "estimated"}
@@ -438,13 +446,13 @@ def cmd_reproduce_example(args) -> None:
             args.which, a=args.a, m_dist=args.m, lambdas=lambdas)
     out = _out_dir(args)
     path = out / f"example{args.which}_discrepancy.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["probe", "lam", "discrepancy"])
-        for i, p in enumerate(report.probes):
-            for k, lam in enumerate(report.lambdas):
-                w.writerow(["(" + " ".join(f"{c:.17g}" for c in p) + ")",
-                            f"{lam:.17g}", f"{report.table[i, k]:.17g}"])
+    rows = [("probe", "lam", "discrepancy")] + [
+        ("(" + " ".join(f"{c:.17g}" for c in probe) + ")", f"{lam:.17g}",
+         f"{report.table[i, k]:.17g}")
+        for i, probe in enumerate(report.probes)
+        for k, lam in enumerate(report.lambdas)]
+    _write(path, lambda p: p.write_text(
+        "".join(",".join(row) + "\r\n" for row in rows), newline=""))
     summary = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "case": report.case,

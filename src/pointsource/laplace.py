@@ -18,15 +18,16 @@ eps*|Dq|^2 over the series psi_j of one or more sensors that share q, via
 ridge-floored normal equations applied matrix-free with FFTs and solved by
 circulant-preconditioned conjugate gradients, and extrapolates the
 trailing dead-time samples that the data cannot see.  Series longer than
-MAX_CELLS cells are decimated inside the deconvolution, and q comes back
-on the caller's grid.
+MAX_CELLS cells are solved on a decimated grid, and q comes back on the
+caller's grid.
 
 ``recover_intensity`` is the one intensity-recovery path of every domain:
 its kernel masses are the first differences of the forward model's own
 sensor series for a unit source at the recovered location
 (``forward.sensor_traces``), and it deconvolves every sensor series
 jointly against them, returning the ``DeconvolutionResult`` of that one
-joint solve.
+joint solve.  On an interval that Crank-Nicolson run takes the solve's
+decimated step; free space evaluates its analytic kernel on the data grid.
 """
 
 from __future__ import annotations
@@ -200,6 +201,11 @@ class DeconvolutionResult:
     noise_sigma: Union[float, None] = None
 
 
+def _stride(num_steps: int) -> int:
+    """Smallest stride leaving at most MAX_CELLS of ``num_steps`` cells."""
+    return -(-num_steps // MAX_CELLS)
+
+
 def _estimate_noise_sigma(samples: np.ndarray) -> float:
     """Robust per-sample noise scale from first differences (MAD estimator)."""
     d = np.diff(np.asarray(samples, dtype=float))
@@ -335,15 +341,16 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     ``psi`` is one series, shape (N+1,), or s sensor series that see the
     same intensity through their own kernels, shape (N+1, s).  ``masses``
     holds the exact kernel mass of every cell of the grid, shape (N,) or
-    (N, s).  The unknowns are cell-midpoint values of q against those
+    (N, s), or of every cell of the decimated grid below (N // stride
+    rows).  The unknowns are cell-midpoint values of q against those
     masses (product-midpoint rule).  The s systems are stacked: the normal
     equations carry sum_j K_j^T K_j and sum_j K_j^T psi_j, the unknown
     cells are those at least one sensor can see, and the residual is the
     stacked one.  A single series is the case s = 1.
 
     A grid of more than MAX_CELLS cells is decimated by the smallest
-    stride that fits: the series keep every stride-th sample, and a coarse
-    cell's mass is the sum of its sub-cells' masses, which is exact.  The
+    stride that fits: the series keep every stride-th sample, and fine
+    masses are summed over each coarse cell, which is exact.  The
     noise estimate, the dead-time cut, the normal equations and the eps
     search all run on the decimated system; q is interpolated back to the
     input grid.
@@ -379,16 +386,16 @@ def volterra_deconvolve(psi: np.ndarray, masses: np.ndarray, grid: TimeGrid,
     w = np.asarray(masses, dtype=float)
     if psi.ndim > 2 or psi.shape[0] != grid.num_samples:
         raise ValueError("series length must match the time grid")
-    if w.shape[0] != grid.num_steps:
-        raise ValueError("masses must have one entry per time cell")
-    series = psi.reshape(grid.num_samples, -1)
-    w = w.reshape(grid.num_steps, -1)
+    stride = _stride(grid.num_steps)
+    n = grid.num_steps // stride
+    if w.shape[0] not in (grid.num_steps, n):
+        raise ValueError("masses must have one entry per (decimated) cell")
+    series = psi.reshape(grid.num_samples, -1)[:n * stride + 1:stride]
+    w = w.reshape(w.shape[0], -1)
     if w.shape[1] != series.shape[1]:
         raise ValueError("one kernel per sensor series is required")
-    stride = -(-grid.num_steps // MAX_CELLS)
-    n = grid.num_steps // stride
-    series = series[:n * stride + 1:stride]
-    w = w[:n * stride].reshape(n, stride, -1).sum(axis=1)
+    if w.shape[0] != n:
+        w = w[:n * stride].reshape(n, stride, -1).sum(axis=1)
     y = series[1:]
     total_mass = np.sum(w, axis=0)
     if not np.all(np.isfinite(total_mass)) or np.any(total_mass <= 1e-100):
@@ -518,12 +525,15 @@ def recover_intensity(psi: np.ndarray, scenario: Scenario, x_hat,
     scenario's own response at b_j to a unit constant source at x_hat, so
     q needs no amplitude.  One code path serves every domain: the
     scenario with that source alone, no f0 and (on an interval) zero
-    boundary data goes through ``forward.sensor_traces``, with
-    ``num_cells`` cells on an interval, and the first differences of its
-    series are the cell masses of the forward model (the background is
-    subtracted from ``psi``, so by linearity it plays no part).  The
-    reaction lambda0 of free space is part of that response, so the data
-    need no rescaling.  All columns are fitted jointly by
+    boundary data goes through ``forward.sensor_traces``, and the first
+    differences of its series are the cell masses of the forward model
+    (by linearity the subtracted background plays no part).  Free space
+    evaluates it on the scenario grid, lambda0 included, so the data need
+    no rescaling.  An interval runs it on ``num_cells`` cells at the
+    deconvolution's step, TimeGrid(stride*tau, N // stride): N // stride
+    Crank-Nicolson steps instead of N, failing only at an operator growth
+    rate l >= 2/(stride*tau), i.e. l*T >= 2N/stride >= 2500, where the
+    data have long overflowed.  All columns are fitted jointly by
     ``volterra_deconvolve``, and its ``DeconvolutionResult`` is returned:
     ``q`` is the intensity on the scenario grid, and the per-sensor
     ``misfit`` flags a sensor the common intensity cannot explain.
@@ -532,11 +542,13 @@ def recover_intensity(psi: np.ndarray, scenario: Scenario, x_hat,
     distances = np.linalg.norm(scenario.sensor_points() - x_hat, axis=1)
     if np.any(distances == 0.0):
         raise ValueError("source estimate coincides with a sensor")
-    dom = scenario.domain
+    dom, grid = scenario.domain, scenario.grid
     if isinstance(dom, Interval1D):
         dom = replace(dom, bc_left=replace(dom.bc_left, g=0.0),
                       bc_right=replace(dom.bc_right, g=0.0))
-    unit = replace(scenario, domain=dom, f0=None,
+        stride = _stride(grid.num_steps)
+        grid = TimeGrid(grid.tau * stride, grid.num_steps // stride)
+    unit = replace(scenario, domain=dom, f0=None, grid=grid,
                    sources=(PointSource(location=x_hat, intensity=1.0),))
     masses = np.diff(sensor_traces(unit, num_cells), axis=0)
     return volterra_deconvolve(psi, masses, scenario.grid, eps=eps,

@@ -230,7 +230,7 @@ class TestIdentify:
         assert rec["noise_sigma"]["source"] == "estimated"
         assert rec["noise_sigma"]["value"] >= 0.0
         # free space has no background, and its kernel is closed-form
-        assert rec["kernel"] == {"source": "analytic"}
+        assert rec["kernel"] == {"source": "analytic", "tau": 1e-3}
         assert rec["background"] == "zero"
         assert "exact_amplitude" not in rec
         # one source cannot fail the interleaving checks: diagnose's job
@@ -250,7 +250,7 @@ class TestIdentify:
         x_true = np.asarray(scen.sources[0].location)
         assert np.linalg.norm(np.array(report["x1_hat"]) - x_true) <= 5e-2
         assert report["evaluation"]["x_error"] <= 5e-2
-        assert report["schema_version"] == 10
+        assert report["schema_version"] == 11
         truth = json.loads((out / "ground_truth.json").read_text())
         assert truth["schema_version"] == 7
         assert report["evaluation"]["scored_source"] == 0
@@ -636,7 +636,7 @@ class TestIdentify:
         assert abs(report["x1_hat"] - 0.3) <= 1e-2
         assert report["intensity"]["background"] == "solved"
         assert report["intensity"]["kernel"] == {"source": "crank_nicolson",
-                                                 "cells": 2000}
+                                                 "cells": 2000, "tau": 4e-3}
 
     def test_reflecting_boundary_sensor_intensity(self, tmp_path):
         # sensor 0 sits on a reflecting end and sees the image source too;
@@ -654,7 +654,7 @@ class TestIdentify:
         assert report["branch"] == "left_boundary"
         assert len(report["intensity"]["misfit"]) == 2
         assert report["intensity"]["kernel"] == {"source": "crank_nicolson",
-                                                 "cells": 800}
+                                                 "cells": 800, "tau": 4e-3}
         assert report["intensity"]["background"] == "zero"
         assert report["evaluation"]["q_rel_l2"] <= 1e-2
 
@@ -706,6 +706,44 @@ class TestIdentify:
             [report["x1_hat"]]
         assert [float(p[0]) for p in kernel_run.sensors] == [0.0, 1.0]
         assert report["intensity"]["background"] == "zero"
+
+    @pytest.mark.parametrize("num_steps, kernel_steps, kernel_tau", [
+        (10000, 2500, 4e-3), (2500, 2500, 1e-3)])
+    def test_kernel_runs_at_the_solve_step(self, tmp_path, monkeypatch,
+                                           num_steps, kernel_steps,
+                                           kernel_tau):
+        # the unit-source kernel is solved once, on the grid the
+        # deconvolution decimates to (stride 4 at N = 10000, none at
+        # N = 2500), and the report states that step
+        scen = model.Scenario(
+            domain=model.Interval1D(a=-10.0, b=10.0,
+                                    bc_left=model.Dirichlet(g=0.0),
+                                    bc_right=model.Robin(sigma=0.5, g=0.0)),
+            coefficients=INTERVAL1D_COEFFS,
+            sources=(model.PointSource(location=[0.3], intensity=1.0),),
+            sensors=([0.0], [1.0]),
+            grid=model.TimeGrid(tau=1e-3, num_steps=num_steps))
+        spath = tmp_path / "scen.json"
+        model.save_scenario(spath, scen)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(spath),
+                         "--out", str(out), "--cells", "400"]) == 0
+        grids = []
+        solve = forward.crank_nicolson_1d
+
+        def counted(scenario, *args, **kwargs):
+            grids.append(scenario.grid)
+            return solve(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(forward, "crank_nicolson_1d", counted)
+        assert cli.main(["identify", "--scenario", str(spath),
+                         "--out", str(out), "--cells", "400"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [(g.num_steps, g.tau) for g in grids] == \
+            [(kernel_steps, kernel_tau)]
+        assert report["intensity"]["kernel"] == {
+            "source": "crank_nicolson", "cells": 400, "tau": kernel_tau}
+        assert report["evaluation"]["q_rel_l2"] <= 1e-3
 
     def test_absorbing_boundary_sensor_rejected(self, tmp_path):
         # a sensor on a homogeneous Dirichlet boundary measures zero
@@ -1294,6 +1332,33 @@ class TestOutDirectory:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"validation: --out {out}: ")
         assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "sensors.csv"), ("simulate", "ground_truth.json"),
+        ("identify", "report.json"), ("diagnose", "diagnostics.json"),
+        ("reproduce-example", "example1_discrepancy.csv"),
+        ("reproduce-example", "example1_summary.json")])
+    def test_directory_at_an_output_file_rejected(self, tmp_path, capsys,
+                                                  command, name):
+        # a directory standing where a command writes one of its files is
+        # a validation failure, not a traceback, and it is left in place
+        spath = tmp_path / "scen.json"
+        write_free_space_scenario(spath, n=3, num_steps=2000)
+        out = tmp_path / "out"
+        if command == "identify":
+            assert cli.main(["simulate", "--scenario", str(spath),
+                             "--out", str(out)]) == 0
+        blocker = out / name
+        (blocker / "inner").mkdir(parents=True)
+        head = ["reproduce-example", "1"] if command == "reproduce-example" \
+            else [command, "--scenario", str(spath)]
+        capsys.readouterr()
+        rc = cli.main([*head, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"validation: --out {blocker}: ")
+        assert (blocker / "inner").is_dir()
 
 
 class TestFlagsPerCommand:

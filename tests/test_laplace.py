@@ -549,3 +549,65 @@ class TestDecimation:
         assert res.stride == 1
         assert res.cells.size == grid.num_steps
         assert res.q.shape == (grid.num_samples,)
+
+    def test_coarse_masses_pass_through(self):
+        # masses of the decimated grid go in as they are: the solve is the
+        # one on the coarse grid, and any other length is rejected
+        grid = model.TimeGrid(tau=1e-3, num_steps=10000)
+        coarse = model.TimeGrid(tau=4e-3, num_steps=2500)
+        psi = 2.0 * forward.convolve_intensity(1.0 + np.sin(grid.times()), 1,
+                                               0.5, grid)
+        masses = 2.0 * forward.duhamel_masses(1, 0.5, coarse)
+        passed = laplace.volterra_deconvolve(psi, masses, grid, eps="auto",
+                                             sigma=1e-6)
+        direct = laplace.volterra_deconvolve(psi[::4], masses, coarse,
+                                             eps="auto", sigma=1e-6)
+        assert passed.stride == 4
+        assert passed.eps == direct.eps
+        np.testing.assert_array_equal(passed.cells, direct.cells)
+        np.testing.assert_array_equal(passed.q[::4], direct.q)
+        with pytest.raises(ValueError, match="one entry per"):
+            laplace.volterra_deconvolve(psi, masses[:-1], grid)
+
+
+def interval1d_scenario(q, num_steps):
+    """The interval1d benchmark geometry with a source of intensity
+    ``q(t)`` at x = 0.3 on the grid tau = 1e-3, N = num_steps."""
+    nodes = np.linspace(-10.0, 10.0, 41)
+    grid = model.TimeGrid(tau=1e-3, num_steps=num_steps)
+    return model.Scenario(
+        domain=model.Interval1D(a=-10.0, b=10.0,
+                                bc_left=model.Dirichlet(g=0.0),
+                                bc_right=model.Robin(sigma=0.5, g=0.0)),
+        coefficients=model.CoefficientField1D(
+            -10.0, 10.0, 1.0 + 0.3 * np.sin(0.3 * nodes), np.full(41, 0.1),
+            np.full(41, 0.02)),
+        sources=(model.PointSource(location=[0.3],
+                                   intensity=q(grid.times())),),
+        sensors=([0.0], [1.0]), grid=grid)
+
+
+class TestCoarseIntervalKernel:
+    @pytest.mark.parametrize("shape, bound", [
+        ("constant", 2e-6),
+        ("sine", 6e-3)])
+    @pytest.mark.parametrize("num_steps, stride", [(10000, 4), (10001, 5)])
+    def test_recovers_q_at_the_true_location(self, shape, bound, num_steps,
+                                             stride):
+        # the kernel solved at the stride's step recovers q from noisy data
+        # as the full-step kernel did (4.5e-3 for the sine at N = 10000);
+        # N = 10001 drops one trailing cell and keeps the same bound
+        q = {"constant": lambda t: np.ones_like(t),
+             "sine": lambda t: 1.0 + 0.5 * np.sin(2.0 * np.pi * t / 3.0)}
+        scen = interval1d_scenario(q[shape], num_steps)
+        rng = np.random.default_rng(0)
+        psi = forward.sensor_traces(scen, 800)
+        psi += 1e-5 * rng.standard_normal(psi.shape)
+        dec = laplace.recover_intensity(psi, scen, [0.3], eps="auto",
+                                        num_cells=800)
+        assert dec.stride == stride
+        q_true = scen.sources[0].intensity_samples(scen.grid)
+        win = scen.grid.times() >= 0.1 * scen.grid.horizon
+        q_rel_l2 = np.linalg.norm(dec.q[win] - q_true[win]) \
+            / np.linalg.norm(q_true[win])
+        assert q_rel_l2 <= bound
